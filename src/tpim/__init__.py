@@ -36,8 +36,6 @@ from .dynamics import (
     Scenario,
     SimulationTrace,
     integrate,
-    step_euler,
-    step_rk4,
 )
 from .excitation import (
     Harmonic,
@@ -48,18 +46,13 @@ from .excitation import (
     sample_voltage,
 )
 from .machine import (
-    ElectricalOutputs,
     MachineParameters,
     MachineState,
     ParameterError,
-    StateDerivative,
-    ValidatedParameters,
     currents_from_fluxes,
-    electrical_outputs,
     electromagnetic_torque,
     energy_consistent_torque,
     fluxes_from_currents,
-    state_derivative,
     validate_parameters,
 )
 
@@ -67,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
-    "ElectricalOutputs",
     "EnergyReport",
     "Harmonic",
     "IntegrationError",
@@ -80,21 +72,18 @@ __all__ = [
     "RunConfig",
     "Scenario",
     "SimulationTrace",
-    "StateDerivative",
     "SteadyStateNotReachedError",
     "SummaryReport",
     "SupplySpec",
     "SweepSpec",
     "TRACE_CHANNELS",
     "TraceTooShortError",
-    "ValidatedParameters",
     "VoltageSource",
     "build_scenario",
     "build_supply",
     "bundled_config_names",
     "currents_from_fluxes",
     "detect_steady_state",
-    "electrical_outputs",
     "electromagnetic_torque",
     "energy_audit",
     "energy_consistent_torque",
@@ -107,9 +96,6 @@ __all__ = [
     "sample_load",
     "sample_voltage",
     "set_axis_value",
-    "state_derivative",
-    "step_euler",
-    "step_rk4",
     "summarize",
     "validate_parameters",
 ]

@@ -10,7 +10,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynamics import SimulationTrace
-from .machine import ValidatedParameters
+from .machine import MachineParameters
 
 __all__ = [
     "TORQUE_CHANNELS",
@@ -139,7 +139,7 @@ def _trapezoid_mean(values: np.ndarray, t: np.ndarray) -> float:
 
 def summarize(
     trace: SimulationTrace,
-    p: ValidatedParameters,
+    p: MachineParameters,
     speed_tol: float = 1e-3,
     window: float = 0.1,
 ) -> SummaryReport:
@@ -187,7 +187,7 @@ def _field_energy(trace: SimulationTrace, idx: int) -> float:
 
 def energy_audit(
     trace: SimulationTrace,
-    p: ValidatedParameters,
+    p: MachineParameters,
     torque_channel: str = "te_ec",
 ) -> EnergyReport:
     """Integrate the power channels over the full trace and close the books.

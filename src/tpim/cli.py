@@ -21,6 +21,7 @@ from .config import (
     load_config,
     render_config,
     set_axis_value,
+    sweepable_axes,
 )
 from .dynamics import IntegrationError, integrate
 from .machine import ParameterError, validate_parameters
@@ -156,8 +157,10 @@ def _parse_sweep_spec(args) -> SweepSpec:
             raise ConfigError(
                 f"unknown summary field {name!r}; choose from {_SUMMARY_FIELDS}"
             )
-    # Surface bad axis names before any run.
-    set_axis_value(base, args.axis, values[0])
+    # Surface bad axis names before any run; bad values fail their own rows.
+    axes = sweepable_axes(base)
+    if args.axis not in axes:
+        raise ConfigError(f"unknown sweep axis {args.axis!r}; choose one of {axes}")
     return SweepSpec(base=base, axis=args.axis, values=values, fields=fields)
 
 

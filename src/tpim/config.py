@@ -115,7 +115,7 @@ class SweepSpec:
 
 
 class _Entries:
-    """Key store with typed, destructive reads; leftovers are unknown keys."""
+    """Key store with typed, destructive reads of already-known keys."""
 
     _REQUIRED = object()
 
@@ -217,11 +217,6 @@ class _Entries:
             except ValueError:
                 raise ConfigError(f"line {line}: invalid number in '{key}': {chunk.strip()!r}") from None
         return tuple(harmonics)
-
-    def reject_unknown(self):
-        if self._entries:
-            key, (_, line) = min(self._entries.items(), key=lambda kv: kv[1][1])
-            raise ConfigError(f"line {line}: unknown key '{key}'")
 
 
 def _scan_lines(text: str) -> dict[str, tuple[str, int]]:
@@ -327,7 +322,6 @@ def parse_config(text: str, name: str = "run") -> RunConfig:
         emit_plot_script=box.take_bool("output.emit_plot_script", default=False),
     )
 
-    box.reject_unknown()
     return RunConfig(
         machine=machine,
         supply=supply,

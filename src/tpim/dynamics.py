@@ -16,8 +16,8 @@ import numpy as np
 from .excitation import LoadProfile, VoltageSource, compile_sources
 from .machine import (
     SPEED_CONVENTIONS,
+    MachineParameters,
     MachineState,
-    ValidatedParameters,
     compile_derivative,
     currents_from_fluxes,
     electromagnetic_torque,
@@ -31,8 +31,6 @@ __all__ = [
     "Scenario",
     "SimulationTrace",
     "IntegrationError",
-    "step_rk4",
-    "step_euler",
     "integrate",
 ]
 
@@ -73,8 +71,8 @@ class IntegratorConfig:
     """Fixed-step integration settings.
 
     duration may be exactly 0 (single-record trace of the initial state);
-    a positive duration must cover at least one step. record_every
-    decimates recording only, never the integration grid.
+    a positive duration must be a whole number (at least one) of steps.
+    record_every decimates recording only, never the integration grid.
     """
 
     method: str = "rk4"
@@ -87,11 +85,17 @@ class IntegratorConfig:
             raise ValueError(f"method must be one of {INTEGRATION_METHODS}: {self.method!r}")
         if not self.step_size > 0.0:
             raise ValueError(f"step_size must be positive: {self.step_size}")
-        if not self.duration >= 0.0:
-            raise ValueError(f"duration must be >= 0: {self.duration}")
+        if not 0.0 <= self.duration < math.inf:
+            raise ValueError(f"duration must be finite and >= 0: {self.duration}")
         if 0.0 < self.duration < self.step_size * (1.0 - 1e-12):
             raise ValueError(
                 f"duration {self.duration} is shorter than one step ({self.step_size})"
+            )
+        steps = self.duration / self.step_size
+        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+            raise ValueError(
+                f"duration {self.duration} is not a whole number of steps of "
+                f"{self.step_size} ({steps!r} steps)"
             )
         if not (isinstance(self.record_every, int) and self.record_every >= 1):
             raise ValueError(f"record_every must be a positive integer: {self.record_every}")
@@ -197,56 +201,7 @@ def _advance_euler(deriv, sources, psa, psb, pra, prb, w, t, dt):
 _ADVANCERS = {"rk4": _advance_rk4, "euler": _advance_euler}
 
 
-def _single_step(advance, p, state, t, dt, sources, speed_convention, blocked_rotor):
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive: {dt}")
-    deriv = compile_derivative(p, speed_convention, blocked_rotor)
-    out = advance(deriv, sources, *state.as_tuple(), t, dt)
-    new_state = MachineState(*out)
-    if not all(math.isfinite(x) for x in out):
-        raise IntegrationError(t + dt, new_state, _empty_trace(dt, 1, 0.0, speed_convention))
-    return new_state
-
-
-def step_rk4(
-    p: ValidatedParameters,
-    state: MachineState,
-    t: float,
-    dt: float,
-    sources,
-    speed_convention: str = "mechanical_state",
-    blocked_rotor: bool = False,
-) -> MachineState:
-    """One classical RK4 step; sources(t) -> (v_alpha, v_beta, load_torque)
-    is sampled at t, t + dt/2 and t + dt."""
-    return _single_step(_advance_rk4, p, state, t, dt, sources, speed_convention, blocked_rotor)
-
-
-def step_euler(
-    p: ValidatedParameters,
-    state: MachineState,
-    t: float,
-    dt: float,
-    sources,
-    speed_convention: str = "mechanical_state",
-    blocked_rotor: bool = False,
-) -> MachineState:
-    """One forward Euler step (verification oracle)."""
-    return _single_step(_advance_euler, p, state, t, dt, sources, speed_convention, blocked_rotor)
-
-
-def _empty_trace(step_size, record_every, frequency, speed_convention) -> SimulationTrace:
-    empty = np.empty(0)
-    return SimulationTrace(
-        *(empty.copy() for _ in TRACE_CHANNELS),
-        step_size=step_size,
-        record_every=record_every,
-        supply_frequency=frequency,
-        speed_convention=speed_convention,
-    )
-
-
-def integrate(p: ValidatedParameters, scenario: Scenario) -> SimulationTrace:
+def integrate(p: MachineParameters, scenario: Scenario) -> SimulationTrace:
     """Run the scenario from its initial state over the configured duration.
 
     Deterministic: identical inputs give bit-identical traces. On a

@@ -15,22 +15,18 @@ therefore also work element-wise on numpy arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "SPEED_CONVENTIONS",
     "ParameterError",
     "MachineParameters",
-    "ValidatedParameters",
     "MachineState",
-    "ElectricalOutputs",
-    "StateDerivative",
     "validate_parameters",
     "fluxes_from_currents",
     "currents_from_fluxes",
     "electromagnetic_torque",
     "energy_consistent_torque",
-    "electrical_outputs",
-    "state_derivative",
     "compile_derivative",
 ]
 
@@ -68,31 +64,16 @@ class MachineParameters:
     pole_pairs: int
     inertia_j: float
 
+    # Per-axis inductance determinants L_s*L_r - L_m**2, the denominators of
+    # the flux-to-current inversion; positive once validate_parameters passes.
+    # Cached because every recorded sample reads them.
+    @cached_property
+    def det_alpha(self) -> float:
+        return self.l_s_alpha * self.l_r_alpha - self.l_m_alpha * self.l_m_alpha
 
-@dataclass(frozen=True)
-class ValidatedParameters:
-    """Parameter set that passed validate_parameters.
-
-    Carries the cached per-axis inductance determinants
-    L_s*L_r - L_m**2 used as denominators of the flux-to-current
-    inversion. Construct only through validate_parameters.
-    """
-
-    r_s_alpha: float
-    r_s_beta: float
-    r_r_alpha: float
-    r_r_beta: float
-    l_s_alpha: float
-    l_s_beta: float
-    l_r_alpha: float
-    l_r_beta: float
-    l_m_alpha: float
-    l_m_beta: float
-    turns_ratio_a: float
-    pole_pairs: int
-    inertia_j: float
-    det_alpha: float
-    det_beta: float
+    @cached_property
+    def det_beta(self) -> float:
+        return self.l_s_beta * self.l_r_beta - self.l_m_beta * self.l_m_beta
 
 
 @dataclass(frozen=True)
@@ -101,7 +82,7 @@ class MachineState:
 
     omega_mech is the shaft speed in rad/s under the default speed
     convention; under "electrical_state" the same slot holds electrical
-    speed (see state_derivative).
+    speed (see compile_derivative).
     """
 
     psi_s_alpha: float
@@ -124,34 +105,12 @@ class MachineState:
         )
 
 
-@dataclass(frozen=True)
-class ElectricalOutputs:
-    """Winding currents (A) and electromagnetic torque (N*m) for one state."""
-
-    i_s_alpha: float
-    i_s_beta: float
-    i_r_alpha: float
-    i_r_beta: float
-    torque_e: float
-
-
-@dataclass(frozen=True)
-class StateDerivative:
-    """Explicit right-hand side: flux derivatives in volt, speed in rad/s^2."""
-
-    d_psi_s_alpha: float
-    d_psi_s_beta: float
-    d_psi_r_alpha: float
-    d_psi_r_beta: float
-    d_omega_mech: float
-
-
-def validate_parameters(params: MachineParameters) -> ValidatedParameters:
-    """Check every model invariant and return the validated wrapper.
+def validate_parameters(params: MachineParameters) -> MachineParameters:
+    """Check every model invariant and return params itself.
 
     Raises ParameterError naming the first violated invariant together with
-    the offending value. Downstream operations accept only the validated
-    wrapper (they rely on its cached determinants).
+    the offending value. The model functions below assume their parameters
+    passed this check (the determinants must be positive).
     """
     p = params
     for name in ("r_s_alpha", "r_s_beta", "r_r_alpha", "r_r_beta"):
@@ -180,17 +139,15 @@ def validate_parameters(params: MachineParameters) -> ValidatedParameters:
     if not p.inertia_j > 0.0:
         raise ParameterError(f"inertia must be positive: inertia_j = {p.inertia_j}")
 
-    det_alpha = p.l_s_alpha * p.l_r_alpha - p.l_m_alpha * p.l_m_alpha
-    if not det_alpha > 0.0:
+    if not p.det_alpha > 0.0:
         raise ParameterError(
             "leakage condition violated: "
-            f"l_s_alpha*l_r_alpha - l_m_alpha**2 = {det_alpha:.6g} (must be > 0)"
+            f"l_s_alpha*l_r_alpha - l_m_alpha**2 = {p.det_alpha:.6g} (must be > 0)"
         )
-    det_beta = p.l_s_beta * p.l_r_beta - p.l_m_beta * p.l_m_beta
-    if not det_beta > 0.0:
+    if not p.det_beta > 0.0:
         raise ParameterError(
             "leakage condition violated: "
-            f"l_s_beta*l_r_beta - l_m_beta**2 = {det_beta:.6g} (must be > 0)"
+            f"l_s_beta*l_r_beta - l_m_beta**2 = {p.det_beta:.6g} (must be > 0)"
         )
     if p.l_m_alpha > min(p.l_s_alpha, p.l_r_alpha):
         raise ParameterError(
@@ -203,26 +160,10 @@ def validate_parameters(params: MachineParameters) -> ValidatedParameters:
             f"l_m_beta = {p.l_m_beta} > {min(p.l_s_beta, p.l_r_beta)}"
         )
 
-    return ValidatedParameters(
-        r_s_alpha=p.r_s_alpha,
-        r_s_beta=p.r_s_beta,
-        r_r_alpha=p.r_r_alpha,
-        r_r_beta=p.r_r_beta,
-        l_s_alpha=p.l_s_alpha,
-        l_s_beta=p.l_s_beta,
-        l_r_alpha=p.l_r_alpha,
-        l_r_beta=p.l_r_beta,
-        l_m_alpha=p.l_m_alpha,
-        l_m_beta=p.l_m_beta,
-        turns_ratio_a=p.turns_ratio_a,
-        pole_pairs=p.pole_pairs,
-        inertia_j=p.inertia_j,
-        det_alpha=det_alpha,
-        det_beta=det_beta,
-    )
+    return params
 
 
-def fluxes_from_currents(p: ValidatedParameters, i_s_alpha, i_s_beta, i_r_alpha, i_r_beta):
+def fluxes_from_currents(p: MachineParameters, i_s_alpha, i_s_beta, i_r_alpha, i_r_beta):
     """Winding flux linkages from winding currents.
 
     Per axis: psi_s = L_s*i_s + L_m*i_r and psi_r = L_m*i_s + L_r*i_r.
@@ -235,7 +176,7 @@ def fluxes_from_currents(p: ValidatedParameters, i_s_alpha, i_s_beta, i_r_alpha,
     return psi_s_alpha, psi_s_beta, psi_r_alpha, psi_r_beta
 
 
-def currents_from_fluxes(p: ValidatedParameters, psi_s_alpha, psi_s_beta, psi_r_alpha, psi_r_beta):
+def currents_from_fluxes(p: MachineParameters, psi_s_alpha, psi_s_beta, psi_r_alpha, psi_r_beta):
     """Winding currents from flux linkages (exact per-axis 2x2 inversion).
 
     The validated leakage condition guarantees both denominators are
@@ -248,14 +189,14 @@ def currents_from_fluxes(p: ValidatedParameters, psi_s_alpha, psi_s_beta, psi_r_
     return i_s_alpha, i_s_beta, i_r_alpha, i_r_beta
 
 
-def electromagnetic_torque(p: ValidatedParameters, i_s_alpha, i_s_beta, i_r_alpha, i_r_beta):
+def electromagnetic_torque(p: MachineParameters, i_s_alpha, i_s_beta, i_r_alpha, i_r_beta):
     """Shaft torque T_e = p_p * (L_m_beta*i_s_beta*i_r_alpha - L_m_alpha*i_s_alpha*i_r_beta)."""
     return p.pole_pairs * (
         p.l_m_beta * i_s_beta * i_r_alpha - p.l_m_alpha * i_s_alpha * i_r_beta
     )
 
 
-def energy_consistent_torque(p: ValidatedParameters, psi_r_alpha, psi_r_beta, i_r_alpha, i_r_beta):
+def energy_consistent_torque(p: MachineParameters, psi_r_alpha, psi_r_beta, i_r_alpha, i_r_beta):
     """Diagnostic torque implied by the rotor speed-voltage power.
 
     The power absorbed by the rotor coupling terms is
@@ -272,25 +213,12 @@ def energy_consistent_torque(p: ValidatedParameters, psi_r_alpha, psi_r_beta, i_
     )
 
 
-def electrical_outputs(p: ValidatedParameters, state: MachineState) -> ElectricalOutputs:
-    """Currents and torque for one state; pure and deterministic."""
-    i_s_alpha, i_s_beta, i_r_alpha, i_r_beta = currents_from_fluxes(
-        p, state.psi_s_alpha, state.psi_s_beta, state.psi_r_alpha, state.psi_r_beta
-    )
-    torque = electromagnetic_torque(p, i_s_alpha, i_s_beta, i_r_alpha, i_r_beta)
-    return ElectricalOutputs(i_s_alpha, i_s_beta, i_r_alpha, i_r_beta, torque)
-
-
-def state_derivative(
-    p: ValidatedParameters,
-    state: MachineState,
-    v_s_alpha: float,
-    v_s_beta: float,
-    load_torque: float,
+def compile_derivative(
+    p: MachineParameters,
     speed_convention: str = "mechanical_state",
     blocked_rotor: bool = False,
-) -> StateDerivative:
-    """Explicit time derivative of the five machine states.
+):
+    """The explicit time derivative of the five machine states.
 
         d psi_s_alpha/dt = v_s_alpha - R_s_alpha*i_s_alpha
         d psi_s_beta/dt  = v_s_beta  - R_s_beta*i_s_beta
@@ -298,42 +226,16 @@ def state_derivative(
         d psi_r_beta/dt  = -R_r_beta*i_r_beta  + (w_e/a)*psi_r_alpha
         d omega/dt       = (T_e - T_load) / J
 
-    Under the default convention the state speed is shaft speed and
-    w_e = pole_pairs*omega; under "electrical_state" the state speed is the
-    electrical speed and is used in the coupling directly. blocked_rotor
-    pins d omega/dt to zero (locked-shaft fixture).
-    """
-    if speed_convention not in SPEED_CONVENTIONS:
-        raise ValueError(f"unknown speed convention: {speed_convention!r}")
-    i_s_alpha, i_s_beta, i_r_alpha, i_r_beta = currents_from_fluxes(
-        p, state.psi_s_alpha, state.psi_s_beta, state.psi_r_alpha, state.psi_r_beta
-    )
-    w = state.omega_mech
-    w_e = w if speed_convention == "electrical_state" else p.pole_pairs * w
-    a = p.turns_ratio_a
-    torque = electromagnetic_torque(p, i_s_alpha, i_s_beta, i_r_alpha, i_r_beta)
-    d_omega = 0.0 if blocked_rotor else (torque - load_torque) / p.inertia_j
-    return StateDerivative(
-        d_psi_s_alpha=v_s_alpha - p.r_s_alpha * i_s_alpha,
-        d_psi_s_beta=v_s_beta - p.r_s_beta * i_s_beta,
-        d_psi_r_alpha=-p.r_r_alpha * i_r_alpha - a * w_e * state.psi_r_beta,
-        d_psi_r_beta=-p.r_r_beta * i_r_beta + (w_e / a) * state.psi_r_alpha,
-        d_omega_mech=d_omega,
-    )
+    with the currents from currents_from_fluxes and T_e from
+    electromagnetic_torque. Under the default convention the state speed is
+    shaft speed and w_e = pole_pairs*omega; under "electrical_state" the
+    state speed is the electrical speed and is used in the coupling
+    directly. blocked_rotor pins d omega/dt to zero (locked-shaft fixture).
 
-
-def compile_derivative(
-    p: ValidatedParameters,
-    speed_convention: str = "mechanical_state",
-    blocked_rotor: bool = False,
-):
-    """Bind parameters into a plain-float derivative closure for integrator loops.
-
-    The returned function maps
+    Returns a plain-float closure mapping
         (psi_s_a, psi_s_b, psi_r_a, psi_r_b, omega, v_s_a, v_s_b, t_load)
-    to the five-tuple of derivatives, with the same arithmetic as
-    state_derivative. Millions of steps go through this, hence locals
-    instead of attribute lookups.
+    to the five-tuple of derivatives. Millions of steps go through it, hence
+    the parameters are bound to locals instead of read as attributes.
     """
     if speed_convention not in SPEED_CONVENTIONS:
         raise ValueError(f"unknown speed convention: {speed_convention!r}")

@@ -17,7 +17,7 @@ from .analysis import (
     summarize,
 )
 from .dynamics import TRACE_CHANNELS, SimulationTrace
-from .machine import ValidatedParameters
+from .machine import MachineParameters
 
 __all__ = [
     "CSV_HEADER",
@@ -50,7 +50,7 @@ REPORT_SPEED_TOL = 0.05
 
 def summary_text(
     trace: SimulationTrace,
-    p: ValidatedParameters,
+    p: MachineParameters,
     speed_tol: float = REPORT_SPEED_TOL,
     window: float = 0.1,
 ) -> str:
@@ -88,7 +88,7 @@ def summary_text(
 
 def write_summary(
     trace: SimulationTrace,
-    p: ValidatedParameters,
+    p: MachineParameters,
     path,
     speed_tol: float = REPORT_SPEED_TOL,
 ) -> None:

@@ -1,9 +1,10 @@
 """Shared machines, scenario builders and independent oracles for the tests.
 
-The phasor solver here is a test-only oracle: it computes the single-
-frequency steady state of the same state equations by a complex 4x4 solve,
-with no time stepping, so it verifies the integrator through an entirely
-different route.
+reference_derivative restates the right-hand side that compile_derivative
+binds into a closure. The phasor solver here is a test-only oracle: it
+computes the single-frequency steady state of the same state equations by a
+complex 4x4 solve, with no time stepping, so it verifies the integrator
+through an entirely different route.
 """
 
 import math
@@ -16,6 +17,8 @@ from tpim import (
     MachineParameters,
     MachineState,
     Scenario,
+    currents_from_fluxes,
+    electromagnetic_torque,
     quadrature_supply,
 )
 
@@ -105,6 +108,23 @@ def solve_currents(p, psi_s_alpha, psi_s_beta, psi_r_alpha, psi_r_beta):
         np.array([psi_s_beta, psi_r_beta]),
     )
     return alpha[0], beta[0], alpha[1], beta[1]
+
+
+def reference_derivative(p, state, v_sa, v_sb, t_load):
+    """State equations written out from the public current and torque maps,
+    as an array in STATE_CHANNELS order; the oracle for compile_derivative
+    (shaft-speed convention, free rotor)."""
+    psa, psb, pra, prb, w = state
+    i_sa, i_sb, i_ra, i_rb = currents_from_fluxes(p, psa, psb, pra, prb)
+    w_e, a = p.pole_pairs * w, p.turns_ratio_a
+    te = electromagnetic_torque(p, i_sa, i_sb, i_ra, i_rb)
+    return np.array([
+        v_sa - p.r_s_alpha * i_sa,
+        v_sb - p.r_s_beta * i_sb,
+        -p.r_r_alpha * i_ra - a * w_e * prb,
+        -p.r_r_beta * i_rb + (w_e / a) * pra,
+        (te - t_load) / p.inertia_j,
+    ])
 
 
 def _current_matrix(p):

@@ -179,6 +179,17 @@ def test_sweep_row_failure_is_recorded_not_fatal(tmp_path):
     assert rows[2][-1] == "ok"
 
 
+def test_sweep_invalid_first_value_is_a_failed_row(tmp_path):
+    # Values are not trial-applied before the sweep, so a bad first value
+    # fails only its own row.
+    argv = ["sweep", "paper_s3", "--axis", "integrator.step_size", "--values=-1,1e-4"]
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "paper_s3_sweep.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[1][-1].startswith("failed:")
+    assert rows[2][-1] == "ok"
+
+
 def test_sweep_spec_errors_exit_1(tmp_path, capsys):
     assert main(["sweep", "paper_s3", "--axis", "load.torque", "--values", " "]) == 1
     assert main(["sweep", "paper_s3", "--axis", "machine.bogus", "--values", "1.0"]) == 1

@@ -11,24 +11,16 @@ from tpim import (
     LoadProfile,
     MachineState,
     Scenario,
+    VoltageSource,
     integrate,
-    state_derivative,
-    step_euler,
-    step_rk4,
     summarize,
 )
 from tpim.dynamics import TRACE_CHANNELS
 from tpim.excitation import compile_sources
 
-from support import T_LOAD, W_SYNC, rated_supply, scenario
+from support import T_LOAD, W_SYNC, rated_supply, reference_derivative, scenario, state_at
 
-
-def _zero_sources(t):
-    return 0.0, 0.0, 0.0
-
-
-def _const_load_sources(t):
-    return 0.0, 0.0, T_LOAD
+SILENT = VoltageSource(alpha=(), beta=(), frequency=50.0)
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +36,7 @@ def _const_load_sources(t):
         dict(duration=-1.0),
         dict(step_size=1e-3, duration=1e-4),
         dict(record_every=0),
+        dict(step_size=1e-4, duration=1.00005),
     ],
 )
 def test_integrator_config_rejects(kwargs):
@@ -62,9 +55,10 @@ def test_step_counts():
 
 def test_zero_state_is_fixed_point_of_both_steppers(table1):
     rest = MachineState.at_rest()
-    for step in (step_rk4, step_euler):
-        out = step(table1, rest, 0.0, 1e-3, _zero_sources)
-        assert out == rest
+    for method in ("rk4", "euler"):
+        one = scenario(supply=SILENT, load_torque=0.0, method=method, dt=1e-3, duration=1e-3)
+        out = state_at(integrate(table1, one), 1)
+        assert MachineState(*out) == rest
 
 
 def test_constant_deceleration_is_exact(table1):
@@ -73,38 +67,32 @@ def test_constant_deceleration_is_exact(table1):
     state = MachineState(0.0, 0.0, 0.0, 0.0, 80.0)
     dt = 2e-3
     expected = 80.0 - dt * T_LOAD / table1.inertia_j
-    for step in (step_rk4, step_euler):
-        out = step(table1, state, 0.0, dt, _const_load_sources)
-        assert out.omega_mech == pytest.approx(expected, rel=1e-15)
-        assert out.psi_s_alpha == 0.0
+    for method in ("rk4", "euler"):
+        one = scenario(supply=SILENT, method=method, dt=dt, duration=dt, initial_state=state)
+        trace = integrate(table1, one)
+        assert trace.omega_mech[1] == pytest.approx(expected, rel=1e-15)
+        assert trace.psi_sa[1] == 0.0
 
 
 def test_rk4_step_matches_manual_stage_assembly(table1):
+    # Step 124 of a rated run starts at t = 123*dt, off the supply's zero
+    # phase, from a state with every channel alive.
+    dt = 1e-4
+    trace = integrate(table1, scenario(dt=dt, duration=124 * dt))
     sources = compile_sources(rated_supply(), LoadProfile.constant(T_LOAD))
-    state = MachineState(0.1, -0.3, 0.2, 0.05, 40.0)
-    t, dt = 0.0123, 1e-4
+    t = 123 * dt
 
-    def deriv_at(s, tau):
-        v_sa, v_sb, tl = sources(tau)
-        d = state_derivative(table1, s, v_sa, v_sb, tl)
-        return np.array(
-            [d.d_psi_s_alpha, d.d_psi_s_beta, d.d_psi_r_alpha, d.d_psi_r_beta, d.d_omega_mech]
-        )
+    def deriv_at(x, tau):
+        return reference_derivative(table1, x, *sources(tau))
 
-    x = np.array(state.as_tuple())
-    k1 = deriv_at(MachineState(*x), t)
-    k2 = deriv_at(MachineState(*(x + 0.5 * dt * k1)), t + 0.5 * dt)
-    k3 = deriv_at(MachineState(*(x + 0.5 * dt * k2)), t + 0.5 * dt)
-    k4 = deriv_at(MachineState(*(x + dt * k3)), t + dt)
+    x = state_at(trace, 123)
+    k1 = deriv_at(x, t)
+    k2 = deriv_at(x + 0.5 * dt * k1, t + 0.5 * dt)
+    k3 = deriv_at(x + 0.5 * dt * k2, t + 0.5 * dt)
+    k4 = deriv_at(x + dt * k3, t + dt)
     manual = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
-    got = step_rk4(table1, state, t, dt, sources)
-    assert np.array(got.as_tuple()) == pytest.approx(manual, rel=1e-13)
-
-
-def test_step_rejects_bad_dt(table1):
-    with pytest.raises(ValueError):
-        step_rk4(table1, MachineState.at_rest(), 0.0, 0.0, _zero_sources)
+    assert state_at(trace, 124) == pytest.approx(manual, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

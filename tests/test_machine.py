@@ -13,18 +13,16 @@ from tpim import (
     Scenario,
     IntegratorConfig,
     VoltageSource,
-    electrical_outputs,
     electromagnetic_torque,
     currents_from_fluxes,
     energy_consistent_torque,
     fluxes_from_currents,
     integrate,
-    state_derivative,
     validate_parameters,
 )
 from tpim.machine import compile_derivative
 
-from support import SYMMETRIC, TABLE1, solve_currents
+from support import SYMMETRIC, TABLE1, reference_derivative, solve_currents
 
 
 # ---------------------------------------------------------------------------
@@ -222,61 +220,52 @@ def test_symmetric_machine_torques_identical(symmetric):
         assert te_ec == pytest.approx(te, rel=1e-10, abs=1e-12)
 
 
-def test_electrical_outputs_is_pure(table1):
-    state = MachineState(0.4, -0.2, 0.15, 0.3, 120.0)
-    assert electrical_outputs(table1, state) == electrical_outputs(table1, state)
-
-
 # ---------------------------------------------------------------------------
 # state derivative
 # ---------------------------------------------------------------------------
 
 def test_zero_state_derivative_is_supply_only(table1):
-    d = state_derivative(table1, MachineState.at_rest(), 325.0, 0.0, 0.0)
-    assert (d.d_psi_s_alpha, d.d_psi_s_beta) == (325.0, 0.0)
-    assert d.d_psi_r_alpha == 0.0 and d.d_psi_r_beta == 0.0
-    assert d.d_omega_mech == 0.0
+    d = compile_derivative(table1)(0.0, 0.0, 0.0, 0.0, 0.0, 325.0, 0.0, 0.0)
+    assert d[:2] == (325.0, 0.0)
+    assert d[2] == 0.0 and d[3] == 0.0
+    assert d[4] == 0.0
 
 
 def test_pure_load_deceleration(table1):
-    state = MachineState(0.0, 0.0, 0.0, 0.0, 100.0)
-    d = state_derivative(table1, state, 0.0, 0.0, 1.0096)
-    assert d.d_psi_s_alpha == 0.0 and d.d_psi_s_beta == 0.0
-    assert d.d_psi_r_alpha == 0.0 and d.d_psi_r_beta == 0.0
-    assert d.d_omega_mech == pytest.approx(-1.0096 / 2.92e-3, rel=1e-12)
+    d = compile_derivative(table1)(0.0, 0.0, 0.0, 0.0, 100.0, 0.0, 0.0, 1.0096)
+    assert d[0] == 0.0 and d[1] == 0.0
+    assert d[2] == 0.0 and d[3] == 0.0
+    assert d[4] == pytest.approx(-1.0096 / 2.92e-3, rel=1e-12)
 
 
 def test_rotor_coupling_terms(table1):
     # With only psi_r_beta = 0.1 the alpha rotor current is zero, so the
     # alpha flux derivative is purely the speed-voltage term -a*w_e*psi_r_beta.
-    state = MachineState(0.0, 0.0, 0.0, 0.1, 10.0)
-    d = state_derivative(table1, state, 0.0, 0.0, 0.0)
-    assert d.d_psi_r_alpha == pytest.approx(-1.18 * 20.0 * 0.1, rel=1e-12)
+    d = compile_derivative(table1)(0.0, 0.0, 0.0, 0.1, 10.0, 0.0, 0.0, 0.0)
+    assert d[2] == pytest.approx(-1.18 * 20.0 * 0.1, rel=1e-12)
     i_rb = solve_currents(table1, 0.0, 0.0, 0.0, 0.1)[3]
-    assert d.d_psi_r_beta == pytest.approx(-4.12 * i_rb, rel=1e-12)
+    assert d[3] == pytest.approx(-4.12 * i_rb, rel=1e-12)
 
 
 def test_electrical_speed_convention_scales_coupling(table1):
-    state = MachineState(0.1, -0.05, 0.2, 0.1, 10.0)
-    mech = state_derivative(table1, state, 0.0, 0.0, 0.0)
-    elec = state_derivative(
-        table1, state, 0.0, 0.0, 0.0, speed_convention="electrical_state"
+    state = (0.1, -0.05, 0.2, 0.1, 10.0)
+    mech = compile_derivative(table1)(*state, 0.0, 0.0, 0.0)
+    elec = compile_derivative(table1, speed_convention="electrical_state")(
+        *state, 0.0, 0.0, 0.0
     )
     # Same state speed used directly as electrical speed halves the coupling
     # relative to pole_pairs = 2.
-    i = currents_from_fluxes(table1, *state.as_tuple()[:4])
+    i = currents_from_fluxes(table1, *state[:4])
     resistive = -table1.r_r_alpha * i[2]
-    assert elec.d_psi_r_alpha - resistive == pytest.approx(
-        (mech.d_psi_r_alpha - resistive) / 2.0, rel=1e-12
-    )
+    assert elec[2] - resistive == pytest.approx((mech[2] - resistive) / 2.0, rel=1e-12)
     with pytest.raises(ValueError, match="speed convention"):
-        state_derivative(table1, state, 0.0, 0.0, 0.0, speed_convention="bogus")
+        compile_derivative(table1, speed_convention="bogus")
 
 
 def test_blocked_rotor_pins_speed_derivative(table1):
-    state = MachineState(0.4, -0.2, 0.15, 0.3, 0.0)
-    d = state_derivative(table1, state, 100.0, -50.0, 5.0, blocked_rotor=True)
-    assert d.d_omega_mech == 0.0
+    deriv = compile_derivative(table1, blocked_rotor=True)
+    d = deriv(0.4, -0.2, 0.15, 0.3, 0.0, 100.0, -50.0, 5.0)
+    assert d[4] == 0.0
 
 
 def test_compiled_derivative_matches_reference(table1):
@@ -286,17 +275,8 @@ def test_compiled_derivative_matches_reference(table1):
         s = rng.uniform(-2, 2, size=5)
         v_sa, v_sb, tl = rng.uniform(-400, 400, size=3)
         fast = deriv(*s, v_sa, v_sb, tl)
-        ref = state_derivative(table1, MachineState(*s), v_sa, v_sb, tl)
-        assert fast == pytest.approx(
-            (
-                ref.d_psi_s_alpha,
-                ref.d_psi_s_beta,
-                ref.d_psi_r_alpha,
-                ref.d_psi_r_beta,
-                ref.d_omega_mech,
-            ),
-            rel=1e-13,
-        )
+        ref = reference_derivative(table1, s, v_sa, v_sb, tl)
+        assert fast == pytest.approx(tuple(ref), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
