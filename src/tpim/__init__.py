@@ -20,7 +20,6 @@ from .config import (
     OutputOptions,
     RunConfig,
     SupplySpec,
-    SweepSpec,
     build_scenario,
     build_supply,
     bundled_config_names,
@@ -75,7 +74,6 @@ __all__ = [
     "SteadyStateNotReachedError",
     "SummaryReport",
     "SupplySpec",
-    "SweepSpec",
     "TRACE_CHANNELS",
     "TraceTooShortError",
     "VoltageSource",

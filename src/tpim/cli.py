@@ -16,7 +16,6 @@ from .analysis import SteadyStateNotReachedError, TraceTooShortError, SummaryRep
 from .config import (
     ConfigError,
     RunConfig,
-    SweepSpec,
     build_scenario,
     load_config,
     render_config,
@@ -99,10 +98,12 @@ def _build_parser() -> _Parser:
 def _apply_overrides(config: RunConfig, args) -> RunConfig:
     if getattr(args, "output_dir", None):
         config = replace(config, output=replace(config.output, directory=args.output_dir))
-    if getattr(args, "record_every", None):
-        config = replace(
-            config, integrator=replace(config.integrator, record_every=args.record_every)
-        )
+    if getattr(args, "record_every", None) is not None:
+        try:
+            integrator = replace(config.integrator, record_every=args.record_every)
+        except ValueError as exc:
+            raise ConfigError(f"--record-every: {exc}") from None
+        config = replace(config, integrator=integrator)
     if getattr(args, "emit_plot_script", False):
         config = replace(config, output=replace(config.output, emit_plot_script=True))
     return config
@@ -140,7 +141,8 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _parse_sweep_spec(args) -> SweepSpec:
+def _parse_sweep(args) -> tuple[RunConfig, tuple[float, ...], tuple[str, ...]]:
+    """The base config, axis values and summary fields of a sweep command line."""
     base = load_config(args.config)
     base = _apply_overrides(base, args)
     try:
@@ -161,30 +163,32 @@ def _parse_sweep_spec(args) -> SweepSpec:
     axes = sweepable_axes(base)
     if args.axis not in axes:
         raise ConfigError(f"unknown sweep axis {args.axis!r}; choose one of {axes}")
-    return SweepSpec(base=base, axis=args.axis, values=values, fields=fields)
+    return base, values, fields
 
 
-def _sweep_row(spec: SweepSpec, value: float, speed_tol: float) -> tuple[list[str], str]:
+def _sweep_row(
+    base: RunConfig, axis: str, value: float, fields: tuple[str, ...], speed_tol: float
+) -> tuple[list[str], str]:
     try:
-        config = set_axis_value(spec.base, spec.axis, value)
+        config = set_axis_value(base, axis, value)
         p = validate_parameters(config.machine)
         trace = integrate(p, build_scenario(config))
         report = summarize(trace, p, speed_tol=speed_tol)
     except (ConfigError, ParameterError, ValueError, IntegrationError,
             TraceTooShortError, SteadyStateNotReachedError) as exc:
-        return [""] * len(spec.fields), f"failed: {exc}"
-    return [repr(getattr(report, name)) for name in spec.fields], "ok"
+        return [""] * len(fields), f"failed: {exc}"
+    return [repr(getattr(report, name)) for name in fields], "ok"
 
 
 def _cmd_sweep(args) -> int:
-    spec = _parse_sweep_spec(args)
-    directory = _out_dir(spec.base)
-    out_path = directory / f"{spec.base.output.prefix}_sweep.csv"
+    base, values, fields = _parse_sweep(args)
+    directory = _out_dir(base)
+    out_path = directory / f"{base.output.prefix}_sweep.csv"
     with open(out_path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow([spec.axis, *spec.fields, "status"])
-        for value in spec.values:
-            cells, status = _sweep_row(spec, value, args.speed_tol)
+        writer.writerow([args.axis, *fields, "status"])
+        for value in values:
+            cells, status = _sweep_row(base, args.axis, value, fields, args.speed_tol)
             writer.writerow([repr(value), *cells, status])
     print(out_path)
     return EXIT_OK

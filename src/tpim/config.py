@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
-from .dynamics import IntegratorConfig, Scenario
+from .dynamics import INTEGRATION_METHODS, IntegratorConfig, Scenario
 from .excitation import Harmonic, LoadProfile, VoltageSource, quadrature_supply
 from .machine import SPEED_CONVENTIONS, MachineParameters, MachineState, validate_parameters
 
@@ -22,7 +22,6 @@ __all__ = [
     "SupplySpec",
     "OutputOptions",
     "RunConfig",
-    "SweepSpec",
     "parse_config",
     "render_config",
     "load_config",
@@ -102,16 +101,6 @@ class RunConfig:
     amplitude_is_peak: bool = False
     blocked_rotor: bool = False
     output: OutputOptions = field(default_factory=OutputOptions)
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One-axis parameter sweep over a base configuration."""
-
-    base: RunConfig
-    axis: str
-    values: tuple[float, ...]
-    fields: tuple[str, ...]
 
 
 class _Entries:
@@ -284,6 +273,10 @@ def parse_config(text: str, name: str = "run") -> RunConfig:
             raise ConfigError("'supply.voltage' requires supply.mode = quadrature")
         alpha = box.take_harmonics("supply.alpha", default=())
         beta = box.take_harmonics("supply.beta", default=())
+        try:
+            VoltageSource(alpha=alpha, beta=beta, frequency=frequency)
+        except ValueError as exc:
+            raise ConfigError(f"supply: {exc}") from None
         supply = SupplySpec(mode="harmonics", frequency=frequency, alpha=alpha, beta=beta)
 
     if box.has("load.torque") and box.has("load.breakpoints"):
@@ -299,7 +292,7 @@ def parse_config(text: str, name: str = "run") -> RunConfig:
 
     try:
         integrator = IntegratorConfig(
-            method=box.take_choice("integrator.method", ("rk4", "euler"), default="rk4"),
+            method=box.take_choice("integrator.method", INTEGRATION_METHODS, default="rk4"),
             step_size=box.take_float("integrator.step_size", default=1e-4),
             duration=box.take_float("integrator.duration"),
             record_every=box.take_int("integrator.record_every", default=1),

@@ -201,6 +201,25 @@ def _advance_euler(deriv, sources, psa, psb, pra, prb, w, t, dt):
 _ADVANCERS = {"rk4": _advance_rk4, "euler": _advance_euler}
 
 
+def _derive_trace(p: MachineParameters, scenario: Scenario, records: np.ndarray) -> SimulationTrace:
+    """Build the trace from (t, v_sa, v_sb, tl, 5 states) rows, deriving the rest on arrays."""
+    t, v_sa, v_sb, tl, psa, psb, pra, prb, w = records
+    i_sa, i_sb, i_ra, i_rb = currents_from_fluxes(p, psa, psb, pra, prb)
+    if scenario.speed_convention == "electrical_state":
+        w = w * (1.0 / p.pole_pairs)  # recorded speed is always shaft speed
+    return SimulationTrace(
+        t=t, v_sa=v_sa, v_sb=v_sb, i_sa=i_sa, i_sb=i_sb, i_ra=i_ra, i_rb=i_rb,
+        psi_sa=psa, psi_sb=psb, psi_ra=pra, psi_rb=prb,
+        te=electromagnetic_torque(p, i_sa, i_sb, i_ra, i_rb),
+        te_ec=energy_consistent_torque(p, pra, prb, i_ra, i_rb),
+        omega_mech=w, tl=tl,
+        step_size=scenario.integrator.step_size,
+        record_every=scenario.integrator.record_every,
+        supply_frequency=scenario.supply.frequency,
+        speed_convention=scenario.speed_convention,
+    )
+
+
 def integrate(p: MachineParameters, scenario: Scenario) -> SimulationTrace:
     """Run the scenario from its initial state over the configured duration.
 
@@ -215,53 +234,20 @@ def integrate(p: MachineParameters, scenario: Scenario) -> SimulationTrace:
     advance = _ADVANCERS[cfg.method]
     deriv = compile_derivative(p, scenario.speed_convention, scenario.blocked_rotor)
     sources = compile_sources(scenario.supply, scenario.load)
-    # Recorded speed is always shaft speed.
-    mech_scale = (
-        1.0 / p.pole_pairs if scenario.speed_convention == "electrical_state" else 1.0
-    )
 
-    n_records = n_steps // every + 1
-    buf = np.empty((len(TRACE_CHANNELS), n_records))
-
-    def record(idx, t, psa, psb, pra, prb, w):
-        v_sa, v_sb, tl = sources(t)
-        i_sa, i_sb, i_ra, i_rb = currents_from_fluxes(p, psa, psb, pra, prb)
-        col = buf[:, idx]
-        col[0] = t
-        col[1] = v_sa
-        col[2] = v_sb
-        col[3] = i_sa
-        col[4] = i_sb
-        col[5] = i_ra
-        col[6] = i_rb
-        col[7] = psa
-        col[8] = psb
-        col[9] = pra
-        col[10] = prb
-        col[11] = electromagnetic_torque(p, i_sa, i_sb, i_ra, i_rb)
-        col[12] = energy_consistent_torque(p, pra, prb, i_ra, i_rb)
-        col[13] = w * mech_scale
-        col[14] = tl
-
-    def build(n_filled):
-        channels = [np.ascontiguousarray(buf[i, :n_filled]) for i in range(len(TRACE_CHANNELS))]
-        return SimulationTrace(
-            *channels,
-            step_size=dt,
-            record_every=every,
-            supply_frequency=scenario.supply.frequency,
-            speed_convention=scenario.speed_convention,
-        )
-
+    # One column per record: the time, the sources sampled there and the states.
+    records = np.empty((9, n_steps // every + 1))
     psa, psb, pra, prb, w = scenario.initial_state.as_tuple()
-    record(0, 0.0, psa, psb, pra, prb, w)
+    records[:, 0] = (0.0, *sources(0.0), psa, psb, pra, prb, w)
     filled = 1
     isfinite = math.isfinite
     for k in range(1, n_steps + 1):
         psa, psb, pra, prb, w = advance(deriv, sources, psa, psb, pra, prb, w, (k - 1) * dt, dt)
         if not (isfinite(psa) and isfinite(psb) and isfinite(pra) and isfinite(prb) and isfinite(w)):
-            raise IntegrationError(k * dt, MachineState(psa, psb, pra, prb, w), build(filled))
+            partial = _derive_trace(p, scenario, records[:, :filled])
+            raise IntegrationError(k * dt, MachineState(psa, psb, pra, prb, w), partial)
         if k % every == 0:
-            record(filled, k * dt, psa, psb, pra, prb, w)
+            t = k * dt
+            records[:, filled] = (t, *sources(t), psa, psb, pra, prb, w)
             filled += 1
-    return build(filled)
+    return _derive_trace(p, scenario, records)

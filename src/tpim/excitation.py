@@ -53,8 +53,10 @@ class VoltageSource:
             for h in harmonics:
                 if not (isinstance(h.order, int) and h.order >= 1):
                     raise ValueError(f"harmonic order must be a positive integer: {h.order}")
-                if not h.amplitude >= 0.0:
-                    raise ValueError(f"harmonic amplitude must be >= 0: {h.amplitude}")
+                if not 0.0 <= h.amplitude < math.inf:
+                    raise ValueError(f"harmonic amplitude must be finite and >= 0: {h.amplitude}")
+                if not math.isfinite(h.phase):
+                    raise ValueError(f"harmonic phase must be finite: {h.phase}")
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,8 @@ class LoadProfile:
                 f"first load breakpoint must start at t = 0, got {self.breakpoints[0][0]}"
             )
         starts = [t for t, _ in self.breakpoints]
+        if any(not math.isfinite(t) for t in starts):
+            raise ValueError(f"load breakpoint starts must be finite: {starts}")
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError(f"load breakpoints must be strictly increasing: {starts}")
         if any(not math.isfinite(tq) for _, tq in self.breakpoints):

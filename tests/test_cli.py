@@ -61,6 +61,15 @@ def test_record_every_override(tmp_path):
     assert len(lines) - 1 == 101
 
 
+@pytest.mark.parametrize("every", ["0", "-1"])
+def test_invalid_record_every_override_exits_1(tmp_path, capsys, every):
+    path = _short_config(tmp_path)
+    assert main(["run", str(path), "--output-dir", str(tmp_path), "--record-every", every]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "record_every" in err
+    assert not (tmp_path / "short_trace.csv").exists()
+
+
 def test_zero_duration_run(tmp_path):
     path = _short_config(tmp_path, name="zero", duration="0.0")
     assert main(["run", str(path), "--output-dir", str(tmp_path)]) == 0

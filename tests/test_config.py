@@ -109,6 +109,14 @@ def test_harmonics_mode_round_trip():
     assert again == config
 
 
+def test_invalid_harmonic_supply_is_a_config_error():
+    text = MINIMAL.replace(
+        "supply.voltage = 230.0", "supply.mode = harmonics\nsupply.alpha = 1:-5.0:0.0"
+    )
+    with pytest.raises(ConfigError, match="supply: harmonic amplitude"):
+        parse_config(text)
+
+
 def test_breakpoint_load_round_trip():
     text = MINIMAL.replace("load.torque = 1.0096", "load.breakpoints = 0.0:0.0, 0.5:1.0096")
     config = parse_config(text, name="steps")

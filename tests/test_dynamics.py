@@ -150,6 +150,10 @@ def test_nonfinite_state_raises_with_partial_trace(table1):
     assert len(exc.partial_trace) == 3  # records at 0, 0.02, 0.04
     assert exc.partial_trace.t[-1] == pytest.approx(0.04)
     assert "non-finite" in str(exc)
+    # The partial trace is derived exactly as a run that stops before the failure.
+    complete = integrate(table1, scenario(dt=0.02, duration=0.04))
+    for name in TRACE_CHANNELS:
+        assert np.array_equal(exc.partial_trace.channel(name), complete.channel(name)), name
 
 
 def test_blocked_rotor_keeps_speed_at_zero(table1):

@@ -54,6 +54,10 @@ def test_voltage_source_invariants():
         )
     with pytest.raises(ValueError, match="amplitude"):
         VoltageSource(alpha=(Harmonic(1, -1.0),), beta=(), frequency=50.0)
+    with pytest.raises(ValueError, match="amplitude must be finite"):
+        VoltageSource(alpha=(Harmonic(1, math.inf),), beta=(), frequency=50.0)
+    with pytest.raises(ValueError, match="phase must be finite"):
+        VoltageSource(alpha=(), beta=(Harmonic(1, 1.0, math.nan),), frequency=50.0)
     with pytest.raises(ValueError, match="order"):
         VoltageSource(alpha=(Harmonic(0, 1.0),), beta=(), frequency=50.0)
 
@@ -116,6 +120,8 @@ def test_load_profile_invariants():
         LoadProfile(((0.1, 1.0),))
     with pytest.raises(ValueError, match="strictly increasing"):
         LoadProfile(((0.0, 1.0), (0.5, 2.0), (0.5, 3.0)))
+    with pytest.raises(ValueError, match="starts must be finite"):
+        LoadProfile(((0.0, 0.0), (math.nan, 1.0096)))
     with pytest.raises(ValueError, match="finite"):
         LoadProfile(((0.0, math.inf),))
 
