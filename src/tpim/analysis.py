@@ -103,14 +103,38 @@ def detect_steady_state(
         raise TraceTooShortError(
             f"trace spans {span:.6g} s, steady-state detection needs >= {2.0 * window:.6g} s"
         )
-    w_n = _window_samples(trace, window)
-    windows = sliding_window_view(trace.omega_mech, w_n + 1)
-    spread = windows.max(axis=1) - windows.min(axis=1)
-    mean = windows.mean(axis=1)
-    hit = spread < speed_tol * np.abs(mean)
-    if not hit.any():
-        return False, math.nan
-    return True, float(trace.t[int(np.argmax(hit))])
+    length = _window_samples(trace, window) + 1
+    hi, lo = _sliding_extrema(trace.omega_mech, length)
+    spread = hi - lo
+    # |mean| <= max(|lo|, |hi|), so no window before the first one passing
+    # against that bound (with slack for the mean's rounding) can pass. The
+    # exact test runs on views of 64 windows from each such candidate on.
+    bound = np.maximum(np.abs(hi), np.abs(lo))
+    candidates = np.flatnonzero(spread < speed_tol * bound * (1.0 + 1e-9))
+    windows = sliding_window_view(trace.omega_mech, length)
+    i = 0
+    while i < len(candidates):
+        block = slice(candidates[i], candidates[i] + 64)
+        hit = spread[block] < speed_tol * np.abs(windows[block].mean(axis=1))
+        if hit.any():
+            return True, float(trace.t[block.start + int(np.argmax(hit))])
+        i = int(np.searchsorted(candidates, block.stop))
+    return False, math.nan
+
+
+def _sliding_extrema(x: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact max and min of every window of `length` samples, in O(n log length).
+
+    Spans double up to the largest power of two within `length`; two
+    overlapping spans then cover each window.
+    """
+    hi = lo = x
+    span = 1
+    while 2 * span <= length:
+        hi, lo = np.maximum(hi[:-span], hi[span:]), np.minimum(lo[:-span], lo[span:])
+        span *= 2
+    n, shift = len(x) - length + 1, length - span
+    return np.maximum(hi[:n], hi[shift:shift + n]), np.minimum(lo[:n], lo[shift:shift + n])
 
 
 def _periodic_tail(trace: SimulationTrace, start_idx: int, window: float) -> slice:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -53,6 +54,18 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
+def _speed_tol(text: str) -> float:
+    # spread < tol * |mean| never holds for tol <= 0 or nan, and holds for inf
+    # wherever the mean is nonzero.
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0: {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tpim", description="Two-phase induction motor simulator")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -68,7 +81,7 @@ def _build_parser() -> _Parser:
     )
     run.add_argument(
         "--speed-tol",
-        type=float,
+        type=_speed_tol,
         default=REPORT_SPEED_TOL,
         help="steady-state speed tolerance used by the summary report",
     )
@@ -88,7 +101,7 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--output-dir", help="override output.directory")
     sweep.add_argument(
         "--speed-tol",
-        type=float,
+        type=_speed_tol,
         default=REPORT_SPEED_TOL,
         help="steady-state speed tolerance used for the tabulated summaries",
     )

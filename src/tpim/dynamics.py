@@ -164,9 +164,10 @@ class SimulationTrace:
         return getattr(self, name)
 
 
-def _advance_rk4(deriv, sources, psa, psb, pra, prb, w, t, dt):
+# Advancers step from t; `sampled` is sources(t), also the record's sample.
+def _advance_rk4(deriv, sources, psa, psb, pra, prb, w, t, dt, sampled):
     half = 0.5 * dt
-    va0, vb0, tl0 = sources(t)
+    va0, vb0, tl0 = sampled
     vah, vbh, tlh = sources(t + half)
     va1, vb1, tl1 = sources(t + dt)
     a1, b1, c1, d1, e1 = deriv(psa, psb, pra, prb, w, va0, vb0, tl0)
@@ -192,8 +193,8 @@ def _advance_rk4(deriv, sources, psa, psb, pra, prb, w, t, dt):
     )
 
 
-def _advance_euler(deriv, sources, psa, psb, pra, prb, w, t, dt):
-    va, vb, tl = sources(t)
+def _advance_euler(deriv, sources, psa, psb, pra, prb, w, t, dt, sampled):
+    va, vb, tl = sampled
     d1, d2, d3, d4, d5 = deriv(psa, psb, pra, prb, w, va, vb, tl)
     return (psa + dt * d1, psb + dt * d2, pra + dt * d3, prb + dt * d4, w + dt * d5)
 
@@ -238,16 +239,20 @@ def integrate(p: MachineParameters, scenario: Scenario) -> SimulationTrace:
     # One column per record: the time, the sources sampled there and the states.
     records = np.empty((9, n_steps // every + 1))
     psa, psb, pra, prb, w = scenario.initial_state.as_tuple()
-    records[:, 0] = (0.0, *sources(0.0), psa, psb, pra, prb, w)
+    t = 0.0
+    sampled = sources(t)
+    records[:, 0] = (t, *sampled, psa, psb, pra, prb, w)
     filled = 1
     isfinite = math.isfinite
     for k in range(1, n_steps + 1):
-        psa, psb, pra, prb, w = advance(deriv, sources, psa, psb, pra, prb, w, (k - 1) * dt, dt)
+        # Step k starts at t = (k - 1) * dt, where the sources were last sampled.
+        psa, psb, pra, prb, w = advance(deriv, sources, psa, psb, pra, prb, w, t, dt, sampled)
         if not (isfinite(psa) and isfinite(psb) and isfinite(pra) and isfinite(prb) and isfinite(w)):
             partial = _derive_trace(p, scenario, records[:, :filled])
             raise IntegrationError(k * dt, MachineState(psa, psb, pra, prb, w), partial)
+        t = k * dt
+        sampled = sources(t)
         if k % every == 0:
-            t = k * dt
-            records[:, filled] = (t, *sources(t), psa, psb, pra, prb, w)
+            records[:, filled] = (t, *sampled, psa, psb, pra, prb, w)
             filled += 1
     return _derive_trace(p, scenario, records)

@@ -235,19 +235,21 @@ def compile_derivative(
     Returns a plain-float closure mapping
         (psi_s_a, psi_s_b, psi_r_a, psi_r_b, omega, v_s_a, v_s_b, t_load)
     to the five-tuple of derivatives. Millions of steps go through it, hence
-    the parameters are bound to locals instead of read as attributes.
+    the parameters are bound to locals instead of read as attributes, with
+    pole_pairs as a float and the rotor resistances negated: the same bits,
+    since int * float converts the int first and -r * i is (-r) * i.
     """
     if speed_convention not in SPEED_CONVENTIONS:
         raise ValueError(f"unknown speed convention: {speed_convention!r}")
     electrical = speed_convention == "electrical_state"
     r_sa, r_sb = p.r_s_alpha, p.r_s_beta
-    r_ra, r_rb = p.r_r_alpha, p.r_r_beta
+    neg_r_ra, neg_r_rb = -p.r_r_alpha, -p.r_r_beta
     l_sa, l_sb = p.l_s_alpha, p.l_s_beta
     l_ra, l_rb = p.l_r_alpha, p.l_r_beta
     l_ma, l_mb = p.l_m_alpha, p.l_m_beta
     det_a, det_b = p.det_alpha, p.det_beta
     a = p.turns_ratio_a
-    pole_pairs = p.pole_pairs
+    pole_pairs = float(p.pole_pairs)
     inv_j = 1.0 / p.inertia_j
     blocked = bool(blocked_rotor)
 
@@ -266,8 +268,8 @@ def compile_derivative(
         return (
             v_sa - r_sa * i_sa,
             v_sb - r_sb * i_sb,
-            -r_ra * i_ra - a * w_e * prb,
-            -r_rb * i_rb + (w_e / a) * pra,
+            neg_r_ra * i_ra - a * w_e * prb,
+            neg_r_rb * i_rb + (w_e / a) * pra,
             d_omega,
         )
 

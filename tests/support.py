@@ -1,7 +1,8 @@
 """Shared machines, scenario builders and independent oracles for the tests.
 
 reference_derivative restates the right-hand side that compile_derivative
-binds into a closure. The phasor solver here is a test-only oracle: it
+binds into a closure, and reference_steady_state the all-windows formula
+that detect_steady_state evaluates by a faster route. The phasor solver here is a test-only oracle: it
 computes the single-frequency steady state of the same state equations by a
 complex 4x4 solve, with no time stepping, so it verifies the integrator
 through an entirely different route.
@@ -10,6 +11,7 @@ through an entirely different route.
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from tpim import (
     IntegratorConfig,
@@ -125,6 +127,19 @@ def reference_derivative(p, state, v_sa, v_sb, t_load):
         -p.r_r_beta * i_rb + (w_e / a) * pra,
         (te - t_load) / p.inertia_j,
     ])
+
+
+def reference_steady_state(trace, speed_tol=1e-3, window=0.1):
+    """detect_steady_state's definition evaluated on every window at once:
+    the first record t with max - min < speed_tol * |mean| of omega over
+    [t, t + window]. Returns (reached, settle_time)."""
+    w_n = int(round(window / trace.record_spacing))
+    windows = sliding_window_view(trace.omega_mech, w_n + 1)
+    spread = windows.max(axis=1) - windows.min(axis=1)
+    hit = spread < speed_tol * np.abs(windows.mean(axis=1))
+    if not hit.any():
+        return False, math.nan
+    return True, float(trace.t[int(np.argmax(hit))])
 
 
 def _current_matrix(p):

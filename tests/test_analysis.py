@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tpim import (
+    Harmonic,
     SimulationTrace,
     SteadyStateNotReachedError,
     TraceTooShortError,
@@ -22,6 +23,7 @@ from support import (
     phasor_equilibrium_speed,
     phasor_steady_state,
     rated_supply,
+    reference_steady_state,
     scenario,
 )
 
@@ -89,6 +91,71 @@ def test_rated_machine_speed_ripple_defeats_strict_tolerance(rated_trace):
 def test_symmetric_machine_settles_at_default_tolerance(symmetric_trace):
     reached, settle = detect_steady_state(symmetric_trace)
     assert reached and 0.0 < settle < 1.0
+
+
+def _swapped_supply():
+    supply = rated_supply()
+    return VoltageSource(alpha=supply.beta, beta=supply.alpha, frequency=supply.frequency)
+
+
+def _harmonic_supply():
+    supply = rated_supply()
+    (a1,), (b1,) = supply.alpha, supply.beta
+    q = 0.5 * math.pi
+    return VoltageSource(
+        alpha=(a1, Harmonic(3, 0.03 * a1.amplitude, 0.1), Harmonic(5, 0.02 * a1.amplitude, -0.2)),
+        beta=(b1, Harmonic(3, 0.03 * a1.amplitude, 0.1 - 3 * q), Harmonic(5, 0.02 * a1.amplitude, -0.2 - 5 * q)),
+        frequency=supply.frequency,
+    )
+
+
+def _flat_only_at_end():
+    # 301 records, 101-sample windows: only the last window [200, 300] is flat.
+    return np.concatenate([np.linspace(50.0, 110.0, 200), np.full(101, 120.0)])
+
+
+def _spike_at_window_end():
+    # Flat from record 100 on, but record 200, the last sample of the first
+    # flat window, is an outlier: the first passing window starts at 201.
+    omega = np.concatenate([np.linspace(50.0, 120.0, 100, endpoint=False), np.full(301, 120.0)])
+    omega[200] = 130.0
+    return omega
+
+
+def test_detect_steady_state_matches_all_windows_reference(table1, rated_trace, symmetric_trace):
+    traces = {
+        "rated": rated_trace,
+        "symmetric": symmetric_trace,
+        **{
+            f"load {torque}": integrate(table1, scenario(load_torque=torque))
+            for torque in (0.2, 0.65, 1.3)
+        },
+        "harmonic, every 10": integrate(
+            table1, scenario(supply=_harmonic_supply(), duration=1.5, record_every=10)
+        ),
+        "swapped phases": integrate(table1, scenario(supply=_swapped_supply(), load_torque=0.0)),
+        "constant": synthetic_trace(np.full(301, 120.0)),
+        "ramp": synthetic_trace(np.linspace(100.0, 130.0, 301)),
+        "zero crossing": synthetic_trace(
+            np.concatenate([np.linspace(-50.0, 50.0, 150), np.full(151, 50.0)])
+        ),
+        "last window only": synthetic_trace(_flat_only_at_end()),
+        "spike at window end": synthetic_trace(_spike_at_window_end()),
+    }
+    assert reference_steady_state(traces["last window only"], 1e-3) == (True, 0.2)
+    spike = traces["spike at window end"]
+    assert reference_steady_state(spike, 1e-3) == (True, spike.t[201])
+    assert traces["swapped phases"].omega_mech[-1] < 0.0
+    for name, trace in traces.items():
+        for tol in (1e-3, 0.05, 0.06):
+            reached, settle = detect_steady_state(trace, speed_tol=tol)
+            ref_reached, ref_settle = reference_steady_state(trace, speed_tol=tol)
+            assert reached == ref_reached, (name, tol)
+            assert settle == ref_settle or (math.isnan(settle) and math.isnan(ref_settle)), (name, tol)
+        for tol in (-1.0, 0.0, math.nan):
+            reached, settle = detect_steady_state(trace, speed_tol=tol)
+            assert not reached and math.isnan(settle), (name, tol)
+            assert not reference_steady_state(trace, speed_tol=tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +259,8 @@ def test_audit_residual_shrinks_with_step_size(table1):
 # ---------------------------------------------------------------------------
 
 def test_swapping_supply_phases_reverses_rotation(table1):
-    supply = rated_supply()
-    swapped = VoltageSource(alpha=supply.beta, beta=supply.alpha, frequency=supply.frequency)
     forward = integrate(table1, scenario(load_torque=0.0))
-    backward = integrate(table1, scenario(supply=swapped, load_torque=0.0))
+    backward = integrate(table1, scenario(supply=_swapped_supply(), load_torque=0.0))
     w_fwd = float(np.mean(forward.omega_mech[-2001:]))
     w_bwd = float(np.mean(backward.omega_mech[-2001:]))
     assert w_fwd > 0.0 > w_bwd

@@ -70,6 +70,18 @@ def test_invalid_record_every_override_exits_1(tmp_path, capsys, every):
     assert not (tmp_path / "short_trace.csv").exists()
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "0", "inf"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_invalid_speed_tol_exits_1_before_the_run(tmp_path, capsys, command, tol):
+    path = _short_config(tmp_path)
+    argv = [command, str(path), "--output-dir", str(tmp_path), f"--speed-tol={tol}"]
+    if command == "sweep":
+        argv += ["--axis", "load.torque", "--values", "0.5"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: argument --speed-tol:")
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 def test_zero_duration_run(tmp_path):
     path = _short_config(tmp_path, name="zero", duration="0.0")
     assert main(["run", str(path), "--output-dir", str(tmp_path)]) == 0

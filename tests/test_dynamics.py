@@ -122,6 +122,31 @@ def test_record_every_decimates_without_changing_the_grid(table1):
         assert np.array_equal(thin.channel(name), full.channel(name)[::5]), name
 
 
+@pytest.mark.parametrize("every", [1, 7])
+@pytest.mark.parametrize("method, per_step", [("rk4", 3), ("euler", 1)])
+def test_sources_sampled_once_per_grid_time(table1, monkeypatch, method, per_step, every):
+    # The sample at each step's start is also the record's sample: RK4 adds
+    # only its midpoint and end samples, whatever the decimation.
+    import tpim.dynamics
+
+    calls = 0
+
+    def counting_compile_sources(supply, load):
+        sources = compile_sources(supply, load)
+
+        def counted(t):
+            nonlocal calls
+            calls += 1
+            return sources(t)
+
+        return counted
+
+    monkeypatch.setattr(tpim.dynamics, "compile_sources", counting_compile_sources)
+    run = scenario(method=method, duration=0.01, record_every=every)
+    integrate(table1, run)
+    assert calls == per_step * run.integrator.n_steps + 1
+
+
 def test_integrate_is_deterministic(table1):
     a = integrate(table1, scenario(duration=0.1))
     b = integrate(table1, scenario(duration=0.1))
