@@ -78,32 +78,34 @@ class EnergyReport:
     residual: float
 
 
-def _window_samples(trace: SimulationTrace, window: float) -> int:
-    spacing = trace.record_spacing
-    n = int(round(window / spacing))
-    if n < 1:
-        raise TraceTooShortError(
-            f"window {window} s is below the record spacing {spacing} s"
-        )
-    return n
+# Length of the steady-state detection window, and the longest span the
+# summary statistics average over.
+_WINDOW = 0.1
 
 
-def detect_steady_state(
-    trace: SimulationTrace, speed_tol: float = 1e-3, window: float = 0.1
-) -> tuple[bool, float]:
+def detect_steady_state(trace: SimulationTrace, speed_tol: float = 1e-3) -> tuple[bool, float]:
     """Earliest time where speed stays within speed_tol of its window mean.
 
     Steady state is declared at the first record t where
-    max - min of omega over [t, t + window] < speed_tol * |mean omega|.
+    max - min of omega over [t, t + 0.1 s] < speed_tol * |mean omega|.
     Returns (reached, settle_time); settle_time is nan when not reached.
-    Raises TraceTooShortError unless the trace spans at least 2*window.
+    Raises ValueError unless speed_tol is finite and > 0: no window passes
+    below that, and with inf every window with a nonzero mean passes.
+    Raises TraceTooShortError unless the trace spans at least two windows.
     """
-    span = (len(trace) - 1) * trace.record_spacing
-    if span < 2.0 * window:
+    if not 0.0 < speed_tol < math.inf:
+        raise ValueError(f"speed_tol must be a finite number > 0: {speed_tol!r}")
+    spacing = trace.record_spacing
+    span = (len(trace) - 1) * spacing
+    if span < 2.0 * _WINDOW:
         raise TraceTooShortError(
-            f"trace spans {span:.6g} s, steady-state detection needs >= {2.0 * window:.6g} s"
+            f"trace spans {span:.6g} s, steady-state detection needs >= {2.0 * _WINDOW:.6g} s"
         )
-    length = _window_samples(trace, window) + 1
+    length = int(round(_WINDOW / spacing)) + 1
+    if length < 2:
+        raise TraceTooShortError(
+            f"window {_WINDOW} s is below the record spacing {spacing} s"
+        )
     hi, lo = _sliding_extrema(trace.omega_mech, length)
     spread = hi - lo
     # |mean| <= max(|lo|, |hi|), so no window before the first one passing
@@ -137,8 +139,8 @@ def _sliding_extrema(x: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray
     return np.maximum(hi[:n], hi[shift:shift + n]), np.minimum(lo[:n], lo[shift:shift + n])
 
 
-def _periodic_tail(trace: SimulationTrace, start_idx: int, window: float) -> slice:
-    """Trailing whole supply periods covering up to `window` seconds.
+def _periodic_tail(trace: SimulationTrace, start_idx: int) -> slice:
+    """Trailing whole supply periods covering up to one detection window.
 
     At least one period when the post-settle span allows it, never
     reaching back before start_idx.
@@ -146,7 +148,7 @@ def _periodic_tail(trace: SimulationTrace, start_idx: int, window: float) -> sli
     spacing = trace.record_spacing
     span = trace.t[-1] - trace.t[start_idx]
     period = 1.0 / trace.supply_frequency
-    n_periods = int(math.floor(min(span, window) / period + 1e-9))
+    n_periods = int(math.floor(min(span, _WINDOW) / period + 1e-9))
     if n_periods < 1:
         n_periods = 1 if span >= period else 0
     if n_periods < 1:
@@ -165,21 +167,21 @@ def summarize(
     trace: SimulationTrace,
     p: MachineParameters,
     speed_tol: float = 1e-3,
-    window: float = 0.1,
 ) -> SummaryReport:
     """Steady-state report of one trace.
 
     Raises TraceTooShortError / SteadyStateNotReachedError when detection
     is impossible or fails; callers that must survive either (the CLI
-    summary writer) catch them.
+    summary writer) catch them. A speed_tol that detect_steady_state
+    rejects raises ValueError.
     """
-    reached, settle_time = detect_steady_state(trace, speed_tol, window)
+    reached, settle_time = detect_steady_state(trace, speed_tol)
     if not reached:
         raise SteadyStateNotReachedError(
             f"speed never settled within {speed_tol:g} of its window mean"
         )
     start_idx = int(np.searchsorted(trace.t, settle_time))
-    tail = _periodic_tail(trace, start_idx, window)
+    tail = _periodic_tail(trace, start_idx)
     t = trace.t[tail]
     te = trace.te[tail]
     i_sa = trace.i_sa[tail]

@@ -164,6 +164,10 @@ def _parse_sweep(args) -> tuple[RunConfig, tuple[float, ...], tuple[str, ...]]:
         raise ConfigError(f"--values must be comma-separated numbers: {args.values!r}") from None
     if not values:
         raise ConfigError("--values must name at least one value")
+    for value in values:
+        # A config file rejects a non-finite number for every key.
+        if not math.isfinite(value):
+            raise ConfigError(f"--values must be finite numbers, got {value!r}")
     fields = tuple(f.strip() for f in args.fields.split(",") if f.strip())
     if not fields:
         raise ConfigError("--fields must name at least one summary field")

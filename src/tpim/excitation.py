@@ -16,8 +16,6 @@ __all__ = [
     "VoltageSource",
     "LoadProfile",
     "quadrature_supply",
-    "sample_voltage",
-    "sample_load",
     "compile_sources",
 ]
 
@@ -44,8 +42,8 @@ class VoltageSource:
     def __post_init__(self):
         object.__setattr__(self, "alpha", tuple(self.alpha))
         object.__setattr__(self, "beta", tuple(self.beta))
-        if not self.frequency > 0.0:
-            raise ValueError(f"frequency must be positive: {self.frequency}")
+        if not 0.0 < self.frequency < math.inf:
+            raise ValueError(f"frequency must be finite and positive: {self.frequency}")
         for phase_name, harmonics in (("alpha", self.alpha), ("beta", self.beta)):
             orders = [h.order for h in harmonics]
             if len(set(orders)) != len(orders):
@@ -103,8 +101,8 @@ def quadrature_supply(v_rms: float, frequency: float, amplitude_is_peak: bool = 
     """
     if not v_rms > 0.0:
         raise ValueError(f"supply voltage must be positive: {v_rms}")
-    if not frequency > 0.0:
-        raise ValueError(f"supply frequency must be positive: {frequency}")
+    if not 0.0 < frequency < math.inf:
+        raise ValueError(f"supply frequency must be finite and positive: {frequency}")
     peak = v_rms if amplitude_is_peak else math.sqrt(2.0) * v_rms
     return VoltageSource(
         alpha=(Harmonic(1, peak, 0.0),),
@@ -113,33 +111,12 @@ def quadrature_supply(v_rms: float, frequency: float, amplitude_is_peak: bool = 
     )
 
 
-def sample_voltage(source: VoltageSource, t: float) -> tuple[float, float]:
-    """Instantaneous (v_alpha, v_beta) at time t, exact closed form."""
-    w0 = _TWO_PI * source.frequency
-    v_alpha = 0.0
-    for h in source.alpha:
-        v_alpha += h.amplitude * math.cos(w0 * h.order * t + h.phase)
-    v_beta = 0.0
-    for h in source.beta:
-        v_beta += h.amplitude * math.cos(w0 * h.order * t + h.phase)
-    return v_alpha, v_beta
-
-
-def sample_load(profile: LoadProfile, t: float) -> float:
-    """Torque of the last breakpoint with t_start <= t (right-continuous)."""
-    starts = [bp[0] for bp in profile.breakpoints]
-    idx = bisect_right(starts, t) - 1
-    if idx < 0:
-        idx = 0
-    return profile.breakpoints[idx][1]
-
-
 def compile_sources(supply: VoltageSource, load: LoadProfile):
     """Bind a (v_alpha, v_beta, load_torque) sampler for integrator loops.
 
     Specializes the dominant case (one harmonic per phase, constant load)
-    to a branch-free closure; anything else falls back to the generic
-    samplers.
+    to a branch-free closure; anything else gets a generic closure that
+    sums the harmonic series and looks the load up by bisection.
     """
     w0 = _TWO_PI * supply.frequency
     cos = math.cos

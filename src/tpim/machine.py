@@ -23,7 +23,6 @@ __all__ = [
     "MachineParameters",
     "MachineState",
     "validate_parameters",
-    "fluxes_from_currents",
     "currents_from_fluxes",
     "electromagnetic_torque",
     "energy_consistent_torque",
@@ -161,19 +160,6 @@ def validate_parameters(params: MachineParameters) -> MachineParameters:
         )
 
     return params
-
-
-def fluxes_from_currents(p: MachineParameters, i_s_alpha, i_s_beta, i_r_alpha, i_r_beta):
-    """Winding flux linkages from winding currents.
-
-    Per axis: psi_s = L_s*i_s + L_m*i_r and psi_r = L_m*i_s + L_r*i_r.
-    Returns (psi_s_alpha, psi_s_beta, psi_r_alpha, psi_r_beta).
-    """
-    psi_s_alpha = p.l_s_alpha * i_s_alpha + p.l_m_alpha * i_r_alpha
-    psi_s_beta = p.l_s_beta * i_s_beta + p.l_m_beta * i_r_beta
-    psi_r_alpha = p.l_m_alpha * i_s_alpha + p.l_r_alpha * i_r_alpha
-    psi_r_beta = p.l_m_beta * i_s_beta + p.l_r_beta * i_r_beta
-    return psi_s_alpha, psi_s_beta, psi_r_alpha, psi_r_beta
 
 
 def currents_from_fluxes(p: MachineParameters, psi_s_alpha, psi_s_beta, psi_r_alpha, psi_r_beta):

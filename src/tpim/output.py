@@ -23,23 +23,28 @@ __all__ = [
     "CSV_HEADER",
     "REPORT_SPEED_TOL",
     "write_trace_csv",
-    "summary_text",
     "write_summary",
-    "plot_script_text",
     "write_plot_script",
 ]
 
 CSV_HEADER = ",".join(TRACE_CHANNELS)
 
 
+# Rows formatted per write: whole columns go through repr at C speed, while
+# the text held at once stays a small fraction of the file.
+_CSV_BLOCK_ROWS = 1024
+
+
 def write_trace_csv(trace: SimulationTrace, path) -> None:
     # tolist() yields Python floats, whose repr is the shortest decimal
     # that round-trips to the same double.
-    columns = [trace.channel(name).tolist() for name in TRACE_CHANNELS]
+    channels = [trace.channel(name) for name in TRACE_CHANNELS]
     with open(path, "w") as f:
         f.write(CSV_HEADER + "\n")
-        for row in zip(*columns):
-            f.write(",".join(repr(v) for v in row) + "\n")
+        for start in range(0, len(trace), _CSV_BLOCK_ROWS):
+            stop = start + _CSV_BLOCK_ROWS
+            columns = [map(repr, channel[start:stop].tolist()) for channel in channels]
+            f.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 # An unsymmetrical machine carries an inherent double-supply-frequency
@@ -48,20 +53,20 @@ def write_trace_csv(trace: SimulationTrace, path) -> None:
 REPORT_SPEED_TOL = 0.05
 
 
-def summary_text(
+def write_summary(
     trace: SimulationTrace,
     p: MachineParameters,
+    path,
     speed_tol: float = REPORT_SPEED_TOL,
-    window: float = 0.1,
-) -> str:
-    """Key: value report of the steady-state summary plus both energy audits.
+) -> None:
+    """Write the key: value report of the steady-state summary plus both energy audits.
 
     A run whose speed never settles (or is too short to judge) still gets
     its audits; the summary block then only records why it is missing.
     """
     lines = [f"steady_state_tolerance: {speed_tol!r}"]
     try:
-        report = summarize(trace, p, speed_tol=speed_tol, window=window)
+        report = summarize(trace, p, speed_tol=speed_tol)
     except (TraceTooShortError, SteadyStateNotReachedError) as exc:
         lines.append("steady_state_reached: false")
         lines.append(f"steady_state_note: {exc}")
@@ -83,16 +88,7 @@ def summary_text(
         lines.append(f"{prefix}.field_energy_delta: {audit.field_energy_delta!r}")
         lines.append(f"{prefix}.mechanical_energy_out: {audit.mechanical_energy_out!r}")
         lines.append(f"{prefix}.residual: {audit.residual!r}")
-    return "\n".join(lines) + "\n"
-
-
-def write_summary(
-    trace: SimulationTrace,
-    p: MachineParameters,
-    path,
-    speed_tol: float = REPORT_SPEED_TOL,
-) -> None:
-    Path(path).write_text(summary_text(trace, p, speed_tol=speed_tol))
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 _PLOT_TEMPLATE = '''#!/usr/bin/env python3
@@ -142,9 +138,5 @@ for stem, names, ylabel in PANELS:
 '''
 
 
-def plot_script_text(csv_name: str, prefix: str) -> str:
-    return _PLOT_TEMPLATE.format(csv_name=csv_name, prefix=prefix)
-
-
 def write_plot_script(path, csv_name: str, prefix: str) -> None:
-    Path(path).write_text(plot_script_text(csv_name, prefix))
+    Path(path).write_text(_PLOT_TEMPLATE.format(csv_name=csv_name, prefix=prefix))

@@ -2,13 +2,17 @@
 
 reference_derivative restates the right-hand side that compile_derivative
 binds into a closure, and reference_steady_state the all-windows formula
-that detect_steady_state evaluates by a faster route. The phasor solver here is a test-only oracle: it
-computes the single-frequency steady state of the same state equations by a
-complex 4x4 solve, with no time stepping, so it verifies the integrator
-through an entirely different route.
+that detect_steady_state evaluates by a faster route. sample_voltage and
+sample_load evaluate a supply and a load profile term by term, the
+reference for the closures compile_sources binds; fluxes_from_currents is
+the forward map that currents_from_fluxes inverts. The phasor solver here
+is a test-only oracle: it computes the single-frequency steady state of the
+same state equations by a complex 4x4 solve, with no time stepping, so it
+verifies the integrator through an entirely different route.
 """
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -19,10 +23,10 @@ from tpim import (
     MachineParameters,
     MachineState,
     Scenario,
-    currents_from_fluxes,
-    electromagnetic_torque,
+    VoltageSource,
     quadrature_supply,
 )
+from tpim.machine import currents_from_fluxes, electromagnetic_torque
 
 # Benchmark machine: 230 V rms, 50 Hz, 4 pole, referred rotor per axis.
 TABLE1 = MachineParameters(
@@ -66,6 +70,8 @@ W_SYNC = 2.0 * math.pi * F_SUPPLY / TABLE1.pole_pairs  # 157.0796...
 
 STATE_CHANNELS = ("psi_sa", "psi_sb", "psi_ra", "psi_rb", "omega_mech")
 
+_TWO_PI = 2.0 * math.pi
+
 
 def state_at(trace, idx):
     """The integrated state vector (STATE_CHANNELS order) at record idx."""
@@ -97,6 +103,40 @@ def scenario(
         speed_convention=speed_convention,
         blocked_rotor=blocked_rotor,
     )
+
+
+def sample_voltage(source: VoltageSource, t: float) -> tuple[float, float]:
+    """Instantaneous (v_alpha, v_beta) at time t, exact closed form."""
+    w0 = _TWO_PI * source.frequency
+    v_alpha = 0.0
+    for h in source.alpha:
+        v_alpha += h.amplitude * math.cos(w0 * h.order * t + h.phase)
+    v_beta = 0.0
+    for h in source.beta:
+        v_beta += h.amplitude * math.cos(w0 * h.order * t + h.phase)
+    return v_alpha, v_beta
+
+
+def sample_load(profile: LoadProfile, t: float) -> float:
+    """Torque of the last breakpoint with t_start <= t (right-continuous)."""
+    starts = [bp[0] for bp in profile.breakpoints]
+    idx = bisect_right(starts, t) - 1
+    if idx < 0:
+        idx = 0
+    return profile.breakpoints[idx][1]
+
+
+def fluxes_from_currents(p: MachineParameters, i_s_alpha, i_s_beta, i_r_alpha, i_r_beta):
+    """Winding flux linkages from winding currents.
+
+    Per axis: psi_s = L_s*i_s + L_m*i_r and psi_r = L_m*i_s + L_r*i_r.
+    Returns (psi_s_alpha, psi_s_beta, psi_r_alpha, psi_r_beta).
+    """
+    psi_s_alpha = p.l_s_alpha * i_s_alpha + p.l_m_alpha * i_r_alpha
+    psi_s_beta = p.l_s_beta * i_s_beta + p.l_m_beta * i_r_beta
+    psi_r_alpha = p.l_m_alpha * i_s_alpha + p.l_r_alpha * i_r_alpha
+    psi_r_beta = p.l_m_beta * i_s_beta + p.l_r_beta * i_r_beta
+    return psi_s_alpha, psi_s_beta, psi_r_alpha, psi_r_beta
 
 
 def solve_currents(p, psi_s_alpha, psi_s_beta, psi_r_alpha, psi_r_beta):

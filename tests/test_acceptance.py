@@ -15,21 +15,21 @@ import time
 
 import numpy as np
 
-from tpim import (
-    VoltageSource,
-    currents_from_fluxes,
-    energy_audit,
-    fluxes_from_currents,
-    integrate,
-    load_config,
-    parse_config,
-    render_config,
-    summarize,
-)
+from tpim import VoltageSource, energy_audit, integrate, load_config, summarize
 from tpim.cli import main
+from tpim.config import parse_config, render_config
+from tpim.machine import currents_from_fluxes
 from tpim.output import CSV_HEADER
 
-from support import STATE_CHANNELS, T_LOAD, W_SYNC, rated_supply, scenario, state_at
+from support import (
+    STATE_CHANNELS,
+    T_LOAD,
+    W_SYNC,
+    fluxes_from_currents,
+    rated_supply,
+    scenario,
+    state_at,
+)
 
 
 def _report(number, ok, detail):

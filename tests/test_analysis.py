@@ -11,11 +11,11 @@ from tpim import (
     SteadyStateNotReachedError,
     TraceTooShortError,
     VoltageSource,
-    detect_steady_state,
     energy_audit,
     integrate,
     summarize,
 )
+from tpim.analysis import detect_steady_state
 
 from support import (
     T_LOAD,
@@ -152,10 +152,11 @@ def test_detect_steady_state_matches_all_windows_reference(table1, rated_trace, 
             ref_reached, ref_settle = reference_steady_state(trace, speed_tol=tol)
             assert reached == ref_reached, (name, tol)
             assert settle == ref_settle or (math.isnan(settle) and math.isnan(ref_settle)), (name, tol)
-        for tol in (-1.0, 0.0, math.nan):
-            reached, settle = detect_steady_state(trace, speed_tol=tol)
-            assert not reached and math.isnan(settle), (name, tol)
-            assert not reference_steady_state(trace, speed_tol=tol)[0]
+        for tol in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="speed_tol"):
+                detect_steady_state(trace, speed_tol=tol)
+            if tol != math.inf:
+                assert not reference_steady_state(trace, speed_tol=tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +167,9 @@ def test_summarize_requires_steady_state(table1):
     trace = synthetic_trace(np.linspace(100.0, 130.0, 301))
     with pytest.raises(SteadyStateNotReachedError):
         summarize(trace, table1)
+    # A tolerance no window can meet is a bad argument, not an unsettled run.
+    with pytest.raises(ValueError, match="speed_tol"):
+        summarize(trace, table1, speed_tol=-1.0)
 
 
 def test_rated_summary_operating_point(table1, rated_trace):

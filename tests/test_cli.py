@@ -117,7 +117,7 @@ def test_usage_error_exits_1(capsys):
 def test_validate_round_trips(capsys):
     assert main(["validate", "paper_s3"]) == 0
     echoed = capsys.readouterr().out
-    from tpim import parse_config
+    from tpim.config import parse_config
 
     assert parse_config(echoed, name="paper_s3") == load_config("paper_s3")
     machine_lines = [l for l in echoed.splitlines() if l.startswith("machine.")]
@@ -217,6 +217,12 @@ def test_sweep_spec_errors_exit_1(tmp_path, capsys):
     assert main(
         ["sweep", "paper_s3", "--axis", "load.torque", "--values", "1.0", "--fields", "bogus"]
     ) == 1
+    # Non-finite values are rejected before any row runs or the table is written.
+    for axis, values in (("supply.frequency", "inf,50"), ("initial_state.omega_mech", "nan")):
+        argv = ["sweep", "paper_s3", "--axis", axis, "--values", values]
+        assert main(argv + ["--output-dir", str(tmp_path)]) == 1
+        assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "paper_s3_sweep.csv").exists()
     capsys.readouterr()
 
 

@@ -2,15 +2,8 @@
 
 import pytest
 
-from tpim import (
-    ConfigError,
-    LoadProfile,
-    bundled_config_names,
-    load_config,
-    parse_config,
-    render_config,
-    set_axis_value,
-)
+from tpim import ConfigError, LoadProfile, load_config
+from tpim.config import bundled_config_names, parse_config, render_config, set_axis_value
 
 from support import TABLE1
 
@@ -171,7 +164,7 @@ def test_blocked_rotor_config_flags():
 def test_amplitude_is_peak_changes_supply_amplitude():
     import math
 
-    from tpim import build_supply
+    from tpim.config import build_supply
 
     rms_cfg = parse_config(MINIMAL, name="rms")
     peak_cfg = parse_config(MINIMAL + "\namplitude_is_peak = true\n", name="peak")

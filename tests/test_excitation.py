@@ -5,15 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from tpim import (
-    Harmonic,
-    LoadProfile,
-    VoltageSource,
-    quadrature_supply,
-    sample_load,
-    sample_voltage,
-)
+from tpim import Harmonic, LoadProfile, VoltageSource, quadrature_supply
 from tpim.excitation import compile_sources
+
+from support import sample_load, sample_voltage
 
 
 def test_quadrature_amplitude_is_sqrt2_rms():
@@ -39,7 +34,7 @@ def test_quadrature_peak_mode():
     assert src.alpha[0].amplitude == 325.0
 
 
-@pytest.mark.parametrize("v,f", [(0.0, 50.0), (-5.0, 50.0), (230.0, 0.0)])
+@pytest.mark.parametrize("v,f", [(0.0, 50.0), (-5.0, 50.0), (230.0, 0.0), (230.0, math.inf)])
 def test_quadrature_rejects_nonpositive(v, f):
     with pytest.raises(ValueError):
         quadrature_supply(v, f)
@@ -48,6 +43,8 @@ def test_quadrature_rejects_nonpositive(v, f):
 def test_voltage_source_invariants():
     with pytest.raises(ValueError, match="frequency"):
         VoltageSource(alpha=(), beta=(), frequency=0.0)
+    with pytest.raises(ValueError, match="frequency must be finite"):
+        VoltageSource(alpha=(), beta=(), frequency=math.inf)
     with pytest.raises(ValueError, match="duplicate harmonic order"):
         VoltageSource(
             alpha=(Harmonic(1, 10.0), Harmonic(1, 5.0)), beta=(), frequency=50.0

@@ -13,16 +13,17 @@ from tpim import (
     Scenario,
     IntegratorConfig,
     VoltageSource,
-    electromagnetic_torque,
-    currents_from_fluxes,
-    energy_consistent_torque,
-    fluxes_from_currents,
     integrate,
     validate_parameters,
 )
-from tpim.machine import compile_derivative
+from tpim.machine import (
+    compile_derivative,
+    currents_from_fluxes,
+    electromagnetic_torque,
+    energy_consistent_torque,
+)
 
-from support import SYMMETRIC, TABLE1, reference_derivative, solve_currents
+from support import SYMMETRIC, TABLE1, fluxes_from_currents, reference_derivative, solve_currents
 
 
 # ---------------------------------------------------------------------------
