@@ -1,7 +1,8 @@
 """Command-line interface: run, validate and sweep simulation configs.
 
 Exit codes are part of the contract: 0 success, 1 configuration/validation
-failure, 2 numerical failure (non-finite state, timestamp on stderr).
+failure, 2 numerical failure (non-finite state, timestamp on stderr; `run`
+also writes the trace recorded up to the failure as <prefix>_partial_trace.csv).
 """
 
 from __future__ import annotations
@@ -131,10 +132,16 @@ def _out_dir(config: RunConfig) -> Path:
 def _cmd_run(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     p = validate_parameters(config.machine)
-    trace = integrate(p, build_scenario(config))
+    prefix = config.output.prefix
+    try:
+        trace = integrate(p, build_scenario(config))
+    except IntegrationError as exc:
+        partial_path = _out_dir(config) / f"{prefix}_partial_trace.csv"
+        write_trace_csv(exc.partial_trace, partial_path)
+        print(f"partial trace written to {partial_path}", file=sys.stderr)
+        raise
 
     directory = _out_dir(config)
-    prefix = config.output.prefix
     csv_path = directory / f"{prefix}_trace.csv"
     summary_path = directory / f"{prefix}_summary.txt"
     write_trace_csv(trace, csv_path)

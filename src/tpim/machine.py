@@ -14,8 +14,9 @@ therefore also work element-wise on numpy arrays.
 
 from __future__ import annotations
 
+import textwrap
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 __all__ = [
     "SPEED_CONVENTIONS",
@@ -199,6 +200,81 @@ def energy_consistent_torque(p: MachineParameters, psi_r_alpha, psi_r_beta, i_r_
     )
 
 
+# The machine constants as the generated kernels bind them: closure cells,
+# since millions of steps read them, with pole_pairs as a float and the
+# rotor resistances negated. That gives the same bits, since int * float
+# converts the int first and -r * i is (-r) * i.
+_KERNEL_CONSTANTS = (
+    "r_sa, r_sb, neg_r_ra, neg_r_rb, l_sa, l_sb, l_ra, l_rb, l_ma, l_mb, det_a, det_b, a, pole_pairs, inv_j"
+)
+
+
+def kernel_constants(p: MachineParameters) -> tuple:
+    """The values of _KERNEL_CONSTANTS for p, in that order."""
+    return (
+        p.r_s_alpha, p.r_s_beta, -p.r_r_alpha, -p.r_r_beta,
+        p.l_s_alpha, p.l_s_beta, p.l_r_alpha, p.l_r_beta, p.l_m_alpha, p.l_m_beta,
+        p.det_alpha, p.det_beta, p.turns_ratio_a, float(p.pole_pairs), 1.0 / p.inertia_j,
+    )
+
+
+# The one definition of the state equations (see compile_derivative),
+# rendered by render_rhs once per stage of a generated kernel.
+_RHS = """\
+i_sa = (l_ra * {psa} - l_ma * {pra}) / det_a
+i_sb = (l_rb * {psb} - l_mb * {prb}) / det_b
+i_ra = (l_sa * {pra} - l_ma * {psa}) / det_a
+i_rb = (l_sb * {prb} - l_mb * {psb}) / det_b
+w_e = {w_e}
+{d_psa} = {v_sa} - r_sa * i_sa
+{d_psb} = {v_sb} - r_sb * i_sb
+{d_pra} = neg_r_ra * i_ra - a * w_e * {prb}
+{d_prb} = neg_r_rb * i_rb + (w_e / a) * {pra}
+{d_w} = {d_omega}
+"""
+_RHS_NAMES = "psa psb pra prb w v_sa v_sb t_load d_psa d_psb d_pra d_prb d_w".split()
+
+
+def render_rhs(speed_convention: str, blocked_rotor: bool, names: str) -> str:
+    """The right-hand side as statements over a stage's own names.
+
+    names lists, space-separated, the five state inputs, the three source
+    samples (v_s_a, v_s_b, t_load) and the five derivative outputs. The
+    speed convention and blocked_rotor are settled here, not per call.
+    """
+    n = dict(zip(_RHS_NAMES, names.split(), strict=True))
+    n["w_e"] = n["w"] if speed_convention == "electrical_state" else f"pole_pairs * {n['w']}"
+    n["d_omega"] = (
+        "0.0"
+        if blocked_rotor
+        else f"(pole_pairs * (l_mb * i_sb * i_ra - l_ma * i_sa * i_rb) - {n['t_load']}) * inv_j"
+    )
+    return _RHS.format(**n)
+
+
+def generate_kernel(name: str, signature: str, body: str):
+    """Compile `def name(signature): body` inside a factory of the machine
+    constants, and return the factory: calling it with kernel_constants(p)
+    returns the kernel with p's values bound as closure cells."""
+    source = (
+        f"def bind({_KERNEL_CONSTANTS}):\n"
+        f"    def {name}({signature}):\n"
+        f"{textwrap.indent(body, ' ' * 8)}"
+        f"    return {name}\n"
+    )
+    scope = {}
+    exec(compile(source, f"<tpim {name}>", "exec"), scope)
+    return scope["bind"]
+
+
+@cache
+def _derivative_kernel(speed_convention: str, blocked_rotor: bool):
+    body = render_rhs(speed_convention, blocked_rotor, " ".join(_RHS_NAMES))
+    return generate_kernel(
+        "deriv", ", ".join(_RHS_NAMES[:8]), body + "return d_psa, d_psb, d_pra, d_prb, d_w\n"
+    )
+
+
 def compile_derivative(
     p: MachineParameters,
     speed_convention: str = "mechanical_state",
@@ -220,43 +296,10 @@ def compile_derivative(
 
     Returns a plain-float closure mapping
         (psi_s_a, psi_s_b, psi_r_a, psi_r_b, omega, v_s_a, v_s_b, t_load)
-    to the five-tuple of derivatives. Millions of steps go through it, hence
-    the parameters are bound to locals instead of read as attributes, with
-    pole_pairs as a float and the rotor resistances negated: the same bits,
-    since int * float converts the int first and -r * i is (-r) * i.
+    to the five-tuple of derivatives. It is the one-stage rendering of the
+    right-hand side template that the step loops of tpim.dynamics inline
+    once per stage, so it computes the same bits as they do.
     """
     if speed_convention not in SPEED_CONVENTIONS:
         raise ValueError(f"unknown speed convention: {speed_convention!r}")
-    electrical = speed_convention == "electrical_state"
-    r_sa, r_sb = p.r_s_alpha, p.r_s_beta
-    neg_r_ra, neg_r_rb = -p.r_r_alpha, -p.r_r_beta
-    l_sa, l_sb = p.l_s_alpha, p.l_s_beta
-    l_ra, l_rb = p.l_r_alpha, p.l_r_beta
-    l_ma, l_mb = p.l_m_alpha, p.l_m_beta
-    det_a, det_b = p.det_alpha, p.det_beta
-    a = p.turns_ratio_a
-    pole_pairs = float(p.pole_pairs)
-    inv_j = 1.0 / p.inertia_j
-    blocked = bool(blocked_rotor)
-
-    def deriv(psa, psb, pra, prb, w, v_sa, v_sb, t_load):
-        i_sa = (l_ra * psa - l_ma * pra) / det_a
-        i_sb = (l_rb * psb - l_mb * prb) / det_b
-        i_ra = (l_sa * pra - l_ma * psa) / det_a
-        i_rb = (l_sb * prb - l_mb * psb) / det_b
-        w_e = w if electrical else pole_pairs * w
-        d_omega = (
-            0.0
-            if blocked
-            else (pole_pairs * (l_mb * i_sb * i_ra - l_ma * i_sa * i_rb) - t_load)
-            * inv_j
-        )
-        return (
-            v_sa - r_sa * i_sa,
-            v_sb - r_sb * i_sb,
-            neg_r_ra * i_ra - a * w_e * prb,
-            neg_r_rb * i_rb + (w_e / a) * pra,
-            d_omega,
-        )
-
-    return deriv
+    return _derivative_kernel(speed_convention, bool(blocked_rotor))(*kernel_constants(p))

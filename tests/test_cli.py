@@ -104,6 +104,21 @@ def test_numerical_failure_exits_2(tmp_path, capsys):
     assert "numerical failure at t = 0.06" in err
 
 
+def test_numerical_failure_leaves_the_partial_trace(tmp_path, capsys):
+    # The run fails at t = 0.06 s; what it recorded before is the trace of
+    # the same run stopped at 0.04 s, byte for byte.
+    blow = tmp_path / "blow.cfg"
+    blow.write_text(_reference_text().replace("integrator.step_size = 1e-4", "integrator.step_size = 0.02"))
+    stop = tmp_path / "stop.cfg"
+    stop.write_text(blow.read_text().replace("integrator.duration = 1.0", "integrator.duration = 0.04"))
+    assert main(["run", str(blow), "--output-dir", str(tmp_path)]) == 2
+    partial = tmp_path / "blow_partial_trace.csv"
+    assert str(partial) in capsys.readouterr().err
+    assert not (tmp_path / "blow_trace.csv").exists()
+    assert main(["run", str(stop), "--output-dir", str(tmp_path)]) == 0
+    assert partial.read_bytes() == (tmp_path / "stop_trace.csv").read_bytes()
+
+
 def test_unknown_config_exits_1(capsys):
     assert main(["run", "no_such_config"]) == 1
     assert "config not found" in capsys.readouterr().err

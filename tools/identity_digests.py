@@ -2,7 +2,9 @@
 
 Run it on two checkouts and diff the outputs; identical lines mean identical
 traces, CSV bytes, summaries and `tpim validate` output, and the exit code of
-each command is part of its artifact name. From the root of a checkout:
+each command is part of its artifact name. Between them the runs cover every
+generated step loop: rk4 and euler, each speed convention, free and blocked
+rotor. From the root of a checkout:
 
     python3 tools/identity_digests.py > digests.txt
 
@@ -43,10 +45,10 @@ def cli(argv) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def run_digests(work: Path, label: str, config: str, *extra):
+def run_digests(work: Path, label: str, config: str, *extra, suffixes=("trace.csv", "summary.txt")):
     code, _ = cli(["run", config, "--output-dir", str(work), *extra])
     prefix = Path(config).stem
-    for suffix in ("trace.csv", "summary.txt"):
+    for suffix in suffixes:
         path = work / f"{prefix}_{suffix}"
         digest = sha256(path.read_bytes()) if path.exists() else "missing"
         yield digest, f"run {label} (exit {code}) {suffix}"
@@ -66,11 +68,18 @@ def digests(work: Path):
         config = work / f"harmonic_{variant}.cfg"
         config.write_text(harmonic_config(variant))
         yield from run_digests(work, f"harmonic variant {variant}", str(config), "--speed-tol", "0.06")
+    euler = dict(integrator__method="euler", integrator__step_size="1e-06", integrator__record_every="7")
+    # A blocked rotor that turns, so that its speed voltages are not zero.
+    blocked = dict(blocked_rotor="true", initial_state__omega_mech="60.0", integrator__duration="0.2")
+    electrical = dict(speed_convention="electrical_state")
     variants = {
-        "electrical_state": config_text(speed_convention="electrical_state", integrator__record_every="3"),
-        "euler": config_text(
-            integrator__method="euler", integrator__step_size="1e-06", integrator__record_every="7"
-        ),
+        "electrical_state": config_text(**electrical, integrator__record_every="3"),
+        "euler": config_text(**euler),
+        "euler_electrical_state": config_text(**euler, **electrical, integrator__duration="0.2"),
+        "rk4_blocked": config_text(**blocked),
+        "rk4_electrical_state_blocked": config_text(**blocked, **electrical),
+        "euler_blocked": config_text(**euler, **blocked),
+        "euler_electrical_state_blocked": config_text(**euler, **blocked, **electrical),
     }
     for name, text in variants.items():
         config = work / f"{name}.cfg"
@@ -85,6 +94,7 @@ def digests(work: Path):
 
     config = work / "unstable.cfg"
     config.write_text(config_text(integrator__step_size="0.02"))
+    yield from run_digests(work, "dt=0.02", str(config), suffixes=("trace.csv", "summary.txt", "partial_trace.csv"))
     run = tpim.load_config(str(config))
     p = tpim.validate_parameters(run.machine)
     try:
