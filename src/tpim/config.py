@@ -273,11 +273,14 @@ def parse_config(text: str, name: str = "run") -> RunConfig:
             raise ConfigError("'supply.voltage' requires supply.mode = quadrature")
         alpha = box.take_harmonics("supply.alpha", default=())
         beta = box.take_harmonics("supply.beta", default=())
-        try:
-            VoltageSource(alpha=alpha, beta=beta, frequency=frequency)
-        except ValueError as exc:
-            raise ConfigError(f"supply: {exc}") from None
         supply = SupplySpec(mode="harmonics", frequency=frequency, alpha=alpha, beta=beta)
+    try:  # the source checks what the spec cannot, such as a finite 2*pi*f*order
+        if mode == "quadrature":
+            quadrature_supply(supply.voltage, frequency)
+        else:
+            VoltageSource(alpha=supply.alpha, beta=supply.beta, frequency=frequency)
+    except ValueError as exc:
+        raise ConfigError(f"supply: {exc}") from None
 
     if box.has("load.torque") and box.has("load.breakpoints"):
         raise ConfigError("'load.torque' and 'load.breakpoints' are mutually exclusive")

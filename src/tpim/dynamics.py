@@ -3,9 +3,9 @@
 The production method is classical fourth-order Runge-Kutta; a forward
 Euler stepper is kept alongside as an independent verification oracle and
 for convergence-order measurements. Each runs as one loop generated from
-the right-hand-side template of tpim.machine, with the derivative inlined
-at every stage. Both are deterministic: identical inputs give
-bit-identical traces.
+the right-hand-side template of tpim.machine and the sampler template of
+tpim.excitation, inlined at every stage and sample point, per supply
+shape. Both are deterministic: identical inputs give bit-identical traces.
 """
 
 from __future__ import annotations
@@ -17,12 +17,13 @@ from functools import cache, partial
 
 import numpy as np
 
-from .excitation import LoadProfile, VoltageSource, compile_sources
+from .excitation import LoadProfile, VoltageSource, render_sample, sample_arguments, sample_binding
+from .excitation import compile_sources  # noqa: F401 - perfbench wraps it under this name
 from .machine import (
     SPEED_CONVENTIONS,
     MachineParameters,
     MachineState,
-    compile_derivative,  # noqa: F401 - perfbench counts its calls under this name
+    compile_derivative,  # noqa: F401 - perfbench wraps it under this name
     currents_from_fluxes,
     electromagnetic_torque,
     energy_consistent_torque,
@@ -176,11 +177,12 @@ class SimulationTrace:
 # the next state in the same names. On a non-finite state the loop returns
 # the step index, the records filled and that state.
 _LOOP = """\
-from math import isfinite
+from bisect import bisect_right
+from math import cos, isfinite
 half = 0.5 * dt
 sixth = dt / 6.0
 t = 0.0
-va0, vb0, tl0 = sources(t)
+{sample}\
 records[:, 0] = (t, va0, vb0, tl0, psa, psb, pra, prb, w)
 filled = 1
 for k in range(1, n_steps + 1):
@@ -189,7 +191,7 @@ for k in range(1, n_steps + 1):
     if not (isfinite(psa) and isfinite(psb) and isfinite(pra) and isfinite(prb) and isfinite(w)):
         return k, filled, (psa, psb, pra, prb, w)
     t = k * dt
-    va0, vb0, tl0 = sources(t)
+{sample_in_loop}\
     if k % every == 0:
         records[:, filled] = (t, va0, vb0, tl0, psa, psb, pra, prb, w)
         filled += 1
@@ -197,8 +199,9 @@ for k in range(1, n_steps + 1):
 _STATES = ("psa", "psb", "pra", "prb", "w")
 
 
-def _rk4_step(rhs) -> str:
-    step = "vah, vbh, tlh = sources(t + half)\nva1, vb1, tl1 = sources(t + dt)\n"
+def _rk4_step(rhs, sample) -> str:
+    step = "t_half = t + half\n" + sample("t_half", "vah vbh tlh")
+    step += "t_end = t + dt\n" + sample("t_end", "va1 vb1 tl1")
     step += rhs("psa psb pra prb w va0 vb0 tl0 a1 b1 c1 d1 e1")
     stages = ((1, "half", "vah vbh tlh"), (2, "half", "vah vbh tlh"), (3, "dt", "va1 vb1 tl1"))
     for k, scale, sampled in stages:
@@ -215,12 +218,17 @@ def _euler_step(rhs) -> str:
 
 
 @cache
-def _step_loop(method: str, speed_convention: str, blocked_rotor: bool):
-    """The generated loop of one kind, as a factory of the machine constants."""
+def _step_loop(method: str, speed_convention: str, blocked_rotor: bool, shape: tuple[int, int, bool]):
+    """The generated loop of one kind and supply shape, as a factory of the
+    machine constants; the source values are its trailing arguments."""
     rhs = partial(render_rhs, speed_convention, blocked_rotor)
-    step = (_rk4_step if method == "rk4" else _euler_step)(rhs)
-    signature = "sources, records, psa, psb, pra, prb, w, dt, n_steps, every"
-    return generate_kernel("step_loop", signature, _LOOP.format(step=textwrap.indent(step, " " * 4)))
+    sample = partial(render_sample, shape)
+    step = _rk4_step(rhs, sample) if method == "rk4" else _euler_step(rhs)
+    start = sample("t", "va0 vb0 tl0")
+    indent = partial(textwrap.indent, prefix="    ")
+    body = _LOOP.format(sample=start, sample_in_loop=indent(start), step=indent(step))
+    signature = f"records, psa, psb, pra, prb, w, dt, n_steps, every, {sample_arguments(shape)}"
+    return generate_kernel("step_loop", signature, body)
 
 
 def _derive_trace(p: MachineParameters, scenario: Scenario, records: np.ndarray) -> SimulationTrace:
@@ -251,12 +259,12 @@ def integrate(p: MachineParameters, scenario: Scenario) -> SimulationTrace:
     """
     cfg = scenario.integrator
     every = cfg.record_every
-    bind = _step_loop(cfg.method, scenario.speed_convention, bool(scenario.blocked_rotor))
+    shape, source_values = sample_binding(scenario.supply, scenario.load)
+    bind = _step_loop(cfg.method, scenario.speed_convention, bool(scenario.blocked_rotor), shape)
     # One column per record: the time, the sources sampled there and the states.
     records = np.empty((9, cfg.n_steps // every + 1))
     failure = bind(*kernel_constants(p))(
-        compile_sources(scenario.supply, scenario.load), records,
-        *scenario.initial_state.as_tuple(), cfg.step_size, cfg.n_steps, every,
+        records, *scenario.initial_state.as_tuple(), cfg.step_size, cfg.n_steps, every, *source_values
     )
     if failure is not None:
         k, filled, state = failure

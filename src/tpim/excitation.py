@@ -2,12 +2,16 @@
 
 Voltages are harmonic series evaluated exactly at any time (no lookup
 tables, no interpolation), so integrator stages can sample mid-step points
-analytically. Loads are right-continuous piecewise-constant profiles.
+analytically. Loads are right-continuous piecewise-constant profiles. The
+sampler is written once, as a statement template that the step loops of
+tpim.dynamics render inline at every sample point; compile_sources renders
+it at one point, as a closure.
 """
 
 from __future__ import annotations
 
 import math
+import textwrap
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -51,6 +55,9 @@ class VoltageSource:
             for h in harmonics:
                 if not (isinstance(h.order, int) and h.order >= 1):
                     raise ValueError(f"harmonic order must be a positive integer: {h.order}")
+                if not math.isfinite(_TWO_PI * self.frequency * h.order):
+                    raise ValueError(f"angular frequency 2*pi*{self.frequency!r}*{h.order} of harmonic "
+                                     f"{h.order} on phase {phase_name} is not finite")
                 if not 0.0 <= h.amplitude < math.inf:
                     raise ValueError(f"harmonic amplitude must be finite and >= 0: {h.amplitude}")
                 if not math.isfinite(h.phase):
@@ -101,8 +108,6 @@ def quadrature_supply(v_rms: float, frequency: float, amplitude_is_peak: bool = 
     """
     if not v_rms > 0.0:
         raise ValueError(f"supply voltage must be positive: {v_rms}")
-    if not 0.0 < frequency < math.inf:
-        raise ValueError(f"supply frequency must be finite and positive: {frequency}")
     peak = v_rms if amplitude_is_peak else math.sqrt(2.0) * v_rms
     return VoltageSource(
         alpha=(Harmonic(1, peak, 0.0),),
@@ -111,39 +116,52 @@ def quadrature_supply(v_rms: float, frequency: float, amplitude_is_peak: bool = 
     )
 
 
-def compile_sources(supply: VoltageSource, load: LoadProfile):
-    """Bind a (v_alpha, v_beta, load_torque) sampler for integrator loops.
+# The one definition of the source sampler: the step loops of tpim.dynamics
+# render it at every sample point, compile_sources at one; both bind cos and
+# bisect_right. A supply's shape is (harmonics on alpha, on beta, stepped load).
+_SAMPLE = "{v_sa} = {alpha}\n{v_sb} = {beta}\n{t_load} = {load}\n"
+_TERM = "amp_{p}{i} * cos(w_{p}{i} * {time} + ph_{p}{i})"
 
-    Specializes the dominant case (one harmonic per phase, constant load)
-    to a branch-free closure; anything else gets a generic closure that
-    sums the harmonic series and looks the load up by bisection.
-    """
+
+def sample_arguments(shape: tuple[int, int, bool]) -> str:
+    """The names render_sample reads, in the order of sample_binding's values."""
+    harmonics = [f"w_{p}{i}, amp_{p}{i}, ph_{p}{i}" for p, n in zip("ab", shape) for i in range(n)]
+    return ", ".join([*harmonics, "starts, torques" if shape[2] else "torque"])
+
+
+def sample_binding(supply: VoltageSource, load: LoadProfile) -> tuple[tuple, tuple]:
+    """The shape of (supply, load) and the values of sample_arguments(shape)."""
     w0 = _TWO_PI * supply.frequency
-    cos = math.cos
-    if len(supply.alpha) == 1 and len(supply.beta) == 1 and len(load.breakpoints) == 1:
-        ha, hb = supply.alpha[0], supply.beta[0]
-        wa, amp_a, ph_a = w0 * ha.order, ha.amplitude, ha.phase
-        wb, amp_b, ph_b = w0 * hb.order, hb.amplitude, hb.phase
-        torque = load.breakpoints[0][1]
+    values = [v for h in supply.alpha + supply.beta for v in (w0 * h.order, h.amplitude, h.phase)]
+    starts, torques = zip(*load.breakpoints)
+    stepped = len(starts) > 1
+    values += [starts, torques] if stepped else [torques[0]]
+    return (len(supply.alpha), len(supply.beta), stepped), tuple(values)
 
-        def sources(t):
-            return amp_a * cos(wa * t + ph_a), amp_b * cos(wb * t + ph_b), torque
 
-        return sources
+def render_sample(shape: tuple[int, int, bool], time: str, names: str) -> str:
+    """Statements that assign the names (v_s_a v_s_b t_load) their values at time.
 
-    alpha = tuple((w0 * h.order, h.amplitude, h.phase) for h in supply.alpha)
-    beta = tuple((w0 * h.order, h.amplitude, h.phase) for h in supply.beta)
-    starts = tuple(bp[0] for bp in load.breakpoints)
-    torques = tuple(bp[1] for bp in load.breakpoints)
+    time names one float, so that each harmonic multiplies it whole. One
+    harmonic per phase under a constant load renders amp * cos(...);
+    other shapes sum 0.0 + term + ... left to right, as a running sum does
+    (0.0 + -0.0 is 0.0, for a zero amplitude). Loads are right-continuous.
+    """
+    n = dict(zip(("v_sa", "v_sb", "t_load"), names.split(), strict=True))
+    first = [] if shape == (1, 1, False) else ["0.0"]
+    for phase, p, count in zip(("alpha", "beta"), "ab", shape):
+        n[phase] = " + ".join(first + [_TERM.format(p=p, i=i, time=time) for i in range(count)])
+    n["load"] = f"torques[bisect_right(starts, {time}) - 1]" if shape[2] else "torque"
+    return _SAMPLE.format(**n)
 
-    def sources(t):
-        v_a = 0.0
-        for w, amp, ph in alpha:
-            v_a += amp * cos(w * t + ph)
-        v_b = 0.0
-        for w, amp, ph in beta:
-            v_b += amp * cos(w * t + ph)
-        idx = bisect_right(starts, t) - 1
-        return v_a, v_b, torques[idx if idx >= 0 else 0]
 
-    return sources
+def compile_sources(supply: VoltageSource, load: LoadProfile):
+    """Bind a (v_alpha, v_beta, load_torque) sampler of times t >= 0: the
+    sampler template rendered at one point, so it gives the bits the step
+    loops of tpim.dynamics compute."""
+    shape, values = sample_binding(supply, load)
+    scope = dict(zip(sample_arguments(shape).split(", "), values))
+    scope.update(cos=math.cos, bisect_right=bisect_right)
+    body = render_sample(shape, "t", "v_sa v_sb t_load") + "return v_sa, v_sb, t_load\n"
+    exec(compile("def sources(t):\n" + textwrap.indent(body, " " * 4), "<tpim sources>", "exec"), scope)
+    return scope["sources"]

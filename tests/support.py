@@ -4,7 +4,7 @@ reference_derivative restates the right-hand side that compile_derivative
 binds into a closure, and reference_steady_state the all-windows formula
 that detect_steady_state evaluates by a faster route. sample_voltage and
 sample_load evaluate a supply and a load profile term by term, the
-reference for the closures compile_sources binds; fluxes_from_currents is
+reference for the sampler compile_sources renders; fluxes_from_currents is
 the forward map that currents_from_fluxes inverts. The phasor solver here
 is a test-only oracle: it computes the single-frequency steady state of the
 same state equations by a complex 4x4 solve, with no time stepping, so it
@@ -18,6 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from tpim import (
+    Harmonic,
     IntegratorConfig,
     LoadProfile,
     MachineParameters,
@@ -71,6 +72,34 @@ W_SYNC = 2.0 * math.pi * F_SUPPLY / TABLE1.pole_pairs  # 157.0796...
 STATE_CHANNELS = ("psi_sa", "psi_sb", "psi_ra", "psi_rb", "omega_mech")
 
 _TWO_PI = 2.0 * math.pi
+
+
+# Supplies and loads of each shape a generated step loop renders apart:
+# one harmonic per phase under a constant load, several harmonics, a load
+# that steps (at t = 2e-3 and, off every sample of a dt = 2e-3 run, at
+# 3.3e-3) and zero amplitudes, whose cos terms can be -0.0.
+_Q = 0.5 * math.pi
+SOURCE_SHAPES = {
+    "quadrature": (quadrature_supply(V_RMS, F_SUPPLY), LoadProfile.constant(T_LOAD)),
+    "harmonics": (
+        VoltageSource(
+            alpha=(Harmonic(1, V_PEAK), Harmonic(3, 9.5, 0.1), Harmonic(5, 6.5, -0.2)),
+            beta=(Harmonic(1, V_PEAK, -_Q), Harmonic(3, 9.5, 0.1 - 3 * _Q), Harmonic(5, 6.5, -0.2 - 5 * _Q)),
+            frequency=F_SUPPLY,
+        ),
+        LoadProfile.constant(T_LOAD),
+    ),
+    "load_steps": (
+        quadrature_supply(V_RMS, F_SUPPLY),
+        LoadProfile(((0.0, 0.4), (2e-3, 0.7), (3.3e-3, T_LOAD))),
+    ),
+    "zero_amplitude": (
+        VoltageSource(
+            alpha=(Harmonic(1, V_PEAK), Harmonic(3, 0.0, 0.4)), beta=(Harmonic(1, 0.0, 2.0),), frequency=F_SUPPLY
+        ),
+        LoadProfile.constant(T_LOAD),
+    ),
+}
 
 
 def state_at(trace, idx):

@@ -96,6 +96,22 @@ def test_validation_failure_exits_1(tmp_path, capsys):
     assert "leakage condition violated" in capsys.readouterr().err
 
 
+def test_overflowing_supply_frequency_exits_1_before_the_run(tmp_path, capsys):
+    # 2*pi*f is inf, and cos(inf) would stop the run with a bare traceback.
+    fast = tmp_path / "fast.cfg"
+    fast.write_text(_reference_text().replace("supply.frequency = 50.0", "supply.frequency = 1e308"))
+    for argv in (["validate", str(fast)], ["run", str(fast), "--output-dir", str(tmp_path)]):
+        assert main(argv) == 1
+        assert "error: supply: angular frequency 2*pi*1e+308*1" in capsys.readouterr().err
+    assert not (tmp_path / "fast_trace.csv").exists()
+    argv = ["sweep", "paper_s3", "--axis", "supply.frequency", "--values=1e308,50.0"]
+    assert main(argv + ["--output-dir", str(tmp_path), "--fields", "final_speed_mech"]) == 0
+    with open(tmp_path / "paper_s3_sweep.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[1][-1].startswith("failed: angular frequency")
+    assert rows[2][-1] == "ok"
+
+
 def test_numerical_failure_exits_2(tmp_path, capsys):
     blow = tmp_path / "blow.cfg"
     blow.write_text(_reference_text().replace("integrator.step_size = 1e-4", "integrator.step_size = 0.02"))

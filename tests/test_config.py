@@ -110,6 +110,19 @@ def test_invalid_harmonic_supply_is_a_config_error():
         parse_config(text)
 
 
+@pytest.mark.parametrize(
+    "supply",
+    ["supply.frequency = 1e308", "supply.frequency = 1e306\nsupply.mode = harmonics\nsupply.alpha = 1000:1.0:0.0"],
+    ids=["quadrature", "harmonics"],
+)
+def test_overflowing_angular_frequency_is_a_config_error(supply):
+    text = MINIMAL.replace("supply.frequency = 50.0", supply)
+    if "harmonics" in supply:
+        text = text.replace("supply.voltage = 230.0\n", "")
+    with pytest.raises(ConfigError, match="supply: angular frequency .* is not finite"):
+        parse_config(text)
+
+
 def test_breakpoint_load_round_trip():
     text = MINIMAL.replace("load.torque = 1.0096", "load.breakpoints = 0.0:0.0, 0.5:1.0096")
     config = parse_config(text, name="steps")

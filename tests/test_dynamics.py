@@ -1,5 +1,6 @@
 """Integrators: step contracts, trace contracts, oracle agreement."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from tpim.dynamics import TRACE_CHANNELS
 from tpim.excitation import compile_sources
 from tpim.machine import compile_derivative
 
-from support import T_LOAD, W_SYNC, rated_supply, reference_derivative, scenario, state_at
+from support import SOURCE_SHAPES, T_LOAD, W_SYNC, rated_supply, reference_derivative, scenario, state_at
 
 SILENT = VoltageSource(alpha=(), beta=(), frequency=50.0)
 
@@ -101,39 +102,44 @@ def test_rk4_step_matches_manual_stage_assembly(table1):
 @pytest.mark.parametrize("method", ["rk4", "euler"])
 def test_generated_loop_matches_derivative_stepped_by_hand(table1, method, convention, blocked):
     # Each generated loop inlines the right-hand side that compile_derivative
-    # renders once, so stepping that closure with the same formulas must give
-    # the same bits. A moving start makes every coupling term count.
+    # renders once, and the sampler that compile_sources renders once, so
+    # stepping those closures with the same formulas must give the same bits,
+    # for every supply shape. A moving start makes every coupling term count.
     dt = 2e-3  # large steps, so that a reordered sum shows in the state
     start = MachineState(0.4, -0.3, 0.35, 0.2, 60.0)
-    run = scenario(
-        method=method, dt=dt, duration=3 * dt, initial_state=start,
-        speed_convention=convention, blocked_rotor=blocked,
-    )
     deriv = compile_derivative(table1, convention, blocked)
-    sources = compile_sources(run.supply, run.load)
     half, sixth = 0.5 * dt, dt / 6.0
-    x = start.as_tuple()
-    expected = [x]
-    for k in range(3):
-        t = k * dt
-        k1 = deriv(*x, *sources(t))
-        if method == "euler":
-            x = tuple(xi + dt * d1 for xi, d1 in zip(x, k1))
-        else:
-            k2 = deriv(*(xi + half * d for xi, d in zip(x, k1)), *sources(t + half))
-            k3 = deriv(*(xi + half * d for xi, d in zip(x, k2)), *sources(t + half))
-            k4 = deriv(*(xi + dt * d for xi, d in zip(x, k3)), *sources(t + dt))
-            x = tuple(
-                xi + sixth * (d1 + 2.0 * (d2 + d3) + d4)
-                for xi, d1, d2, d3, d4 in zip(x, k1, k2, k3, k4)
-            )
-        expected.append(x)
+    for shape, (supply, load) in SOURCE_SHAPES.items():
+        sources = compile_sources(supply, load)
+        x = start.as_tuple()
+        expected = [(*sources(0.0), *x)]
+        for k in range(3):
+            t = k * dt
+            k1 = deriv(*x, *sources(t))
+            if method == "euler":
+                x = tuple(xi + dt * d1 for xi, d1 in zip(x, k1))
+            else:
+                k2 = deriv(*(xi + half * d for xi, d in zip(x, k1)), *sources(t + half))
+                k3 = deriv(*(xi + half * d for xi, d in zip(x, k2)), *sources(t + half))
+                k4 = deriv(*(xi + dt * d for xi, d in zip(x, k3)), *sources(t + dt))
+                x = tuple(
+                    xi + sixth * (d1 + 2.0 * (d2 + d3) + d4)
+                    for xi, d1, d2, d3, d4 in zip(x, k1, k2, k3, k4)
+                )
+            expected.append((*sources((k + 1) * dt), *x))
 
-    trace = integrate(table1, run)
-    shaft = 1.0 / table1.pole_pairs if convention == "electrical_state" else 1.0
-    for idx, state in enumerate(expected):
-        *fluxes, w = state
-        assert list(state_at(trace, idx)) == [*fluxes, w * shaft], idx
+        run = scenario(
+            method=method, dt=dt, duration=3 * dt, initial_state=start,
+            speed_convention=convention, blocked_rotor=blocked,
+        )
+        trace = integrate(table1, dataclasses.replace(run, supply=supply, load=load))
+        shaft = 1.0 / table1.pole_pairs if convention == "electrical_state" else 1.0
+        for idx, (v_sa, v_sb, tl, *fluxes, w) in enumerate(expected):
+            recorded = [trace.v_sa[idx], trace.v_sb[idx], trace.tl[idx], *state_at(trace, idx)]
+            # repr tells -0.0 from 0.0, which == does not.
+            assert [repr(float(v)) for v in recorded] == list(
+                map(repr, [v_sa, v_sb, tl, *fluxes, w * shaft])
+            ), (shape, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -167,25 +173,19 @@ def test_record_every_decimates_without_changing_the_grid(table1):
 @pytest.mark.parametrize("method, per_step", [("rk4", 3), ("euler", 1)])
 def test_sources_sampled_once_per_grid_time(table1, monkeypatch, method, per_step, every):
     # The sample at each step's start is also the record's sample: RK4 adds
-    # only its midpoint and end samples, whatever the decimation.
-    import tpim.dynamics
+    # only its midpoint and end samples, whatever the decimation. A supply
+    # of one harmonic per phase calls cos twice per sample.
+    cos, calls = math.cos, 0
 
-    calls = 0
+    def counted_cos(x):
+        nonlocal calls
+        calls += 1
+        return cos(x)
 
-    def counting_compile_sources(supply, load):
-        sources = compile_sources(supply, load)
-
-        def counted(t):
-            nonlocal calls
-            calls += 1
-            return sources(t)
-
-        return counted
-
-    monkeypatch.setattr(tpim.dynamics, "compile_sources", counting_compile_sources)
+    monkeypatch.setattr(math, "cos", counted_cos)
     run = scenario(method=method, duration=0.01, record_every=every)
     integrate(table1, run)
-    assert calls == per_step * run.integrator.n_steps + 1
+    assert calls == 2 * (per_step * run.integrator.n_steps + 1)
 
 
 def test_integrate_is_deterministic(table1):
@@ -229,8 +229,6 @@ def test_blocked_rotor_keeps_speed_at_zero(table1):
 
 
 def test_speed_conventions_coincide_for_single_pole_pair(table1):
-    import dataclasses
-
     from tpim import validate_parameters
 
     from support import TABLE1

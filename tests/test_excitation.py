@@ -8,7 +8,7 @@ import pytest
 from tpim import Harmonic, LoadProfile, VoltageSource, quadrature_supply
 from tpim.excitation import compile_sources
 
-from support import sample_load, sample_voltage
+from support import SOURCE_SHAPES, sample_load, sample_voltage
 
 
 def test_quadrature_amplitude_is_sqrt2_rms():
@@ -123,20 +123,27 @@ def test_load_profile_invariants():
         LoadProfile(((0.0, math.inf),))
 
 
-def test_compiled_sources_match_reference_samplers():
-    fast_src = quadrature_supply(230.0, 50.0)
-    fast_load = LoadProfile.constant(1.0096)
-    fast = compile_sources(fast_src, fast_load)
-
-    rich_src = VoltageSource(
+RICH = (
+    VoltageSource(
         alpha=(Harmonic(1, 100.0, 0.2), Harmonic(5, 10.0, -1.0)),
         beta=(Harmonic(1, 90.0, -0.3),),
         frequency=60.0,
-    )
-    rich_load = LoadProfile(((0.0, 0.0), (0.02, 0.7), (0.05, 1.4)))
-    rich = compile_sources(rich_src, rich_load)
+    ),
+    LoadProfile(((0.0, 0.0), (0.02, 0.7), (0.05, 1.4))),
+)
 
-    for t in np.linspace(0.0, 0.08, 57):
-        t = float(t)
-        assert fast(t) == (*sample_voltage(fast_src, t), sample_load(fast_load, t))
-        assert rich(t) == (*sample_voltage(rich_src, t), sample_load(rich_load, t))
+
+def test_compiled_sources_match_reference_samplers():
+    for shape, (supply, load) in {**SOURCE_SHAPES, "rich": RICH}.items():
+        sources = compile_sources(supply, load)
+        for t in [*np.linspace(0.0, 0.08, 57), 2e-3, 3.3e-3]:
+            t = float(t)
+            # repr tells -0.0 from 0.0: both sum a series from 0.0.
+            assert repr(sources(t)) == repr((*sample_voltage(supply, t), sample_load(load, t))), (shape, t)
+
+
+def test_angular_frequency_must_be_finite():
+    with pytest.raises(ValueError, match=r"2\*pi\*1e\+307\*5 of harmonic 5 on phase beta is not finite"):
+        VoltageSource(alpha=(Harmonic(1, 1.0),), beta=(Harmonic(5, 1.0),), frequency=1e307)
+    with pytest.raises(ValueError, match="harmonic 1 on phase alpha is not finite"):
+        quadrature_supply(230.0, 1e308)

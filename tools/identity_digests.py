@@ -4,7 +4,8 @@ Run it on two checkouts and diff the outputs; identical lines mean identical
 traces, CSV bytes, summaries and `tpim validate` output, and the exit code of
 each command is part of its artifact name. Between them the runs cover every
 generated step loop: rk4 and euler, each speed convention, free and blocked
-rotor. From the root of a checkout:
+rotor, and each kind of supply shape: one harmonic per phase or several,
+zero amplitudes, constant or stepped load. From the root of a checkout:
 
     python3 tools/identity_digests.py > digests.txt
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -27,7 +29,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import tpim  # noqa: E402
 from tpim.cli import main  # noqa: E402
-from workloads import config_text, harmonic_config, sweep_torques  # noqa: E402
+from workloads import PEAK, config_text, harmonic_config, sweep_torques  # noqa: E402
 
 BUNDLED = ("paper_s3", "symmetric_check", "blocked_rotor")
 HARMONIC_VARIANTS = (0, 7, 33)
@@ -72,6 +74,15 @@ def digests(work: Path):
     # A blocked rotor that turns, so that its speed voltages are not zero.
     blocked = dict(blocked_rotor="true", initial_state__omega_mech="60.0", integrator__duration="0.2")
     electrical = dict(speed_convention="electrical_state")
+    q = 0.5 * math.pi
+
+    def harmonics(alpha, beta, breakpoints=None, duration="0.3"):
+        load = dict(load__torque=None, load__breakpoints=breakpoints) if breakpoints else {}
+        return dict(supply__mode="harmonics", supply__voltage=None, supply__alpha=alpha, supply__beta=beta,
+                    integrator__duration=duration, **load)
+
+    three = f"1:{PEAK!r}:0.0, 3:9.5:0.1, 5:6.5:-0.2"
+    three_beta = f"1:{PEAK!r}:{-q!r}, 3:9.5:{0.1 - 3 * q!r}, 5:6.5:{-0.2 - 5 * q!r}"
     variants = {
         "electrical_state": config_text(**electrical, integrator__record_every="3"),
         "euler": config_text(**euler),
@@ -80,6 +91,16 @@ def digests(work: Path):
         "rk4_electrical_state_blocked": config_text(**blocked, **electrical),
         "euler_blocked": config_text(**euler, **blocked),
         "euler_electrical_state_blocked": config_text(**euler, **blocked, **electrical),
+        # Supply shapes other than one harmonic per phase under a constant load.
+        "harmonics_constant_load": config_text(**harmonics(three, three_beta)),
+        "single_harmonic_load_step": config_text(
+            **harmonics(f"1:{PEAK!r}:0.0", f"1:{PEAK!r}:{-q!r}", "0.0:0.4, 0.15003:1.0096")
+        ),
+        "zero_amplitude_harmonic": config_text(**harmonics(f"1:{PEAK!r}:0.0, 3:0.0:0.0", "1:0.0:0.0")),
+        "zero_amplitude_single_harmonic": config_text(**harmonics("1:0.0:0.0", f"1:{PEAK!r}:{-q!r}")),
+        "euler_harmonics": config_text(
+            **harmonics(three, three_beta, "0.0:0.4, 0.02:0.7, 0.0350003:0.9", "0.05"), **euler
+        ),
     }
     for name, text in variants.items():
         config = work / f"{name}.cfg"
