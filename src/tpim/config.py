@@ -274,13 +274,6 @@ def parse_config(text: str, name: str = "run") -> RunConfig:
         alpha = box.take_harmonics("supply.alpha", default=())
         beta = box.take_harmonics("supply.beta", default=())
         supply = SupplySpec(mode="harmonics", frequency=frequency, alpha=alpha, beta=beta)
-    try:  # the source checks what the spec cannot, such as a finite 2*pi*f*order
-        if mode == "quadrature":
-            quadrature_supply(supply.voltage, frequency)
-        else:
-            VoltageSource(alpha=supply.alpha, beta=supply.beta, frequency=frequency)
-    except ValueError as exc:
-        raise ConfigError(f"supply: {exc}") from None
 
     if box.has("load.torque") and box.has("load.breakpoints"):
         raise ConfigError("'load.torque' and 'load.breakpoints' are mutually exclusive")
@@ -318,7 +311,7 @@ def parse_config(text: str, name: str = "run") -> RunConfig:
         emit_plot_script=box.take_bool("output.emit_plot_script", default=False),
     )
 
-    return RunConfig(
+    config = RunConfig(
         machine=machine,
         supply=supply,
         load=load,
@@ -329,6 +322,11 @@ def parse_config(text: str, name: str = "run") -> RunConfig:
         blocked_rotor=blocked_rotor,
         output=output,
     )
+    try:  # the source checks what the spec cannot, such as a finite 2*pi*f*order
+        build_supply(config)
+    except ValueError as exc:
+        raise ConfigError(f"supply: {exc}") from None
+    return config
 
 
 def _fmt(value) -> str:

@@ -119,7 +119,6 @@ def quadrature_supply(v_rms: float, frequency: float, amplitude_is_peak: bool = 
 # The one definition of the source sampler: the step loops of tpim.dynamics
 # render it at every sample point, compile_sources at one; both bind cos and
 # bisect_right. A supply's shape is (harmonics on alpha, on beta, stepped load).
-_SAMPLE = "{v_sa} = {alpha}\n{v_sb} = {beta}\n{t_load} = {load}\n"
 _TERM = "amp_{p}{i} * cos(w_{p}{i} * {time} + ph_{p}{i})"
 
 
@@ -143,16 +142,20 @@ def render_sample(shape: tuple[int, int, bool], time: str, names: str) -> str:
     """Statements that assign the names (v_s_a v_s_b t_load) their values at time.
 
     time names one float, so that each harmonic multiplies it whole. One
-    harmonic per phase under a constant load renders amp * cos(...);
-    other shapes sum 0.0 + term + ... left to right, as a running sum does
-    (0.0 + -0.0 is 0.0, for a zero amplitude). Loads are right-continuous.
+    harmonic per phase under a constant load renders v = amp * cos(...); other
+    shapes sum from 0.0 (0.0 + -0.0 is 0.0, for a zero amplitude) one statement
+    per term, left to right, so no harmonic count nests an expression.
     """
-    n = dict(zip(("v_sa", "v_sb", "t_load"), names.split(), strict=True))
-    first = [] if shape == (1, 1, False) else ["0.0"]
-    for phase, p, count in zip(("alpha", "beta"), "ab", shape):
-        n[phase] = " + ".join(first + [_TERM.format(p=p, i=i, time=time) for i in range(count)])
-    n["load"] = f"torques[bisect_right(starts, {time}) - 1]" if shape[2] else "torque"
-    return _SAMPLE.format(**n)
+    v_sa, v_sb, t_load = names.split()
+    lines = []
+    for v, p, count in zip((v_sa, v_sb), "ab", shape):
+        terms = [_TERM.format(p=p, i=i, time=time) for i in range(count)]
+        if shape == (1, 1, False):
+            lines.append(f"{v} = {terms[0]}")
+        else:
+            lines += [f"{v} = 0.0", *(f"{v} = {v} + {term}" for term in terms)]
+    lines.append(f"{t_load} = " + (f"torques[bisect_right(starts, {time}) - 1]" if shape[2] else "torque"))
+    return "\n".join(lines) + "\n"
 
 
 def compile_sources(supply: VoltageSource, load: LoadProfile):

@@ -3,7 +3,7 @@
 import pytest
 
 from tpim import ConfigError, LoadProfile, load_config
-from tpim.config import bundled_config_names, parse_config, render_config, set_axis_value
+from tpim.config import build_supply, bundled_config_names, parse_config, render_config, set_axis_value
 
 from support import TABLE1
 
@@ -121,6 +121,15 @@ def test_overflowing_angular_frequency_is_a_config_error(supply):
         text = text.replace("supply.voltage = 230.0\n", "")
     with pytest.raises(ConfigError, match="supply: angular frequency .* is not finite"):
         parse_config(text)
+
+
+def test_supply_is_checked_as_the_run_builds_it():
+    # sqrt(2) * 1.5e308 overflows, the peak 1.5e308 itself does not.
+    text = MINIMAL.replace("supply.voltage = 230.0", "supply.voltage = 1.5e308")
+    with pytest.raises(ConfigError, match="supply: harmonic amplitude must be finite"):
+        parse_config(text)
+    config = parse_config(text + "amplitude_is_peak = true\n")
+    assert build_supply(config).alpha[0].amplitude == 1.5e308
 
 
 def test_breakpoint_load_round_trip():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tpim import (
+    Harmonic,
     IntegrationError,
     IntegratorConfig,
     LoadProfile,
@@ -20,7 +21,9 @@ from tpim.dynamics import TRACE_CHANNELS
 from tpim.excitation import compile_sources
 from tpim.machine import compile_derivative
 
-from support import SOURCE_SHAPES, T_LOAD, W_SYNC, rated_supply, reference_derivative, scenario, state_at
+from support import (
+    SOURCE_SHAPES, T_LOAD, W_SYNC, rated_supply, reference_derivative, sample_voltage, scenario, state_at,
+)
 
 SILENT = VoltageSource(alpha=(), beta=(), frequency=50.0)
 
@@ -186,6 +189,17 @@ def test_sources_sampled_once_per_grid_time(table1, monkeypatch, method, per_ste
     run = scenario(method=method, duration=0.01, record_every=every)
     integrate(table1, run)
     assert calls == 2 * (per_step * run.integrator.n_steps + 1)
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+def test_any_harmonic_count_integrates(table1, method):
+    supply = VoltageSource(
+        alpha=tuple(Harmonic(k, 1.0 / k) for k in range(1, 5001)), beta=(), frequency=50.0
+    )
+    trace = integrate(table1, scenario(supply=supply, method=method, duration=3e-4))
+    assert [repr(float(v)) for v in trace.v_sa] == [
+        repr(sample_voltage(supply, float(t))[0]) for t in trace.t
+    ]
 
 
 def test_integrate_is_deterministic(table1):

@@ -142,6 +142,19 @@ def test_compiled_sources_match_reference_samplers():
             assert repr(sources(t)) == repr((*sample_voltage(supply, t), sample_load(load, t))), (shape, t)
 
 
+def test_compiled_sources_take_any_harmonic_count():
+    # Each term is its own statement: a single expression this long would
+    # nest past the compiler's recursion limit.
+    supply = VoltageSource(
+        alpha=tuple(Harmonic(k, 1.0 / k, 0.01 * k) for k in range(1, 5001)),
+        beta=(Harmonic(1, 2.0),),
+        frequency=50.0,
+    )
+    sources = compile_sources(supply, LoadProfile.constant(0.5))
+    for t in (0.0, 1.3e-3, 0.0171):
+        assert repr(sources(t)) == repr((*sample_voltage(supply, t), 0.5))
+
+
 def test_angular_frequency_must_be_finite():
     with pytest.raises(ValueError, match=r"2\*pi\*1e\+307\*5 of harmonic 5 on phase beta is not finite"):
         VoltageSource(alpha=(Harmonic(1, 1.0),), beta=(Harmonic(5, 1.0),), frequency=1e307)

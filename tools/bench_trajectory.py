@@ -2,12 +2,14 @@
 
 From the root of a checkout:
 
-    python3 tools/bench_trajectory.py --out BENCH_8.json --seed 1 --seconds 15
+    python3 tools/bench_trajectory.py --out BENCH_8.json
 
 It runs the command that BENCHMARK.json declares (perfbench/run.py) once per
-workload, each in its own interpreter and one after the other, and writes
-the environment line the benchmark prints (git sha, Python, numpy, nproc,
-cache sizes, calibration reference) with each workload's result object.
+workload, each in its own interpreter and one after the other, always at
+seed 1, untraced and for BENCHMARK.json's `run_seconds`, so that points of
+the trajectory are comparable. It writes the environment line the benchmark
+prints (git sha, Python, numpy, nproc, cache sizes, calibration reference,
+seed) with each workload's result object.
 `src_clean` says whether `src/` and `perfbench/` matched the commit named
 by the sha, so that a file measured on uncommitted code says so. The
 benchmark itself is not changed; this script only collects its output.
@@ -23,12 +25,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ENVIRONMENT_PREFIX = "environment: "
+SEED = 1
 
 
-def run_workload(command: list[str], workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
+def run_workload(command: list[str], workload: str, seconds: float) -> tuple[dict, dict]:
     """The environment line and the result object of one benchmark run."""
-    argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", repr(seconds),
-            "--trace", str(trace)]
+    argv = [*command, "--workload", workload, "--seed", str(SEED), "--seconds", repr(seconds), "--trace", "0"]
     done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=False)
     if done.returncode != 0:
         sys.exit(f"error: {workload} exited {done.returncode}:\n{done.stderr}")
@@ -50,21 +52,18 @@ def src_clean() -> bool | None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, type=Path, help="file to write, e.g. BENCH_8.json")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
     command = [sys.executable if part in ("python", "python3") else part for part in benchmark["command"]]
     environment, workloads = None, {}
     for workload in (w["name"] for w in benchmark["workloads"]):
         print(f"running {workload} ...", file=sys.stderr, flush=True)
-        environment, workloads[workload] = run_workload(command, workload, args.seed, args.seconds, args.trace)
+        environment, workloads[workload] = run_workload(command, workload, seconds)
     result = {
         "environment": {**environment, "src_clean": src_clean()},
-        "seconds": args.seconds,
-        "trace": args.trace,
+        "seconds": seconds,
         "workloads": workloads,
     }
     args.out.write_text(json.dumps(result, indent=2) + "\n")
