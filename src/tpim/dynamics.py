@@ -105,8 +105,9 @@ class IntegratorConfig:
                 f"duration {self.duration} is not a whole number of steps of "
                 f"{self.step_size} ({steps!r} steps)"
             )
-        if not (isinstance(self.record_every, int) and self.record_every >= 1):
-            raise ValueError(f"record_every must be a positive integer: {self.record_every}")
+        every = self.record_every
+        if isinstance(every, bool) or not (isinstance(every, int) and every >= 1):
+            raise ValueError(f"record_every must be a positive integer: {every}")
 
     @property
     def n_steps(self) -> int:
@@ -174,29 +175,36 @@ class SimulationTrace:
 
 # The step loop around one method's step. The step reads the state psa..w
 # and the sources sampled at the step's start (va0, vb0, tl0), and leaves
-# the next state in the same names. On a non-finite state the loop returns
-# the step index, the records filled and that state.
+# the next state in the same names. Each record is stored item by item
+# through one memoryview per row of records, the channel-major buffer that
+# _derive_trace reads, and the next record's step index is counted down to.
+# On a non-finite state the loop returns the step index, the records filled
+# and that state.
 _LOOP = """\
 from bisect import bisect_right
 from math import cos, isfinite
 half = 0.5 * dt
 sixth = dt / 6.0
+{views} = map(memoryview, records)
 t = 0.0
 {sample}\
-records[:, 0] = (t, va0, vb0, tl0, psa, psb, pra, prb, w)
-filled = 1
+filled = 0
+{store}\
+next_record = every
 for k in range(1, n_steps + 1):
     # Step k starts at t = (k - 1) * dt, where the sources were last sampled.
 {step}\
     if not (isfinite(psa) and isfinite(psb) and isfinite(pra) and isfinite(prb) and isfinite(w)):
         return k, filled, (psa, psb, pra, prb, w)
     t = k * dt
-{sample_in_loop}\
-    if k % every == 0:
-        records[:, filled] = (t, va0, vb0, tl0, psa, psb, pra, prb, w)
-        filled += 1
+{resample}\
+    if k == next_record:
+        next_record += every
+{store_in_loop}\
 """
 _STATES = ("psa", "psb", "pra", "prb", "w")
+# The recorded values, in the row order of records.
+_RECORDED = ("t", "va0", "vb0", "tl0", *_STATES)
 
 
 def _rk4_step(rhs, sample) -> str:
@@ -223,10 +231,20 @@ def _step_loop(method: str, speed_convention: str, blocked_rotor: bool, shape: t
     machine constants; the source values are its trailing arguments."""
     rhs = partial(render_rhs, speed_convention, blocked_rotor)
     sample = partial(render_sample, shape)
-    step = _rk4_step(rhs, sample) if method == "rk4" else _euler_step(rhs)
-    start = sample("t", "va0 vb0 tl0")
     indent = partial(textwrap.indent, prefix="    ")
-    body = _LOOP.format(sample=start, sample_in_loop=indent(start), step=indent(step))
+    start = sample("t", "va0 vb0 tl0")
+    if method == "rk4":
+        step = _rk4_step(rhs, sample)
+        # The sampler is a pure function of one float: where t is the float
+        # the last stage sampled at, its sample is reused, bit for bit.
+        resample = "if t == t_end:\n    va0, vb0, tl0 = va1, vb1, tl1\nelse:\n" + indent(start)
+    else:
+        step, resample = _euler_step(rhs), start
+    store = "".join(f"r_{v}[filled] = {v}\n" for v in _RECORDED) + "filled += 1\n"
+    body = _LOOP.format(
+        views=", ".join(f"r_{v}" for v in _RECORDED), sample=start, store=store, step=indent(step),
+        resample=indent(resample), store_in_loop=indent(indent(store)),
+    )
     signature = f"records, psa, psb, pra, prb, w, dt, n_steps, every, {sample_arguments(shape)}"
     return generate_kernel("step_loop", signature, body)
 

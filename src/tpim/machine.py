@@ -132,7 +132,7 @@ def validate_parameters(params: MachineParameters) -> MachineParameters:
         raise ParameterError(
             f"turns ratio must be positive: turns_ratio_a = {p.turns_ratio_a}"
         )
-    if not (isinstance(p.pole_pairs, int) and p.pole_pairs >= 1):
+    if isinstance(p.pole_pairs, bool) or not (isinstance(p.pole_pairs, int) and p.pole_pairs >= 1):
         raise ParameterError(
             f"pole_pairs must be a positive integer: pole_pairs = {p.pole_pairs}"
         )

@@ -22,7 +22,8 @@ from tpim.excitation import compile_sources
 from tpim.machine import compile_derivative
 
 from support import (
-    SOURCE_SHAPES, T_LOAD, W_SYNC, rated_supply, reference_derivative, sample_voltage, scenario, state_at,
+    SOURCE_SHAPES, T_LOAD, W_SYNC, rated_supply, reference_derivative, sample_load, sample_voltage, scenario,
+    state_at,
 )
 
 SILENT = VoltageSource(alpha=(), beta=(), frequency=50.0)
@@ -42,6 +43,7 @@ SILENT = VoltageSource(alpha=(), beta=(), frequency=50.0)
         dict(step_size=1e-3, duration=1e-4),
         dict(record_every=0),
         dict(step_size=1e-4, duration=1.00005),
+        dict(record_every=True),  # a bool is no record count
     ],
 )
 def test_integrator_config_rejects(kwargs):
@@ -175,9 +177,10 @@ def test_record_every_decimates_without_changing_the_grid(table1):
 @pytest.mark.parametrize("every", [1, 7])
 @pytest.mark.parametrize("method, per_step", [("rk4", 3), ("euler", 1)])
 def test_sources_sampled_once_per_grid_time(table1, monkeypatch, method, per_step, every):
-    # The sample at each step's start is also the record's sample: RK4 adds
-    # only its midpoint and end samples, whatever the decimation. A supply
-    # of one harmonic per phase calls cos twice per sample.
+    # The sample at each step's start is also the record's sample, whatever
+    # the decimation. RK4 samples its midpoint and end too, and its next step
+    # starts from the end sample wherever (k - 1) * dt + dt is the float
+    # k * dt. A supply of one harmonic per phase calls cos twice per sample.
     cos, calls = math.cos, 0
 
     def counted_cos(x):
@@ -188,7 +191,31 @@ def test_sources_sampled_once_per_grid_time(table1, monkeypatch, method, per_ste
     monkeypatch.setattr(math, "cos", counted_cos)
     run = scenario(method=method, duration=0.01, record_every=every)
     integrate(table1, run)
-    assert calls == 2 * (per_step * run.integrator.n_steps + 1)
+    dt, n = run.integrator.step_size, run.integrator.n_steps
+    reused = sum((k - 1) * dt + dt == k * dt for k in range(1, n + 1)) if method == "rk4" else 0
+    assert calls == 2 * (per_step * n + 1 - reused)
+
+
+@pytest.mark.parametrize("on_grid", [True, False], ids=["k_dt", "previous_plus_dt"])
+def test_rk4_end_sample_reuse_matches_reference_samplers(table1, on_grid):
+    # Step k ends at (k - 1) * dt + dt, which is not always the float k * dt
+    # that starts step k + 1: at dt = 1e-4 and k = 1003 the end is
+    # 0.10030000000000001. A load step there is read at the end of step k but
+    # not at its record, which must sample at k * dt again.
+    dt, k = 1e-4, 1003
+    end = (k - 1) * dt + dt
+    assert end != k * dt
+    load = LoadProfile(((0.0, 0.4), (k * dt if on_grid else end, T_LOAD)))
+    run = dataclasses.replace(scenario(dt=dt, duration=0.11), load=load)
+    n = run.integrator.n_steps
+    assert {(j - 1) * dt + dt == j * dt for j in range(1, n + 1)} == {True, False}
+    trace = integrate(table1, run)
+    supply = run.supply
+    recorded = [(repr(float(v_sa)), repr(float(v_sb)), repr(float(tl)))
+                for v_sa, v_sb, tl in zip(trace.v_sa, trace.v_sb, trace.tl)]
+    expected = [(*map(repr, sample_voltage(supply, t)), repr(sample_load(load, t))) for t in map(float, trace.t)]
+    assert recorded == expected
+    assert bool(trace.tl[k] == T_LOAD) is on_grid
 
 
 @pytest.mark.parametrize("method", ["rk4", "euler"])

@@ -56,6 +56,7 @@ def test_zero_inertia_rejected():
         ("l_r_alpha", 0.0, "inductance must be positive"),
         ("turns_ratio_a", 0.0, "turns ratio must be positive"),
         ("pole_pairs", 0, "pole_pairs must be a positive integer"),
+        ("pole_pairs", True, "pole_pairs must be a positive integer"),
         ("inertia_j", -2.0, "inertia must be positive"),
     ],
 )

@@ -5,7 +5,9 @@ traces, CSV bytes, summaries and `tpim validate` output, and the exit code of
 each command is part of its artifact name. Between them the runs cover every
 generated step loop: rk4 and euler, each speed convention, free and blocked
 rotor, and each kind of supply shape: one harmonic per phase or several,
-zero amplitudes, constant or stepped load. From the root of a checkout:
+zero amplitudes, constant or stepped load. Two RK4 runs put a load step on
+either side of the one-ulp gap between a step's end time and the next
+step's start time. From the root of a checkout:
 
     python3 tools/identity_digests.py > digests.txt
 
@@ -81,6 +83,9 @@ def digests(work: Path):
         return dict(supply__mode="harmonics", supply__voltage=None, supply__alpha=alpha, supply__beta=beta,
                     integrator__duration=duration, **load)
 
+    def stepped(at):
+        return dict(load__torque=None, load__breakpoints=f"0.0:0.4, {at}:1.0096", integrator__duration="0.3")
+
     three = f"1:{PEAK!r}:0.0, 3:9.5:0.1, 5:6.5:-0.2"
     three_beta = f"1:{PEAK!r}:{-q!r}, 3:9.5:{0.1 - 3 * q!r}, 5:6.5:{-0.2 - 5 * q!r}"
     variants = {
@@ -101,6 +106,11 @@ def digests(work: Path):
         "euler_harmonics": config_text(
             **harmonics(three, three_beta, "0.0:0.4, 0.02:0.7, 0.0350003:0.9", "0.05"), **euler
         ),
+        # RK4 starts step k + 1 from step k's end sample where (k - 1) * dt + dt
+        # is the float k * dt. At k = 1003 it is not: a load step at k * dt,
+        # and one at (k - 1) * dt + dt, one ulp later.
+        "rk4_load_step_at_k_dt": config_text(**stepped(repr(1003 * 1e-4))),
+        "rk4_load_step_past_k_dt": config_text(**stepped(repr(1002 * 1e-4 + 1e-4))),
     }
     for name, text in variants.items():
         config = work / f"{name}.cfg"
