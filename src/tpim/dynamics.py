@@ -5,7 +5,11 @@ Euler stepper is kept alongside as an independent verification oracle and
 for convergence-order measurements. Each runs as one loop generated from
 the right-hand-side template of tpim.machine and the sampler template of
 tpim.excitation, inlined at every stage and sample point, per supply
-shape. Both are deterministic: identical inputs give bit-identical traces.
+shape. RK4 starts each step from the previous step's end sample where the
+two times are the same float. Records go item by item into a channel-major
+buffer, from which the currents and torques are derived on arrays after
+the loop. Both are deterministic: identical inputs give bit-identical
+traces.
 """
 
 from __future__ import annotations

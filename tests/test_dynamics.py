@@ -210,10 +210,8 @@ def test_rk4_end_sample_reuse_matches_reference_samplers(table1, on_grid):
     n = run.integrator.n_steps
     assert {(j - 1) * dt + dt == j * dt for j in range(1, n + 1)} == {True, False}
     trace = integrate(table1, run)
-    supply = run.supply
-    recorded = [(repr(float(v_sa)), repr(float(v_sb)), repr(float(tl)))
-                for v_sa, v_sb, tl in zip(trace.v_sa, trace.v_sb, trace.tl)]
-    expected = [(*map(repr, sample_voltage(supply, t)), repr(sample_load(load, t))) for t in map(float, trace.t)]
+    recorded = [tuple(map(repr, map(float, row))) for row in zip(trace.v_sa, trace.v_sb, trace.tl)]
+    expected = [(*map(repr, sample_voltage(run.supply, t)), repr(sample_load(load, t))) for t in map(float, trace.t)]
     assert recorded == expected
     assert bool(trace.tl[k] == T_LOAD) is on_grid
 
