@@ -1,15 +1,18 @@
 """Plain-text run configuration: parsing, validation and rendering.
 
-The format is line-based `dotted.key = value` with `#` comments. Unknown
-keys are hard errors so typos never pass silently; every omitted optional
-key takes a documented default, and render_config writes the fully
-resolved form back out (the round-trip re-parses to an equal RunConfig).
+The format is line-based `dotted.key = value` with `#` comments. The key
+table _KEYS is the one definition of the schema: it lists every key, in
+parse and render order, with the reader of its value, and the known-key
+check, render_config and the sweep axes all come from it. Unknown keys are
+hard errors so typos never pass silently; every omitted optional key takes
+its dataclass default, and render_config writes the fully resolved form
+back out (the round-trip re-parses to an equal RunConfig).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -33,39 +36,6 @@ __all__ = [
 ]
 
 SUPPLY_MODES = ("quadrature", "harmonics")
-
-_MACHINE_KEYS = (
-    "r_s_alpha",
-    "r_s_beta",
-    "r_r_alpha",
-    "r_r_beta",
-    "l_s_alpha",
-    "l_s_beta",
-    "l_r_alpha",
-    "l_r_beta",
-    "l_m_alpha",
-    "l_m_beta",
-    "turns_ratio_a",
-    "pole_pairs",
-    "inertia_j",
-)
-
-_STATE_KEYS = ("psi_s_alpha", "psi_s_beta", "psi_r_alpha", "psi_r_beta", "omega_mech")
-
-_KNOWN_KEYS = frozenset(
-    [f"machine.{key}" for key in _MACHINE_KEYS]
-    + ["supply.mode", "supply.voltage", "supply.frequency", "supply.alpha", "supply.beta"]
-    + ["load.torque", "load.breakpoints"]
-    + [
-        "integrator.method",
-        "integrator.step_size",
-        "integrator.duration",
-        "integrator.record_every",
-    ]
-    + [f"initial_state.{key}" for key in _STATE_KEYS]
-    + ["speed_convention", "amplitude_is_peak", "blocked_rotor"]
-    + ["output.directory", "output.prefix", "output.emit_plot_script"]
-)
 
 
 class ConfigError(ValueError):
@@ -103,109 +73,90 @@ class RunConfig:
     output: OutputOptions = field(default_factory=OutputOptions)
 
 
-class _Entries:
-    """Key store with typed, destructive reads of already-known keys."""
+# Readers turn the text of one key's value into its typed value.
+def _float(key: str, value: str, line: int) -> float:
+    try:
+        result = float(value)
+    except ValueError:
+        raise ConfigError(f"line {line}: invalid number for '{key}': {value!r}") from None
+    if not math.isfinite(result):
+        raise ConfigError(f"line {line}: '{key}' must be finite, got {value!r}")
+    return result
 
-    _REQUIRED = object()
 
-    def __init__(self, entries: dict[str, tuple[str, int]]):
-        self._entries = dict(entries)
+def _int(key: str, value: str, line: int) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"line {line}: invalid integer for '{key}': {value!r}") from None
 
-    def _take(self, key, default):
-        if key in self._entries:
-            return self._entries.pop(key)
-        if default is self._REQUIRED:
-            raise ConfigError(f"missing required key '{key}'")
-        return None
 
-    def has(self, key: str) -> bool:
-        return key in self._entries
+def _bool(key: str, value: str, line: int) -> bool:
+    if value not in ("true", "false"):
+        raise ConfigError(f"line {line}: '{key}' must be true or false, got {value!r}")
+    return value == "true"
 
-    def take_float(self, key, default=_REQUIRED):
-        item = self._take(key, default)
-        if item is None:
-            return default
-        value, line = item
-        try:
-            result = float(value)
-        except ValueError:
-            raise ConfigError(f"line {line}: invalid number for '{key}': {value!r}") from None
-        if not math.isfinite(result):
-            raise ConfigError(f"line {line}: '{key}' must be finite, got {value!r}")
-        return result
 
-    def take_int(self, key, default=_REQUIRED):
-        item = self._take(key, default)
-        if item is None:
-            return default
-        value, line = item
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"line {line}: invalid integer for '{key}': {value!r}") from None
+def _str(key: str, value: str, line: int) -> str:
+    return value
 
-    def take_bool(self, key, default=_REQUIRED):
-        item = self._take(key, default)
-        if item is None:
-            return default
-        value, line = item
-        if value not in ("true", "false"):
-            raise ConfigError(f"line {line}: '{key}' must be true or false, got {value!r}")
-        return value == "true"
 
-    def take_choice(self, key, choices, default=_REQUIRED):
-        item = self._take(key, default)
-        if item is None:
-            return default
-        value, line = item
+def _choice(choices: tuple[str, ...]):
+    def read(key: str, value: str, line: int) -> str:
         if value not in choices:
             raise ConfigError(f"line {line}: '{key}' must be one of {choices}, got {value!r}")
         return value
 
-    def take_str(self, key, default=_REQUIRED):
-        item = self._take(key, default)
-        if item is None:
-            return default
-        return item[0]
+    return read
 
-    def take_pairs(self, key, default=_REQUIRED):
-        """Parse 't:torque, t:torque, ...' breakpoint lists."""
-        item = self._take(key, default)
-        if item is None:
-            return default
-        value, line = item
-        pairs = []
-        for chunk in value.split(","):
-            parts = chunk.strip().split(":")
-            if len(parts) != 2:
-                raise ConfigError(
-                    f"line {line}: '{key}' entries must look like 't:torque', got {chunk.strip()!r}"
-                )
-            try:
-                pairs.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                raise ConfigError(f"line {line}: invalid number in '{key}': {chunk.strip()!r}") from None
-        return tuple(pairs)
 
-    def take_harmonics(self, key, default=_REQUIRED):
-        """Parse 'order:amplitude:phase, ...' harmonic lists."""
-        item = self._take(key, default)
-        if item is None:
-            return default
-        value, line = item
-        harmonics = []
+def _entries(form: str, build):
+    """Reader of comma-separated entries that look like form, each built from its ':' fields."""
+
+    def read(key: str, value: str, line: int) -> tuple:
+        items = []
         for chunk in value.split(","):
-            parts = chunk.strip().split(":")
-            if len(parts) != 3:
-                raise ConfigError(
-                    f"line {line}: '{key}' entries must look like 'order:amplitude:phase', "
-                    f"got {chunk.strip()!r}"
-                )
+            chunk = chunk.strip()
+            parts = chunk.split(":")
+            if len(parts) != form.count(":") + 1:
+                raise ConfigError(f"line {line}: '{key}' entries must look like '{form}', got {chunk!r}")
             try:
-                harmonics.append(Harmonic(int(parts[0]), float(parts[1]), float(parts[2])))
+                items.append(build(*parts))
             except ValueError:
-                raise ConfigError(f"line {line}: invalid number in '{key}': {chunk.strip()!r}") from None
-        return tuple(harmonics)
+                raise ConfigError(f"line {line}: invalid number in '{key}': {chunk!r}") from None
+        return tuple(items)
+
+    return read
+
+
+_HARMONICS = _entries("order:amplitude:phase", lambda n, a, ph: Harmonic(int(n), float(a), float(ph)))
+# The one definition of the schema: every key, in parse and render order, and its reader.
+_KEYS = {
+    **{f"machine.{f.name}": {"float": _float, "int": _int}[f.type] for f in fields(MachineParameters)},
+    "supply.mode": _choice(SUPPLY_MODES),
+    "supply.frequency": _float,
+    "supply.voltage": _float,
+    "supply.alpha": _HARMONICS,
+    "supply.beta": _HARMONICS,
+    "load.torque": _float,
+    "load.breakpoints": _entries("t:torque", lambda t, tq: (float(t), float(tq))),
+    "integrator.method": _choice(INTEGRATION_METHODS),
+    "integrator.step_size": _float,
+    "integrator.duration": _float,
+    "integrator.record_every": _int,
+    **{f"initial_state.{f.name}": _float for f in fields(MachineState)},
+    "speed_convention": _choice(SPEED_CONVENTIONS),
+    "amplitude_is_peak": _bool,
+    "blocked_rotor": _bool,
+    "output.directory": _str,
+    "output.prefix": _str,
+    "output.emit_plot_script": _bool,
+}
+_REQUIRED = {key for key in _KEYS if key.startswith("machine.")} | {
+    "supply.frequency",
+    "supply.voltage",  # in quadrature mode; harmonics mode forbids it
+    "integrator.duration",
+}
 
 
 def _scan_lines(text: str) -> dict[str, tuple[str, int]]:
@@ -231,6 +182,23 @@ def _scan_lines(text: str) -> dict[str, tuple[str, int]]:
     return entries
 
 
+def _take(entries: dict[str, tuple[str, int]], *keys: str) -> dict:
+    """Remove keys from entries, in order, and read each one set into its field name."""
+    values = {}
+    for key in keys:
+        if key in entries:
+            value, line = entries.pop(key)
+            values[key.rpartition(".")[2]] = _KEYS[key](key, value, line)
+        elif key in _REQUIRED:
+            raise ConfigError(f"missing required key '{key}'")
+    return values
+
+
+def _section(entries: dict[str, tuple[str, int]], section: str) -> dict:
+    """_take of every key of one section; "" is the section of the undotted keys."""
+    return _take(entries, *(key for key in _KEYS if key.rpartition(".")[0] == section))
+
+
 def parse_config(text: str, name: str = "run") -> RunConfig:
     """Parse and fully validate one configuration document.
 
@@ -238,89 +206,53 @@ def parse_config(text: str, name: str = "run") -> RunConfig:
     came from). Raises ConfigError with a line number where one applies.
     """
     entries = _scan_lines(text)
-    for key, (_, line) in sorted(entries.items(), key=lambda kv: kv[1][1]):
-        if key not in _KNOWN_KEYS:
+    for key, (_, line) in entries.items():
+        if key not in _KEYS:
             raise ConfigError(f"line {line}: unknown key '{key}'")
-    box = _Entries(entries)
 
-    machine_values = {}
-    for key in _MACHINE_KEYS:
-        full = f"machine.{key}"
-        if key == "pole_pairs":
-            machine_values[key] = box.take_int(full)
-        else:
-            machine_values[key] = box.take_float(full)
-    machine = MachineParameters(**machine_values)
+    machine = MachineParameters(**_section(entries, "machine"))
     try:
         validate_parameters(machine)
     except ValueError as exc:
         raise ConfigError(f"machine: {exc}") from None
 
-    mode = box.take_choice("supply.mode", SUPPLY_MODES, default="quadrature")
-    frequency = box.take_float("supply.frequency")
-    if not frequency > 0.0:
-        raise ConfigError(f"supply.frequency must be positive: {frequency}")
-    if mode == "quadrature":
+    supply = SupplySpec(**_take(entries, "supply.mode", "supply.frequency"))
+    if not supply.frequency > 0.0:
+        raise ConfigError(f"supply.frequency must be positive: {supply.frequency}")
+    if supply.mode == "quadrature":
         for forbidden in ("supply.alpha", "supply.beta"):
-            if box.has(forbidden):
+            if forbidden in entries:
                 raise ConfigError(f"'{forbidden}' requires supply.mode = harmonics")
-        voltage = box.take_float("supply.voltage")
-        if not voltage > 0.0:
-            raise ConfigError(f"supply.voltage must be positive: {voltage}")
-        supply = SupplySpec(mode="quadrature", frequency=frequency, voltage=voltage)
+        supply = replace(supply, **_take(entries, "supply.voltage"))
+        if not supply.voltage > 0.0:
+            raise ConfigError(f"supply.voltage must be positive: {supply.voltage}")
     else:
-        if box.has("supply.voltage"):
+        if "supply.voltage" in entries:
             raise ConfigError("'supply.voltage' requires supply.mode = quadrature")
-        alpha = box.take_harmonics("supply.alpha", default=())
-        beta = box.take_harmonics("supply.beta", default=())
-        supply = SupplySpec(mode="harmonics", frequency=frequency, alpha=alpha, beta=beta)
+        supply = replace(supply, **_take(entries, "supply.alpha", "supply.beta"))
 
-    if box.has("load.torque") and box.has("load.breakpoints"):
+    if "load.torque" in entries and "load.breakpoints" in entries:
         raise ConfigError("'load.torque' and 'load.breakpoints' are mutually exclusive")
-    if box.has("load.breakpoints"):
-        breakpoints = box.take_pairs("load.breakpoints")
-    else:
-        breakpoints = ((0.0, box.take_float("load.torque", default=0.0)),)
+    given = _section(entries, "load")
     try:
-        load = LoadProfile(breakpoints)
+        load = LoadProfile(given.get("breakpoints", ((0.0, given.get("torque", 0.0)),)))
     except ValueError as exc:
         raise ConfigError(f"load: {exc}") from None
 
+    values = _section(entries, "integrator")  # read errors name their line, not the section
     try:
-        integrator = IntegratorConfig(
-            method=box.take_choice("integrator.method", INTEGRATION_METHODS, default="rk4"),
-            step_size=box.take_float("integrator.step_size", default=1e-4),
-            duration=box.take_float("integrator.duration"),
-            record_every=box.take_int("integrator.record_every", default=1),
-        )
+        integrator = IntegratorConfig(**values)
     except ValueError as exc:
         raise ConfigError(f"integrator: {exc}") from None
-
-    state_values = {key: box.take_float(f"initial_state.{key}", default=0.0) for key in _STATE_KEYS}
-    initial_state = MachineState(**state_values)
-
-    speed_convention = box.take_choice(
-        "speed_convention", SPEED_CONVENTIONS, default="mechanical_state"
-    )
-    amplitude_is_peak = box.take_bool("amplitude_is_peak", default=False)
-    blocked_rotor = box.take_bool("blocked_rotor", default=False)
-
-    output = OutputOptions(
-        directory=box.take_str("output.directory", default="."),
-        prefix=box.take_str("output.prefix", default=name),
-        emit_plot_script=box.take_bool("output.emit_plot_script", default=False),
-    )
 
     config = RunConfig(
         machine=machine,
         supply=supply,
         load=load,
         integrator=integrator,
-        initial_state=initial_state,
-        speed_convention=speed_convention,
-        amplitude_is_peak=amplitude_is_peak,
-        blocked_rotor=blocked_rotor,
-        output=output,
+        initial_state=replace(MachineState.at_rest(), **_section(entries, "initial_state")),
+        **_section(entries, ""),
+        output=OutputOptions(**{"prefix": name, **_section(entries, "output")}),
     )
     try:  # the source checks what the spec cannot, such as a finite 2*pi*f*order
         build_supply(config)
@@ -332,47 +264,30 @@ def parse_config(text: str, name: str = "run") -> RunConfig:
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
+    if isinstance(value, (int, str)):
         return str(value)
+    if isinstance(value, Harmonic):
+        return f"{value.order}:{_fmt(value.amplitude)}:{_fmt(value.phase)}"
+    if isinstance(value, tuple):  # harmonics, or (start, torque) breakpoints
+        return ", ".join(_fmt(v) if isinstance(v, Harmonic) else ":".join(map(_fmt, v)) for v in value)
     return repr(float(value))
 
 
 def render_config(config: RunConfig) -> str:
     """Serialize the fully resolved configuration; re-parses to an equal RunConfig."""
-    lines = []
-    for key in _MACHINE_KEYS:
-        lines.append(f"machine.{key} = {_fmt(getattr(config.machine, key))}")
     s = config.supply
-    lines.append(f"supply.mode = {s.mode}")
-    lines.append(f"supply.frequency = {_fmt(s.frequency)}")
-    if s.mode == "quadrature":
-        lines.append(f"supply.voltage = {_fmt(s.voltage)}")
-    else:
-        for phase_name, harmonics in (("alpha", s.alpha), ("beta", s.beta)):
-            if harmonics:
-                text = ", ".join(
-                    f"{h.order}:{_fmt(h.amplitude)}:{_fmt(h.phase)}" for h in harmonics
-                )
-                lines.append(f"supply.{phase_name} = {text}")
-    if len(config.load.breakpoints) == 1:
-        lines.append(f"load.torque = {_fmt(config.load.breakpoints[0][1])}")
-    else:
-        text = ", ".join(f"{_fmt(t)}:{_fmt(tq)}" for t, tq in config.load.breakpoints)
-        lines.append(f"load.breakpoints = {text}")
-    cfg = config.integrator
-    lines.append(f"integrator.method = {cfg.method}")
-    lines.append(f"integrator.step_size = {_fmt(cfg.step_size)}")
-    lines.append(f"integrator.duration = {_fmt(cfg.duration)}")
-    lines.append(f"integrator.record_every = {cfg.record_every}")
-    for key in _STATE_KEYS:
-        lines.append(f"initial_state.{key} = {_fmt(getattr(config.initial_state, key))}")
-    lines.append(f"speed_convention = {config.speed_convention}")
-    lines.append(f"amplitude_is_peak = {_fmt(config.amplitude_is_peak)}")
-    lines.append(f"blocked_rotor = {_fmt(config.blocked_rotor)}")
-    lines.append(f"output.directory = {config.output.directory}")
-    lines.append(f"output.prefix = {config.output.prefix}")
-    lines.append(f"output.emit_plot_script = {_fmt(config.output.emit_plot_script)}")
-    return "\n".join(lines) + "\n"
+    omit = {"supply.alpha", "supply.beta"} if s.mode == "quadrature" else {"supply.voltage"}
+    omit |= {f"supply.{phase}" for phase in ("alpha", "beta") if not getattr(s, phase)}
+    omit.add("load.breakpoints" if len(config.load.breakpoints) == 1 else "load.torque")
+    return "".join(f"{key} = {_fmt(_value(config, key))}\n" for key in _KEYS if key not in omit)
+
+
+def _value(config: RunConfig, key: str):
+    """The value of config that key sets."""
+    if key == "load.torque":
+        return config.load.breakpoints[0][1]
+    section, _, name = key.rpartition(".")
+    return getattr(getattr(config, section) if section else config, name)
 
 
 def bundled_config_names() -> tuple[str, ...]:
@@ -412,15 +327,14 @@ def build_scenario(config: RunConfig) -> Scenario:
     )
 
 
+
 def sweepable_axes(config: RunConfig) -> tuple[str, ...]:
-    axes = [f"machine.{key}" for key in _MACHINE_KEYS]
-    axes.append("supply.frequency")
-    if config.supply.mode == "quadrature":
-        axes.append("supply.voltage")
-    axes.append("load.torque")
-    axes.extend(("integrator.step_size", "integrator.duration"))
-    axes.extend(f"initial_state.{key}" for key in _STATE_KEYS)
-    return tuple(axes)
+    """Every float key and machine.pole_pairs; supply.voltage only in quadrature mode."""
+    return tuple(
+        key for key, read in _KEYS.items()
+        if (read is _float or key == "machine.pole_pairs")
+        and (key != "supply.voltage" or config.supply.mode == "quadrature")
+    )
 
 
 def set_axis_value(config: RunConfig, axis: str, value: float) -> RunConfig:
@@ -433,17 +347,13 @@ def set_axis_value(config: RunConfig, axis: str, value: float) -> RunConfig:
         raise ConfigError(
             f"unknown sweep axis {axis!r}; choose one of {sweepable_axes(config)}"
         )
-    section, _, key = axis.partition(".")
-    if section == "machine":
-        if key == "pole_pairs":
-            if not float(value).is_integer():
-                raise ConfigError(f"machine.pole_pairs must be an integer, got {value}")
-            return replace(config, machine=replace(config.machine, pole_pairs=int(value)))
-        return replace(config, machine=replace(config.machine, **{key: float(value)}))
-    if section == "supply":
-        return replace(config, supply=replace(config.supply, **{key: float(value)}))
     if axis == "load.torque":
         return replace(config, load=LoadProfile.constant(float(value)))
-    if section == "integrator":
-        return replace(config, integrator=replace(config.integrator, **{key: float(value)}))
-    return replace(config, initial_state=replace(config.initial_state, **{key: float(value)}))
+    if axis == "machine.pole_pairs":
+        if not float(value).is_integer():
+            raise ConfigError(f"machine.pole_pairs must be an integer, got {value}")
+        value = int(value)
+    else:
+        value = float(value)
+    section, _, name = axis.partition(".")
+    return replace(config, **{section: replace(getattr(config, section), **{name: value})})

@@ -53,7 +53,7 @@ class VoltageSource:
             if len(set(orders)) != len(orders):
                 raise ValueError(f"duplicate harmonic order on phase {phase_name}: {orders}")
             for h in harmonics:
-                if not (isinstance(h.order, int) and h.order >= 1):
+                if isinstance(h.order, bool) or not (isinstance(h.order, int) and h.order >= 1):
                     raise ValueError(f"harmonic order must be a positive integer: {h.order}")
                 if not math.isfinite(_TWO_PI * self.frequency * h.order):
                     raise ValueError(f"angular frequency 2*pi*{self.frequency!r}*{h.order} of harmonic "

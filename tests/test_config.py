@@ -1,9 +1,18 @@
 """Config parsing, validation, rendering and sweep axis application."""
 
+import itertools
+
 import pytest
 
 from tpim import ConfigError, LoadProfile, load_config
-from tpim.config import build_supply, bundled_config_names, parse_config, render_config, set_axis_value
+from tpim.config import (
+    build_supply,
+    bundled_config_names,
+    parse_config,
+    render_config,
+    set_axis_value,
+    sweepable_axes,
+)
 
 from support import TABLE1
 
@@ -26,6 +35,59 @@ supply.frequency = 50.0
 load.torque = 1.0096
 integrator.duration = 1.0
 """
+
+MACHINE_AXES = (
+    "machine.r_s_alpha",
+    "machine.r_s_beta",
+    "machine.r_r_alpha",
+    "machine.r_r_beta",
+    "machine.l_s_alpha",
+    "machine.l_s_beta",
+    "machine.l_r_alpha",
+    "machine.l_r_beta",
+    "machine.l_m_alpha",
+    "machine.l_m_beta",
+    "machine.turns_ratio_a",
+    "machine.pole_pairs",
+    "machine.inertia_j",
+)
+STATE_AXES = (
+    "initial_state.psi_s_alpha",
+    "initial_state.psi_s_beta",
+    "initial_state.psi_r_alpha",
+    "initial_state.psi_r_beta",
+    "initial_state.omega_mech",
+)
+
+# Every optional key at a value other than its default, for each supply mode
+# and each load form.
+SUPPLIES = {
+    "quadrature": "supply.mode = quadrature\nsupply.voltage = 230.0",
+    "harmonics": "supply.mode = harmonics\nsupply.alpha = 1:325.0:0.0, 5:6.5:-0.2\n"
+    "supply.beta = 1:325.0:-1.5",
+}
+LOADS = {"torque": "load.torque = 0.5", "breakpoints": "load.breakpoints = 0.0:0.4, 0.001:1.0096"}
+EVERY_KEY_REST = """
+integrator.method = euler
+integrator.step_size = 1e-05
+integrator.record_every = 7
+initial_state.psi_s_alpha = 0.01
+initial_state.psi_s_beta = -0.02
+initial_state.psi_r_alpha = 0.03
+initial_state.psi_r_beta = -0.04
+initial_state.omega_mech = 60.0
+speed_convention = electrical_state
+amplitude_is_peak = true
+blocked_rotor = true
+output.directory = out/every_key
+output.prefix = every_key
+output.emit_plot_script = true
+"""
+
+
+def every_key_config(supply: str, load: str) -> str:
+    base = MINIMAL.replace("supply.voltage = 230.0", SUPPLIES[supply])
+    return base.replace("load.torque = 1.0096", LOADS[load]) + EVERY_KEY_REST
 
 
 def test_bundled_configs_present():
@@ -193,3 +255,44 @@ def test_amplitude_is_peak_changes_supply_amplitude():
     assert build_supply(rms_cfg).alpha[0].amplitude == pytest.approx(math.sqrt(2) * 230.0)
     assert build_supply(peak_cfg).alpha[0].amplitude == 230.0
     assert parse_config(render_config(peak_cfg), name="peak") == peak_cfg
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (MINIMAL.replace("duration = 1.0", "duration = abc"),
+         "line 18: invalid number for 'integrator.duration': 'abc'"),
+        (MINIMAL.replace("integrator.duration = 1.0\n", ""), "missing required key 'integrator.duration'"),
+        (MINIMAL + "integrator.method = rk5\n",
+         "line 19: 'integrator.method' must be one of ('rk4', 'euler'), got 'rk5'"),
+        (MINIMAL.replace("duration = 1.0", "duration = 1.00005"),
+         "integrator: duration 1.00005 is not a whole number"),
+    ],
+    ids=["invalid_number", "missing", "invalid_choice", "not_whole_steps"],
+)
+def test_integrator_errors_are_prefixed_only_by_the_integrator_check(text, message):
+    # A key that does not read reports its line like every other section;
+    # only IntegratorConfig's own checks name the section.
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("supply, load", itertools.product(SUPPLIES, LOADS))
+def test_every_key_round_trips(supply, load):
+    text = every_key_config(supply, load)
+    config = parse_config(text)
+    rendered = render_config(config)
+    assert parse_config(rendered) == config
+    rendered_keys = [line.split(" = ")[0] for line in rendered.splitlines()]
+    assert len(rendered_keys) == len(set(rendered_keys))
+    set_keys = {line.split("=")[0].strip() for line in text.splitlines() if "=" in line}
+    assert set(rendered_keys) == set_keys
+
+
+def test_sweepable_axes_are_pinned():
+    tail = ("load.torque", "integrator.step_size", "integrator.duration", *STATE_AXES)
+    quadrature = MACHINE_AXES + ("supply.frequency", "supply.voltage", *tail)
+    assert sweepable_axes(parse_config(every_key_config("quadrature", "torque"))) == quadrature
+    harmonics = MACHINE_AXES + ("supply.frequency", *tail)
+    assert sweepable_axes(parse_config(every_key_config("harmonics", "breakpoints"))) == harmonics

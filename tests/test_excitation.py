@@ -57,6 +57,8 @@ def test_voltage_source_invariants():
         VoltageSource(alpha=(), beta=(Harmonic(1, 1.0, math.nan),), frequency=50.0)
     with pytest.raises(ValueError, match="order"):
         VoltageSource(alpha=(Harmonic(0, 1.0),), beta=(), frequency=50.0)
+    with pytest.raises(ValueError, match="harmonic order must be a positive integer: True"):
+        VoltageSource(alpha=(Harmonic(True, 300.0),), beta=(), frequency=50.0)
 
 
 def test_empty_source_samples_zero():

@@ -5,7 +5,9 @@ traces, CSV bytes, summaries and `tpim validate` output, and the exit code of
 each command is part of its artifact name. Between them the runs cover every
 generated step loop: rk4 and euler, each speed convention, free and blocked
 rotor, and each kind of supply shape: one harmonic per phase or several,
-zero amplitudes, constant or stepped load. Two RK4 runs put a load step on
+zero amplitudes, constant or stepped load. The `validate` outputs cover every
+branch of the rendered config: both supply modes, both load forms and every
+optional key set away from its default. Two RK4 runs put a load step on
 either side of the one-ulp gap between a step's end time and the next
 step's start time. From the root of a checkout:
 
@@ -134,8 +136,29 @@ def digests(work: Path):
     except tpim.IntegrationError as exc:
         yield channel_digest(exc.partial_trace), f"dt=0.02 partial trace channels (t = {exc.time!r})"
 
-    for name in BUNDLED:
-        code, out = cli(["validate", name])
+    # Every render branch: both supply modes, both load forms, every optional key.
+    every_key = dict(
+        integrator__method="euler", integrator__step_size="1e-05", integrator__record_every="7",
+        initial_state__psi_s_alpha="0.01", initial_state__psi_s_beta="-0.02",
+        initial_state__psi_r_alpha="0.03", initial_state__psi_r_beta="-0.04",
+        initial_state__omega_mech="60.0", speed_convention="electrical_state",
+        amplitude_is_peak="true", blocked_rotor="true", output__directory="out/every_key",
+        output__prefix="every_key", output__emit_plot_script="true",
+    )
+    variant = HARMONIC_VARIANTS[0]
+    validated = {name: name for name in BUNDLED}
+    validated[f"harmonic variant {variant}"] = str(work / f"harmonic_{variant}.cfg")
+    for name, text in {
+        "every_key_quadrature": config_text(**every_key),
+        "every_key_harmonics": config_text(
+            **every_key, **harmonics(three, three_beta, "0.0:0.4, 0.02:0.7")
+        ),
+    }.items():
+        config = work / f"{name}.cfg"
+        config.write_text(text)
+        validated[name] = str(config)
+    for name, config in validated.items():
+        code, out = cli(["validate", config])
         yield sha256(out.encode()), f"validate {name} (exit {code}) stdout"
 
 
