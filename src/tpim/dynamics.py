@@ -10,11 +10,17 @@ two times are the same float. Records go item by item into a channel-major
 buffer, from which the currents and torques are derived on arrays after
 the loop. Both are deterministic: identical inputs give bit-identical
 traces.
+
+All generated code is compiled here, by one builder: the step loops and
+the templates' one-point forms, compile_derivative and compile_sources.
+Every name a template reads is an argument of the compiled function, but
+cos, isfinite and bisect_right, which it imports when called.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import textwrap
 from dataclasses import dataclass, field
 from functools import cache, partial
@@ -22,16 +28,15 @@ from functools import cache, partial
 import numpy as np
 
 from .excitation import LoadProfile, VoltageSource, render_sample, sample_arguments, sample_binding
-from .excitation import compile_sources  # noqa: F401 - perfbench wraps it under this name
 from .machine import (
+    _KERNEL_CONSTANTS,
+    _RHS_NAMES,
     SPEED_CONVENTIONS,
     MachineParameters,
     MachineState,
-    compile_derivative,  # noqa: F401 - perfbench wraps it under this name
     currents_from_fluxes,
     electromagnetic_torque,
     energy_consistent_torque,
-    generate_kernel,
     kernel_constants,
     render_rhs,
 )
@@ -44,6 +49,8 @@ __all__ = [
     "SimulationTrace",
     "IntegrationError",
     "integrate",
+    "compile_derivative",
+    "compile_sources",
 ]
 
 INTEGRATION_METHODS = ("rk4", "euler")
@@ -104,6 +111,9 @@ class IntegratorConfig:
                 f"duration {self.duration} is shorter than one step ({self.step_size})"
             )
         steps = self.duration / self.step_size
+        if steps >= sys.maxsize:
+            raise ValueError(f"duration {self.duration} is {steps!r} steps of {self.step_size}, "
+                             f"more than an index can hold ({sys.maxsize})")
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError(
                 f"duration {self.duration} is not a whole number of steps of "
@@ -162,7 +172,6 @@ class SimulationTrace:
     step_size: float
     record_every: int
     supply_frequency: float
-    speed_convention: str
 
     def __len__(self) -> int:
         return len(self.t)
@@ -185,8 +194,6 @@ class SimulationTrace:
 # On a non-finite state the loop returns the step index, the records filled
 # and that state.
 _LOOP = """\
-from bisect import bisect_right
-from math import cos, isfinite
 half = 0.5 * dt
 sixth = dt / 6.0
 {views} = map(memoryview, records)
@@ -229,10 +236,48 @@ def _euler_step(rhs) -> str:
     return rhs("psa psb pra prb w va0 vb0 tl0 a1 b1 c1 d1 e1") + update
 
 
+def _kernel(name: str, signature: str, body: str):
+    """Compile `def name(signature): body`, the one way generated code is
+    compiled. The body starts by importing cos, isfinite and bisect_right,
+    at call time; every other name it reads must be in the signature."""
+    body = "from bisect import bisect_right\nfrom math import cos, isfinite\n" + body
+    source = f"def {name}({signature}):\n" + textwrap.indent(body, "    ")
+    scope = {}
+    exec(compile(source, f"<tpim {name}>", "exec"), scope)
+    return scope[name]
+
+
+def compile_derivative(p: MachineParameters, speed_convention: str = "mechanical_state",
+                       blocked_rotor: bool = False):
+    """The state derivative of tpim.machine._RHS as a plain-float function
+    mapping (psi_s_a, psi_s_b, psi_r_a, psi_r_b, omega, v_s_a, v_s_b, t_load)
+    to the five-tuple of derivatives. It is the one-stage rendering of the
+    template that the step loops inline once per stage, so it computes the
+    same bits as they do."""
+    if speed_convention not in SPEED_CONVENTIONS:
+        raise ValueError(f"unknown speed convention: {speed_convention!r}")
+    body = render_rhs(speed_convention, blocked_rotor, " ".join(_RHS_NAMES))
+    deriv = _kernel(
+        "deriv", f"{_KERNEL_CONSTANTS}, {', '.join(_RHS_NAMES[:8])}",
+        body + "return d_psa, d_psb, d_pra, d_prb, d_w\n",
+    )
+    return partial(deriv, *kernel_constants(p))
+
+
+def compile_sources(supply: VoltageSource, load: LoadProfile):
+    """A (v_alpha, v_beta, load_torque) sampler of times t >= 0: the sampler
+    template of tpim.excitation rendered at one point, so it gives the bits
+    the step loops compute."""
+    shape, values = sample_binding(supply, load)
+    body = render_sample(shape, "t", "v_sa v_sb t_load") + "return v_sa, v_sb, t_load\n"
+    return partial(_kernel("sources", f"{sample_arguments(shape)}, t", body), *values)
+
+
 @cache
 def _step_loop(method: str, speed_convention: str, blocked_rotor: bool, shape: tuple[int, int, bool]):
-    """The generated loop of one kind and supply shape, as a factory of the
-    machine constants; the source values are its trailing arguments."""
+    """The generated loop of one kind and supply shape. Its arguments are
+    the machine constants, the records buffer, the initial state, the run's
+    settings and then the source values."""
     rhs = partial(render_rhs, speed_convention, blocked_rotor)
     sample = partial(render_sample, shape)
     indent = partial(textwrap.indent, prefix="    ")
@@ -249,8 +294,8 @@ def _step_loop(method: str, speed_convention: str, blocked_rotor: bool, shape: t
         views=", ".join(f"r_{v}" for v in _RECORDED), sample=start, store=store, step=indent(step),
         resample=indent(resample), store_in_loop=indent(indent(store)),
     )
-    signature = f"records, psa, psb, pra, prb, w, dt, n_steps, every, {sample_arguments(shape)}"
-    return generate_kernel("step_loop", signature, body)
+    settings = "records, psa, psb, pra, prb, w, dt, n_steps, every"
+    return _kernel("step_loop", f"{_KERNEL_CONSTANTS}, {settings}, {sample_arguments(shape)}", body)
 
 
 def _derive_trace(p: MachineParameters, scenario: Scenario, records: np.ndarray) -> SimulationTrace:
@@ -268,7 +313,6 @@ def _derive_trace(p: MachineParameters, scenario: Scenario, records: np.ndarray)
         step_size=scenario.integrator.step_size,
         record_every=scenario.integrator.record_every,
         supply_frequency=scenario.supply.frequency,
-        speed_convention=scenario.speed_convention,
     )
 
 
@@ -282,11 +326,12 @@ def integrate(p: MachineParameters, scenario: Scenario) -> SimulationTrace:
     cfg = scenario.integrator
     every = cfg.record_every
     shape, source_values = sample_binding(scenario.supply, scenario.load)
-    bind = _step_loop(cfg.method, scenario.speed_convention, bool(scenario.blocked_rotor), shape)
+    loop = _step_loop(cfg.method, scenario.speed_convention, bool(scenario.blocked_rotor), shape)
     # One column per record: the time, the sources sampled there and the states.
     records = np.empty((9, cfg.n_steps // every + 1))
-    failure = bind(*kernel_constants(p))(
-        records, *scenario.initial_state.as_tuple(), cfg.step_size, cfg.n_steps, every, *source_values
+    failure = loop(
+        *kernel_constants(p), records, *scenario.initial_state.as_tuple(),
+        cfg.step_size, cfg.n_steps, every, *source_values,
     )
     if failure is not None:
         k, filled, state = failure

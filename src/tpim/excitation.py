@@ -3,16 +3,14 @@
 Voltages are harmonic series evaluated exactly at any time (no lookup
 tables, no interpolation), so integrator stages can sample mid-step points
 analytically. Loads are right-continuous piecewise-constant profiles. The
-sampler is written once, as a statement template that the step loops of
-tpim.dynamics render inline at every sample point; compile_sources renders
-it at one point, as a closure.
+sampler is written once, as a statement template that tpim.dynamics
+compiles, inline at every sample point of a step loop or at one point as
+compile_sources; the values the template reads are passed as arguments.
 """
 
 from __future__ import annotations
 
 import math
-import textwrap
-from bisect import bisect_right
 from dataclasses import dataclass
 
 __all__ = [
@@ -20,7 +18,6 @@ __all__ = [
     "VoltageSource",
     "LoadProfile",
     "quadrature_supply",
-    "compile_sources",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -116,9 +113,9 @@ def quadrature_supply(v_rms: float, frequency: float, amplitude_is_peak: bool = 
     )
 
 
-# The one definition of the source sampler: the step loops of tpim.dynamics
-# render it at every sample point, compile_sources at one; both bind cos and
-# bisect_right. A supply's shape is (harmonics on alpha, on beta, stepped load).
+# The one definition of the source sampler: the kernels of tpim.dynamics
+# render it at every sample point, and import the cos and bisect_right it
+# calls. A supply's shape is (harmonics on alpha, on beta, stepped load).
 _TERM = "amp_{p}{i} * cos(w_{p}{i} * {time} + ph_{p}{i})"
 
 
@@ -156,15 +153,3 @@ def render_sample(shape: tuple[int, int, bool], time: str, names: str) -> str:
             lines += [f"{v} = 0.0", *(f"{v} = {v} + {term}" for term in terms)]
     lines.append(f"{t_load} = " + (f"torques[bisect_right(starts, {time}) - 1]" if shape[2] else "torque"))
     return "\n".join(lines) + "\n"
-
-
-def compile_sources(supply: VoltageSource, load: LoadProfile):
-    """Bind a (v_alpha, v_beta, load_torque) sampler of times t >= 0: the
-    sampler template rendered at one point, so it gives the bits the step
-    loops of tpim.dynamics compute."""
-    shape, values = sample_binding(supply, load)
-    scope = dict(zip(sample_arguments(shape).split(", "), values))
-    scope.update(cos=math.cos, bisect_right=bisect_right)
-    body = render_sample(shape, "t", "v_sa v_sb t_load") + "return v_sa, v_sb, t_load\n"
-    exec(compile("def sources(t):\n" + textwrap.indent(body, " " * 4), "<tpim sources>", "exec"), scope)
-    return scope["sources"]

@@ -7,16 +7,17 @@ rotor axes couple through speed voltages scaled by the reciprocal
 turns-ratio pair (+a, -1/a).
 
 The integrated states are the four winding flux linkages plus rotor speed.
-Currents, torque and the state derivative are algebraic in those states, so
-everything here is a pure function. The formulas use only +, -, *, /, and
-therefore also work element-wise on numpy arrays.
+Currents and torque are algebraic in those states, so every function here
+is pure. The formulas use only +, -, *, /, and therefore also work
+element-wise on numpy arrays. The state derivative is written once, as the
+statement template _RHS; tpim.dynamics compiles it, with the constants
+_RHS reads passed as arguments.
 """
 
 from __future__ import annotations
 
-import textwrap
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 __all__ = [
     "SPEED_CONVENTIONS",
@@ -27,7 +28,6 @@ __all__ = [
     "currents_from_fluxes",
     "electromagnetic_torque",
     "energy_consistent_torque",
-    "compile_derivative",
 ]
 
 # How the integrated speed state is read by the rotor equations:
@@ -82,7 +82,7 @@ class MachineState:
 
     omega_mech is the shaft speed in rad/s under the default speed
     convention; under "electrical_state" the same slot holds electrical
-    speed (see compile_derivative).
+    speed (see _RHS).
     """
 
     psi_s_alpha: float
@@ -200,9 +200,9 @@ def energy_consistent_torque(p: MachineParameters, psi_r_alpha, psi_r_beta, i_r_
     )
 
 
-# The machine constants as the generated kernels bind them: closure cells,
-# since millions of steps read them, with pole_pairs as a float and the
-# rotor resistances negated. That gives the same bits, since int * float
+# The machine constants, the leading arguments of each kernel that renders
+# _RHS (locals, since millions of steps read them). pole_pairs is a float and the
+# rotor resistances are negated; that gives the same bits, since int * float
 # converts the int first and -r * i is (-r) * i.
 _KERNEL_CONSTANTS = (
     "r_sa, r_sb, neg_r_ra, neg_r_rb, l_sa, l_sb, l_ra, l_rb, l_ma, l_mb, det_a, det_b, a, pole_pairs, inv_j"
@@ -218,8 +218,20 @@ def kernel_constants(p: MachineParameters) -> tuple:
     )
 
 
-# The one definition of the state equations (see compile_derivative),
-# rendered by render_rhs once per stage of a generated kernel.
+# The one definition of the explicit time derivative of the five states,
+# rendered by render_rhs once per stage of a generated kernel:
+#
+#     d psi_s_alpha/dt = v_s_alpha - R_s_alpha*i_s_alpha
+#     d psi_s_beta/dt  = v_s_beta  - R_s_beta*i_s_beta
+#     d psi_r_alpha/dt = -R_r_alpha*i_r_alpha - a*w_e*psi_r_beta
+#     d psi_r_beta/dt  = -R_r_beta*i_r_beta  + (w_e/a)*psi_r_alpha
+#     d omega/dt       = (T_e - T_load) / J
+#
+# with the currents of currents_from_fluxes and T_e of
+# electromagnetic_torque. Under the default convention the state speed is
+# shaft speed and w_e = pole_pairs*omega; under "electrical_state" the
+# state speed is the electrical speed and is used in the coupling
+# directly. blocked_rotor pins d omega/dt to zero (locked-shaft fixture).
 _RHS = """\
 i_sa = (l_ra * {psa} - l_ma * {pra}) / det_a
 i_sb = (l_rb * {psb} - l_mb * {prb}) / det_b
@@ -250,56 +262,3 @@ def render_rhs(speed_convention: str, blocked_rotor: bool, names: str) -> str:
         else f"(pole_pairs * (l_mb * i_sb * i_ra - l_ma * i_sa * i_rb) - {n['t_load']}) * inv_j"
     )
     return _RHS.format(**n)
-
-
-def generate_kernel(name: str, signature: str, body: str):
-    """Compile `def name(signature): body` inside a factory of the machine
-    constants, and return the factory: calling it with kernel_constants(p)
-    returns the kernel with p's values bound as closure cells."""
-    source = (
-        f"def bind({_KERNEL_CONSTANTS}):\n"
-        f"    def {name}({signature}):\n"
-        f"{textwrap.indent(body, ' ' * 8)}"
-        f"    return {name}\n"
-    )
-    scope = {}
-    exec(compile(source, f"<tpim {name}>", "exec"), scope)
-    return scope["bind"]
-
-
-@cache
-def _derivative_kernel(speed_convention: str, blocked_rotor: bool):
-    body = render_rhs(speed_convention, blocked_rotor, " ".join(_RHS_NAMES))
-    return generate_kernel(
-        "deriv", ", ".join(_RHS_NAMES[:8]), body + "return d_psa, d_psb, d_pra, d_prb, d_w\n"
-    )
-
-
-def compile_derivative(
-    p: MachineParameters,
-    speed_convention: str = "mechanical_state",
-    blocked_rotor: bool = False,
-):
-    """The explicit time derivative of the five machine states.
-
-        d psi_s_alpha/dt = v_s_alpha - R_s_alpha*i_s_alpha
-        d psi_s_beta/dt  = v_s_beta  - R_s_beta*i_s_beta
-        d psi_r_alpha/dt = -R_r_alpha*i_r_alpha - a*w_e*psi_r_beta
-        d psi_r_beta/dt  = -R_r_beta*i_r_beta  + (w_e/a)*psi_r_alpha
-        d omega/dt       = (T_e - T_load) / J
-
-    with the currents from currents_from_fluxes and T_e from
-    electromagnetic_torque. Under the default convention the state speed is
-    shaft speed and w_e = pole_pairs*omega; under "electrical_state" the
-    state speed is the electrical speed and is used in the coupling
-    directly. blocked_rotor pins d omega/dt to zero (locked-shaft fixture).
-
-    Returns a plain-float closure mapping
-        (psi_s_a, psi_s_b, psi_r_a, psi_r_b, omega, v_s_a, v_s_b, t_load)
-    to the five-tuple of derivatives. It is the one-stage rendering of the
-    right-hand side template that the step loops of tpim.dynamics inline
-    once per stage, so it computes the same bits as they do.
-    """
-    if speed_convention not in SPEED_CONVENTIONS:
-        raise ValueError(f"unknown speed convention: {speed_convention!r}")
-    return _derivative_kernel(speed_convention, bool(blocked_rotor))(*kernel_constants(p))

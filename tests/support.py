@@ -1,14 +1,15 @@
 """Shared machines, scenario builders and independent oracles for the tests.
 
-reference_derivative restates the right-hand side that compile_derivative
-binds into a closure, and reference_steady_state the all-windows formula
-that detect_steady_state evaluates by a faster route. sample_voltage and
-sample_load evaluate a supply and a load profile term by term, the
-reference for the sampler compile_sources renders; fluxes_from_currents is
-the forward map that currents_from_fluxes inverts. The phasor solver here
-is a test-only oracle: it computes the single-frequency steady state of the
-same state equations by a complex 4x4 solve, with no time stepping, so it
-verifies the integrator through an entirely different route.
+reference_derivative restates the right-hand side that
+tpim.dynamics.compile_derivative compiles, and reference_steady_state the
+all-windows formula that detect_steady_state evaluates by a faster route.
+sample_voltage and sample_load evaluate a supply and a load profile term
+by term, the reference for the sampler that tpim.dynamics.compile_sources
+compiles; fluxes_from_currents is the forward map that
+currents_from_fluxes inverts. The phasor solver here is a test-only
+oracle: it computes the single-frequency steady state of the same state
+equations by a complex 4x4 solve, with no time stepping, so it verifies
+the integrator through an entirely different route.
 """
 
 import math

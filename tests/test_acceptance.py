@@ -216,6 +216,7 @@ def test_criterion_7_phase_swap_reverses_rotation(table1):
     _report(7, ok, f"steady speeds {w_fwd:+.3f} / {w_bwd:+.3f} rad/s, |sum|/|fwd| = {mismatch:.1e}")
     assert w_fwd > 0.0 > w_bwd
     assert mismatch < 0.01, f"magnitudes differ by {mismatch:.2%}"
+    assert abs(w_fwd + w_bwd) < 1e-3 * abs(w_fwd)
 
 
 def test_criterion_8_cli_contract(tmp_path, capsys):

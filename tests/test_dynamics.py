@@ -17,9 +17,7 @@ from tpim import (
     integrate,
     summarize,
 )
-from tpim.dynamics import TRACE_CHANNELS
-from tpim.excitation import compile_sources
-from tpim.machine import compile_derivative
+from tpim.dynamics import TRACE_CHANNELS, compile_derivative, compile_sources
 
 from support import (
     SOURCE_SHAPES, T_LOAD, W_SYNC, rated_supply, reference_derivative, sample_load, sample_voltage, scenario,
@@ -44,6 +42,7 @@ SILENT = VoltageSource(alpha=(), beta=(), frequency=50.0)
         dict(record_every=0),
         dict(step_size=1e-4, duration=1.00005),
         dict(record_every=True),  # a bool is no record count
+        dict(step_size=1e-300, duration=1.0),  # more steps than an index can hold
     ],
 )
 def test_integrator_config_rejects(kwargs):
@@ -108,7 +107,7 @@ def test_rk4_step_matches_manual_stage_assembly(table1):
 def test_generated_loop_matches_derivative_stepped_by_hand(table1, method, convention, blocked):
     # Each generated loop inlines the right-hand side that compile_derivative
     # renders once, and the sampler that compile_sources renders once, so
-    # stepping those closures with the same formulas must give the same bits,
+    # stepping those functions with the same formulas must give the same bits,
     # for every supply shape. A moving start makes every coupling term count.
     dt = 2e-3  # large steps, so that a reordered sum shows in the state
     start = MachineState(0.4, -0.3, 0.35, 0.2, 60.0)

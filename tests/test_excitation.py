@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tpim import Harmonic, LoadProfile, VoltageSource, quadrature_supply
-from tpim.excitation import compile_sources
+from tpim.dynamics import compile_sources
 
 from support import SOURCE_SHAPES, sample_load, sample_voltage
 

@@ -16,12 +16,8 @@ from tpim import (
     integrate,
     validate_parameters,
 )
-from tpim.machine import (
-    compile_derivative,
-    currents_from_fluxes,
-    electromagnetic_torque,
-    energy_consistent_torque,
-)
+from tpim.dynamics import compile_derivative
+from tpim.machine import currents_from_fluxes, electromagnetic_torque, energy_consistent_torque
 
 from support import SYMMETRIC, TABLE1, fluxes_from_currents, reference_derivative, solve_currents
 

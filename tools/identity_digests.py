@@ -13,6 +13,10 @@ step's start time. From the root of a checkout:
 
     python3 tools/identity_digests.py > digests.txt
 
+Its output is committed as tools/identity_digests.txt, and
+tests/test_identity.py checks the bundled configs' lines of that file. A
+change that alters an output on purpose writes the file again.
+
 It imports tpim from `src/` of the checkout it lives in, and the seeded
 configs of `perfbench/workloads.py` (without changing them). Outputs go to a
 temporary directory that is removed afterwards.
