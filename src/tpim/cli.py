@@ -1,8 +1,9 @@
 """Command-line interface: run, validate and sweep simulation configs.
 
 Exit codes are part of the contract: 0 success, 1 configuration/validation
-failure, 2 numerical failure (non-finite state, timestamp on stderr; `run`
-also writes the trace recorded up to the failure as <prefix>_partial_trace.csv).
+failure or records that do not fit in memory, 2 numerical failure
+(non-finite state, timestamp on stderr; `run` also writes the trace
+recorded up to the failure as <prefix>_partial_trace.csv).
 """
 
 from __future__ import annotations
@@ -198,7 +199,7 @@ def _sweep_row(
         p = validate_parameters(config.machine)
         trace = integrate(p, build_scenario(config))
         report = summarize(trace, p, speed_tol=speed_tol)
-    except (ConfigError, ParameterError, ValueError, IntegrationError,
+    except (ConfigError, ParameterError, ValueError, MemoryError, IntegrationError,
             TraceTooShortError, SteadyStateNotReachedError) as exc:
         return [""] * len(fields), f"failed: {exc}"
     return [repr(getattr(report, name)) for name in fields], "ok"
@@ -231,7 +232,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return _cmd_validate(args)
         return _cmd_sweep(args)
-    except (ConfigError, ParameterError, OSError) as exc:
+    except (ConfigError, ParameterError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except IntegrationError as exc:

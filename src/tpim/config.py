@@ -44,7 +44,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SupplySpec:
-    """Declarative supply description kept alongside the compiled source."""
+    """The supply as the config file declares it; build_supply turns it into a VoltageSource."""
 
     mode: str = "quadrature"
     frequency: float = 50.0

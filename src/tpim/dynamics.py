@@ -2,10 +2,12 @@
 
 The production method is classical fourth-order Runge-Kutta; a forward
 Euler stepper is kept alongside as an independent verification oracle and
-for convergence-order measurements. Each runs as one loop generated from
-the right-hand-side template of tpim.machine and the sampler template of
-tpim.excitation, inlined at every stage and sample point, per supply
-shape. RK4 starts each step from the previous step's end sample where the
+for convergence-order measurements. Each runs as one loop per supply
+shape, generated from the right-hand-side template of tpim.machine and the
+sampler template of tpim.excitation, inlined at every stage and sample
+point. The speed convention and a blocked rotor are machine constants of
+that loop (the speed scale w_scale and a zero 1/J), not variants of it.
+RK4 starts each step from the previous step's end sample where the
 two times are the same float. Records go item by item into a channel-major
 buffer, from which the currents and torques are derived on arrays after
 the loop. Both are deterministic: identical inputs give bit-identical
@@ -218,22 +220,22 @@ _STATES = ("psa", "psb", "pra", "prb", "w")
 _RECORDED = ("t", "va0", "vb0", "tl0", *_STATES)
 
 
-def _rk4_step(rhs, sample) -> str:
+def _rk4_step(sample) -> str:
     step = "t_half = t + half\n" + sample("t_half", "vah vbh tlh")
     step += "t_end = t + dt\n" + sample("t_end", "va1 vb1 tl1")
-    step += rhs("psa psb pra prb w va0 vb0 tl0 a1 b1 c1 d1 e1")
+    step += render_rhs("psa psb pra prb w va0 vb0 tl0 a1 b1 c1 d1 e1")
     stages = ((1, "half", "vah vbh tlh"), (2, "half", "vah vbh tlh"), (3, "dt", "va1 vb1 tl1"))
     for k, scale, sampled in stages:
         step += "".join(f"x_{s} = {s} + {scale} * {d}{k}\n" for s, d in zip(_STATES, "abcde"))
-        step += rhs(f"x_psa x_psb x_pra x_prb x_w {sampled} a{k + 1} b{k + 1} c{k + 1} d{k + 1} e{k + 1}")
+        step += render_rhs(f"x_psa x_psb x_pra x_prb x_w {sampled} a{k + 1} b{k + 1} c{k + 1} d{k + 1} e{k + 1}")
     return step + "".join(
         f"{s} = {s} + sixth * ({d}1 + 2.0 * ({d}2 + {d}3) + {d}4)\n" for s, d in zip(_STATES, "abcde")
     )
 
 
-def _euler_step(rhs) -> str:
+def _euler_step() -> str:
     update = "".join(f"{s} = {s} + dt * {d}1\n" for s, d in zip(_STATES, "abcde"))
-    return rhs("psa psb pra prb w va0 vb0 tl0 a1 b1 c1 d1 e1") + update
+    return render_rhs("psa psb pra prb w va0 vb0 tl0 a1 b1 c1 d1 e1") + update
 
 
 def _kernel(name: str, signature: str, body: str):
@@ -254,14 +256,9 @@ def compile_derivative(p: MachineParameters, speed_convention: str = "mechanical
     to the five-tuple of derivatives. It is the one-stage rendering of the
     template that the step loops inline once per stage, so it computes the
     same bits as they do."""
-    if speed_convention not in SPEED_CONVENTIONS:
-        raise ValueError(f"unknown speed convention: {speed_convention!r}")
-    body = render_rhs(speed_convention, blocked_rotor, " ".join(_RHS_NAMES))
-    deriv = _kernel(
-        "deriv", f"{_KERNEL_CONSTANTS}, {', '.join(_RHS_NAMES[:8])}",
-        body + "return d_psa, d_psb, d_pra, d_prb, d_w\n",
-    )
-    return partial(deriv, *kernel_constants(p))
+    constants = kernel_constants(p, speed_convention, blocked_rotor)
+    body = render_rhs(" ".join(_RHS_NAMES)) + "return d_psa, d_psb, d_pra, d_prb, d_w\n"
+    return partial(_kernel("deriv", f"{_KERNEL_CONSTANTS}, {', '.join(_RHS_NAMES[:8])}", body), *constants)
 
 
 def compile_sources(supply: VoltageSource, load: LoadProfile):
@@ -274,21 +271,20 @@ def compile_sources(supply: VoltageSource, load: LoadProfile):
 
 
 @cache
-def _step_loop(method: str, speed_convention: str, blocked_rotor: bool, shape: tuple[int, int, bool]):
-    """The generated loop of one kind and supply shape. Its arguments are
+def _step_loop(method: str, shape: tuple[int, int, bool]):
+    """The generated loop of one method and supply shape. Its arguments are
     the machine constants, the records buffer, the initial state, the run's
     settings and then the source values."""
-    rhs = partial(render_rhs, speed_convention, blocked_rotor)
     sample = partial(render_sample, shape)
     indent = partial(textwrap.indent, prefix="    ")
     start = sample("t", "va0 vb0 tl0")
     if method == "rk4":
-        step = _rk4_step(rhs, sample)
+        step = _rk4_step(sample)
         # The sampler is a pure function of one float: where t is the float
         # the last stage sampled at, its sample is reused, bit for bit.
         resample = "if t == t_end:\n    va0, vb0, tl0 = va1, vb1, tl1\nelse:\n" + indent(start)
     else:
-        step, resample = _euler_step(rhs), start
+        step, resample = _euler_step(), start
     store = "".join(f"r_{v}[filled] = {v}\n" for v in _RECORDED) + "filled += 1\n"
     body = _LOOP.format(
         views=", ".join(f"r_{v}" for v in _RECORDED), sample=start, store=store, step=indent(step),
@@ -321,17 +317,23 @@ def integrate(p: MachineParameters, scenario: Scenario) -> SimulationTrace:
 
     Deterministic: identical inputs give bit-identical traces. On a
     non-finite state the run aborts with IntegrationError carrying the
-    failure time and the partial trace recorded so far.
+    failure time and the partial trace recorded so far. Records that do not
+    fit in memory raise MemoryError, naming their count and bytes, before
+    the first step.
     """
     cfg = scenario.integrator
     every = cfg.record_every
     shape, source_values = sample_binding(scenario.supply, scenario.load)
-    loop = _step_loop(cfg.method, scenario.speed_convention, bool(scenario.blocked_rotor), shape)
     # One column per record: the time, the sources sampled there and the states.
-    records = np.empty((9, cfg.n_steps // every + 1))
-    failure = loop(
-        *kernel_constants(p), records, *scenario.initial_state.as_tuple(),
-        cfg.step_size, cfg.n_steps, every, *source_values,
+    n_records = cfg.n_steps // every + 1
+    try:
+        records = np.empty((len(_RECORDED), n_records))
+    except (MemoryError, ValueError) as exc:  # numpy's ValueError: the size overflows its index
+        raise MemoryError(f"cannot allocate {n_records} records of {len(_RECORDED)} floats "
+                          f"({n_records * len(_RECORDED) * 8} bytes) for {cfg.n_steps} steps") from exc
+    failure = _step_loop(cfg.method, shape)(
+        *kernel_constants(p, scenario.speed_convention, scenario.blocked_rotor), records,
+        *scenario.initial_state.as_tuple(), cfg.step_size, cfg.n_steps, every, *source_values,
     )
     if failure is not None:
         k, filled, state = failure

@@ -203,18 +203,26 @@ def energy_consistent_torque(p: MachineParameters, psi_r_alpha, psi_r_beta, i_r_
 # The machine constants, the leading arguments of each kernel that renders
 # _RHS (locals, since millions of steps read them). pole_pairs is a float and the
 # rotor resistances are negated; that gives the same bits, since int * float
-# converts the int first and -r * i is (-r) * i.
+# converts the int first and -r * i is (-r) * i. w_scale turns the speed state
+# into electrical speed.
 _KERNEL_CONSTANTS = (
-    "r_sa, r_sb, neg_r_ra, neg_r_rb, l_sa, l_sb, l_ra, l_rb, l_ma, l_mb, det_a, det_b, a, pole_pairs, inv_j"
+    "r_sa, r_sb, neg_r_ra, neg_r_rb, l_sa, l_sb, l_ra, l_rb, l_ma, l_mb, det_a, det_b, a, "
+    "pole_pairs, inv_j, w_scale"
 )
 
 
-def kernel_constants(p: MachineParameters) -> tuple:
-    """The values of _KERNEL_CONSTANTS for p, in that order."""
+def kernel_constants(p: MachineParameters, speed_convention: str, blocked_rotor: bool) -> tuple:
+    """The values of _KERNEL_CONSTANTS for p, in that order. The speed
+    convention sets w_scale (pole_pairs, or 1 for "electrical_state"), and a
+    blocked rotor, a shaft of infinite inertia, has inv_j = 0."""
+    if speed_convention not in SPEED_CONVENTIONS:
+        raise ValueError(f"unknown speed convention: {speed_convention!r}")
+    pole_pairs = float(p.pole_pairs)
     return (
         p.r_s_alpha, p.r_s_beta, -p.r_r_alpha, -p.r_r_beta,
         p.l_s_alpha, p.l_s_beta, p.l_r_alpha, p.l_r_beta, p.l_m_alpha, p.l_m_beta,
-        p.det_alpha, p.det_beta, p.turns_ratio_a, float(p.pole_pairs), 1.0 / p.inertia_j,
+        p.det_alpha, p.det_beta, p.turns_ratio_a, pole_pairs, 0.0 if blocked_rotor else 1.0 / p.inertia_j,
+        1.0 if speed_convention == "electrical_state" else pole_pairs,
     )
 
 
@@ -230,35 +238,27 @@ def kernel_constants(p: MachineParameters) -> tuple:
 # with the currents of currents_from_fluxes and T_e of
 # electromagnetic_torque. Under the default convention the state speed is
 # shaft speed and w_e = pole_pairs*omega; under "electrical_state" the
-# state speed is the electrical speed and is used in the coupling
-# directly. blocked_rotor pins d omega/dt to zero (locked-shaft fixture).
+# state speed is the electrical speed and w_e = omega. A blocked rotor
+# (locked-shaft fixture) is a zero 1/J.
 _RHS = """\
 i_sa = (l_ra * {psa} - l_ma * {pra}) / det_a
 i_sb = (l_rb * {psb} - l_mb * {prb}) / det_b
 i_ra = (l_sa * {pra} - l_ma * {psa}) / det_a
 i_rb = (l_sb * {prb} - l_mb * {psb}) / det_b
-w_e = {w_e}
+w_e = w_scale * {w}
 {d_psa} = {v_sa} - r_sa * i_sa
 {d_psb} = {v_sb} - r_sb * i_sb
 {d_pra} = neg_r_ra * i_ra - a * w_e * {prb}
 {d_prb} = neg_r_rb * i_rb + (w_e / a) * {pra}
-{d_w} = {d_omega}
+{d_w} = (pole_pairs * (l_mb * i_sb * i_ra - l_ma * i_sa * i_rb) - {t_load}) * inv_j
 """
 _RHS_NAMES = "psa psb pra prb w v_sa v_sb t_load d_psa d_psb d_pra d_prb d_w".split()
 
 
-def render_rhs(speed_convention: str, blocked_rotor: bool, names: str) -> str:
+def render_rhs(names: str) -> str:
     """The right-hand side as statements over a stage's own names.
 
     names lists, space-separated, the five state inputs, the three source
-    samples (v_s_a, v_s_b, t_load) and the five derivative outputs. The
-    speed convention and blocked_rotor are settled here, not per call.
+    samples (v_s_a, v_s_b, t_load) and the five derivative outputs.
     """
-    n = dict(zip(_RHS_NAMES, names.split(), strict=True))
-    n["w_e"] = n["w"] if speed_convention == "electrical_state" else f"pole_pairs * {n['w']}"
-    n["d_omega"] = (
-        "0.0"
-        if blocked_rotor
-        else f"(pole_pairs * (l_mb * i_sb * i_ra - l_ma * i_sa * i_rb) - {n['t_load']}) * inv_j"
-    )
-    return _RHS.format(**n)
+    return _RHS.format(**dict(zip(_RHS_NAMES, names.split(), strict=True)))

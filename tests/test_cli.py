@@ -112,6 +112,46 @@ def test_overflowing_supply_frequency_exits_1_before_the_run(tmp_path, capsys):
     assert rows[2][-1] == "ok"
 
 
+def _refuse_terabytes(monkeypatch):
+    # 1e-11 asks for 6.55 TiB of records, which fails only where the OS
+    # refuses to overcommit; this stand-in for numpy.empty refuses it anywhere.
+    empty = np.empty
+
+    def refuse(shape, *args, **kwargs):
+        if np.prod(shape, dtype=float) > 1e9:
+            raise MemoryError("Unable to allocate 6.55 TiB")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refuse)
+
+
+# 1e-18 asks for 1e18 records, more bytes than numpy can index.
+@pytest.mark.parametrize("step_size", ["1e-18", "1e-11"])
+def test_records_that_cannot_be_allocated_exit_1(tmp_path, capsys, monkeypatch, step_size):
+    if step_size == "1e-11":
+        _refuse_terabytes(monkeypatch)
+    tiny = tmp_path / "tiny.cfg"
+    tiny.write_text(_reference_text().replace("integrator.step_size = 1e-4", f"integrator.step_size = {step_size}"))
+    records = load_config(str(tiny)).integrator.n_steps + 1
+    assert main(["run", str(tiny), "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot allocate") and err.count("\n") == 1
+    assert f"{records} records of 9 floats ({records * 72} bytes)" in err
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize("step_size", ["1e-18", "1e-11"])
+def test_sweep_row_that_cannot_be_allocated_fails_alone(tmp_path, monkeypatch, step_size):
+    if step_size == "1e-11":
+        _refuse_terabytes(monkeypatch)
+    argv = ["sweep", "paper_s3", "--axis", "integrator.step_size", f"--values={step_size},1e-4"]
+    assert main(argv + ["--output-dir", str(tmp_path), "--fields", "final_speed_mech"]) == 0
+    with open(tmp_path / "paper_s3_sweep.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[1][-1].startswith("failed: cannot allocate")
+    assert rows[2][-1] == "ok"
+
+
 def test_numerical_failure_exits_2(tmp_path, capsys):
     blow = tmp_path / "blow.cfg"
     blow.write_text(_reference_text().replace("integrator.step_size = 1e-4", "integrator.step_size = 0.02"))

@@ -17,7 +17,8 @@ from tpim import (
     integrate,
     summarize,
 )
-from tpim.dynamics import TRACE_CHANNELS, compile_derivative, compile_sources
+from tpim.dynamics import TRACE_CHANNELS, _step_loop, compile_derivative, compile_sources
+from tpim.machine import SPEED_CONVENTIONS
 
 from support import (
     SOURCE_SHAPES, T_LOAD, W_SYNC, rated_supply, reference_derivative, sample_load, sample_voltage, scenario,
@@ -264,6 +265,30 @@ def test_blocked_rotor_keeps_speed_at_zero(table1):
     trace = integrate(table1, scenario(duration=0.05, blocked_rotor=True))
     assert np.all(trace.omega_mech == 0.0)
     assert np.max(np.abs(trace.i_sb)) > 1.0  # electrically alive
+
+
+@pytest.mark.parametrize("speed", [60.0, -60.0])
+@pytest.mark.parametrize("convention", SPEED_CONVENTIONS)
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+def test_blocked_rotor_keeps_its_initial_speed(table1, method, convention, speed):
+    # A blocked rotor is a zero 1/J: each stage's speed derivative is a zero,
+    # and a nonzero speed plus a zero keeps every bit of that speed.
+    start = MachineState(0.0, 0.0, 0.0, 0.0, speed)
+    run = scenario(method=method, duration=0.05, initial_state=start, speed_convention=convention,
+                   blocked_rotor=True)
+    trace = integrate(table1, run)
+    shaft = speed * (1.0 / table1.pole_pairs) if convention == "electrical_state" else speed
+    assert np.all(trace.omega_mech == shaft)
+    assert np.any(trace.te > trace.tl) and np.any(trace.te < trace.tl)  # both signs of te - tl
+
+
+def test_one_step_loop_serves_every_speed_convention_and_rotor(table1):
+    # Both settings are machine constants of the loop, not variants of it.
+    _step_loop.cache_clear()
+    for convention in SPEED_CONVENTIONS:
+        for blocked in (False, True):
+            integrate(table1, scenario(duration=1e-3, speed_convention=convention, blocked_rotor=blocked))
+    assert _step_loop.cache_info().currsize == 1
 
 
 def test_speed_conventions_coincide_for_single_pole_pair(table1):

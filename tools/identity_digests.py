@@ -1,21 +1,23 @@
 """Print `sha256  artifact` for every output the bit-identity check compares.
 
-Run it on two checkouts and diff the outputs; identical lines mean identical
-traces, CSV bytes, summaries and `tpim validate` output, and the exit code of
-each command is part of its artifact name. Between them the runs cover every
-generated step loop: rk4 and euler, each speed convention, free and blocked
-rotor, and each kind of supply shape: one harmonic per phase or several,
-zero amplitudes, constant or stepped load. The `validate` outputs cover every
-branch of the rendered config: both supply modes, both load forms and every
-optional key set away from its default. Two RK4 runs put a load step on
-either side of the one-ulp gap between a step's end time and the next
-step's start time. From the root of a checkout:
-
-    python3 tools/identity_digests.py > digests.txt
+Identical lines mean identical traces, CSV bytes, summaries and `tpim
+validate` output, and the exit code of each command is part of its artifact
+name. Between them the runs cover every generated step loop, rk4 and euler
+for each kind of supply shape: one harmonic per phase or several, zero
+amplitudes, constant or stepped load. They also cover each value that the
+run settings give the loop's constants: each speed convention, and free and
+blocked rotor. The `validate` outputs cover every branch of the rendered
+config: both supply modes, both load forms and every optional key set away
+from its default. Two RK4 runs put a load step on either side of the one-ulp
+gap between a step's end time and the next step's start time.
 
 Its output is committed as tools/identity_digests.txt, and
-tests/test_identity.py checks the bundled configs' lines of that file. A
-change that alters an output on purpose writes the file again.
+tests/test_identity.py checks the bundled configs' lines of that file. From
+the root of a checkout, this prints nothing when every output is unchanged:
+
+    python3 tools/identity_digests.py | diff tools/identity_digests.txt -
+
+A change that alters an output on purpose writes the file again.
 
 It imports tpim from `src/` of the checkout it lives in, and the seeded
 configs of `perfbench/workloads.py` (without changing them). Outputs go to a
