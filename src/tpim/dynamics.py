@@ -4,19 +4,20 @@ The production method is classical fourth-order Runge-Kutta; a forward
 Euler stepper is kept alongside as an independent verification oracle and
 for convergence-order measurements. Each runs as one loop per supply
 shape, generated from the right-hand-side template of tpim.machine and the
-sampler template of tpim.excitation, inlined at every stage and sample
-point. The speed convention and a blocked rotor are machine constants of
-that loop (the speed scale w_scale and a zero 1/J), not variants of it.
-RK4 starts each step from the previous step's end sample where the
-two times are the same float. Records go item by item into a channel-major
-buffer, from which the currents and torques are derived on arrays after
-the loop. Both are deterministic: identical inputs give bit-identical
-traces.
+voltage sampler template of tpim.excitation, inlined at every stage and
+sample point. The speed convention, a blocked rotor and the load torque are
+constants of one loop call. Each load segment is stepped at its torque, and
+a step that a breakpoint falls in is split there (Hairer, Norsett and
+Wanner, Solving ODEs I, II.6), so RK4 keeps its order across a load step.
+RK4 starts each step from the previous step's end sample where the two
+times are the same float. Records go item by item into a channel-major
+buffer, from which the other channels are derived on arrays after the
+loop. Both are deterministic: identical inputs give bit-identical traces.
 
 All generated code is compiled here, by one builder: the step loops and
 the templates' one-point forms, compile_derivative and compile_sources.
 Every name a template reads is an argument of the compiled function, but
-cos, isfinite and bisect_right, which it imports when called.
+cos and isfinite, which it imports when called.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 import sys
 import textwrap
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache, partial
 
 import numpy as np
@@ -56,25 +57,6 @@ __all__ = [
 ]
 
 INTEGRATION_METHODS = ("rk4", "euler")
-
-# Column order is the CSV schema and is fixed.
-TRACE_CHANNELS = (
-    "t",
-    "v_sa",
-    "v_sb",
-    "i_sa",
-    "i_sb",
-    "i_ra",
-    "i_rb",
-    "psi_sa",
-    "psi_sb",
-    "psi_ra",
-    "psi_rb",
-    "te",
-    "te_ec",
-    "omega_mech",
-    "tl",
-)
 
 
 class IntegrationError(RuntimeError):
@@ -153,7 +135,8 @@ class SimulationTrace:
     Flux channels are the integrated states; currents and both torque
     channels are recomputed algebraically from the recorded state. The
     omega_mech channel is always shaft speed, whichever speed convention
-    drove the integration.
+    drove the integration. The channels are the fields from t to tl, in the
+    CSV's fixed column order.
     """
 
     t: np.ndarray
@@ -188,46 +171,51 @@ class SimulationTrace:
         return getattr(self, name)
 
 
-# The step loop around one method's step. The step reads the state psa..w
-# and the sources sampled at the step's start (va0, vb0, tl0), and leaves
-# the next state in the same names. Each record is stored item by item
-# through one memoryview per row of records, the channel-major buffer that
-# _derive_trace reads, and the next record's step index is counted down to.
-# On a non-finite state the loop returns the step index, the records filled
-# and that state.
+TRACE_CHANNELS = tuple(f.name for f in fields(SimulationTrace)[:15])
+
+
+# The step loop around one method's step: steps first + 1 .. last of length
+# dt from the time base, at one load torque. A step reads the state psa..w
+# and the voltages sampled at its start (va0, vb0), and leaves the next state
+# in the same names. The next record, at the start or after a step, is stored
+# item by item through one memoryview per row of records, the channel-major
+# buffer that _derive_trace reads. The loop returns at the end or at the
+# first non-finite state: whether it was finite, the time, the next record's
+# index, the records filled and the state.
 _LOOP = """\
 half = 0.5 * dt
 sixth = dt / 6.0
 {views} = map(memoryview, records)
-t = 0.0
+t = base + first * dt
 {sample}\
-filled = 0
+if first == next_record:
+    next_record += every
 {store}\
-next_record = every
-for k in range(1, n_steps + 1):
-    # Step k starts at t = (k - 1) * dt, where the sources were last sampled.
+for k in range(first + 1, last + 1):
+    # Step k starts at t = base + (k - 1) * dt, where the voltages were last sampled.
 {step}\
+    t = base + k * dt
     if not (isfinite(psa) and isfinite(psb) and isfinite(pra) and isfinite(prb) and isfinite(w)):
-        return k, filled, (psa, psb, pra, prb, w)
-    t = k * dt
+        return False, t, next_record, filled, (psa, psb, pra, prb, w)
 {resample}\
     if k == next_record:
         next_record += every
 {store_in_loop}\
+return True, t, next_record, filled, (psa, psb, pra, prb, w)
 """
 _STATES = ("psa", "psb", "pra", "prb", "w")
 # The recorded values, in the row order of records.
-_RECORDED = ("t", "va0", "vb0", "tl0", *_STATES)
+_RECORDED = ("t", "va0", "vb0", *_STATES)
 
 
 def _rk4_step(sample) -> str:
-    step = "t_half = t + half\n" + sample("t_half", "vah vbh tlh")
-    step += "t_end = t + dt\n" + sample("t_end", "va1 vb1 tl1")
-    step += render_rhs("psa psb pra prb w va0 vb0 tl0 a1 b1 c1 d1 e1")
-    stages = ((1, "half", "vah vbh tlh"), (2, "half", "vah vbh tlh"), (3, "dt", "va1 vb1 tl1"))
+    step = "t_half = t + half\n" + sample("t_half", "vah vbh")
+    step += "t_end = t + dt\n" + sample("t_end", "va1 vb1")
+    step += render_rhs("psa psb pra prb w va0 vb0 torque a1 b1 c1 d1 e1")
+    stages = ((1, "half", "vah vbh"), (2, "half", "vah vbh"), (3, "dt", "va1 vb1"))
     for k, scale, sampled in stages:
         step += "".join(f"x_{s} = {s} + {scale} * {d}{k}\n" for s, d in zip(_STATES, "abcde"))
-        step += render_rhs(f"x_psa x_psb x_pra x_prb x_w {sampled} a{k + 1} b{k + 1} c{k + 1} d{k + 1} e{k + 1}")
+        step += render_rhs(f"x_psa x_psb x_pra x_prb x_w {sampled} torque a{k + 1} b{k + 1} c{k + 1} d{k + 1} e{k + 1}")
     return step + "".join(
         f"{s} = {s} + sixth * ({d}1 + 2.0 * ({d}2 + {d}3) + {d}4)\n" for s, d in zip(_STATES, "abcde")
     )
@@ -235,15 +223,16 @@ def _rk4_step(sample) -> str:
 
 def _euler_step() -> str:
     update = "".join(f"{s} = {s} + dt * {d}1\n" for s, d in zip(_STATES, "abcde"))
-    return render_rhs("psa psb pra prb w va0 vb0 tl0 a1 b1 c1 d1 e1") + update
+    return render_rhs("psa psb pra prb w va0 vb0 torque a1 b1 c1 d1 e1") + update
 
 
-def _kernel(name: str, signature: str, body: str):
-    """Compile `def name(signature): body`, the one way generated code is
-    compiled. The body starts by importing cos, isfinite and bisect_right,
-    at call time; every other name it reads must be in the signature."""
-    body = "from bisect import bisect_right\nfrom math import cos, isfinite\n" + body
-    source = f"def {name}({signature}):\n" + textwrap.indent(body, "    ")
+def _kernel(name: str, arguments: list[str], body: str):
+    """Compile `def name(arguments): body`, the one way generated code is
+    compiled. The body starts by importing cos and isfinite, at call time;
+    every other name it reads must be one of the arguments, given as
+    comma-separated groups (empty groups are dropped)."""
+    body = "from math import cos, isfinite\n" + body
+    source = f"def {name}({', '.join(filter(None, arguments))}):\n" + textwrap.indent(body, "    ")
     scope = {}
     exec(compile(source, f"<tpim {name}>", "exec"), scope)
     return scope[name]
@@ -258,45 +247,72 @@ def compile_derivative(p: MachineParameters, speed_convention: str = "mechanical
     same bits as they do."""
     constants = kernel_constants(p, speed_convention, blocked_rotor)
     body = render_rhs(" ".join(_RHS_NAMES)) + "return d_psa, d_psb, d_pra, d_prb, d_w\n"
-    return partial(_kernel("deriv", f"{_KERNEL_CONSTANTS}, {', '.join(_RHS_NAMES[:8])}", body), *constants)
+    return partial(_kernel("deriv", [_KERNEL_CONSTANTS, ", ".join(_RHS_NAMES[:8])], body), *constants)
 
 
-def compile_sources(supply: VoltageSource, load: LoadProfile):
-    """A (v_alpha, v_beta, load_torque) sampler of times t >= 0: the sampler
-    template of tpim.excitation rendered at one point, so it gives the bits
-    the step loops compute."""
-    shape, values = sample_binding(supply, load)
-    body = render_sample(shape, "t", "v_sa v_sb t_load") + "return v_sa, v_sb, t_load\n"
-    return partial(_kernel("sources", f"{sample_arguments(shape)}, t", body), *values)
+def compile_sources(supply: VoltageSource):
+    """A (v_alpha, v_beta) sampler of times t >= 0: the sampler template of
+    tpim.excitation rendered at one point, so it gives the bits the step
+    loops compute."""
+    shape, values = sample_binding(supply)
+    body = render_sample(shape, "t", "v_sa v_sb") + "return v_sa, v_sb\n"
+    return partial(_kernel("sources", [sample_arguments(shape), "t"], body), *values)
 
 
 @cache
-def _step_loop(method: str, shape: tuple[int, int, bool]):
+def _step_loop(method: str, shape: tuple[int, int]):
     """The generated loop of one method and supply shape. Its arguments are
-    the machine constants, the records buffer, the initial state, the run's
-    settings and then the source values."""
+    the machine constants, the records buffer, the initial state, the call's
+    settings, the load torque and then the voltage values."""
     sample = partial(render_sample, shape)
     indent = partial(textwrap.indent, prefix="    ")
-    start = sample("t", "va0 vb0 tl0")
+    start = sample("t", "va0 vb0")
     if method == "rk4":
         step = _rk4_step(sample)
         # The sampler is a pure function of one float: where t is the float
         # the last stage sampled at, its sample is reused, bit for bit.
-        resample = "if t == t_end:\n    va0, vb0, tl0 = va1, vb1, tl1\nelse:\n" + indent(start)
+        resample = "if t == t_end:\n    va0, vb0 = va1, vb1\nelse:\n" + indent(start)
     else:
         step, resample = _euler_step(), start
     store = "".join(f"r_{v}[filled] = {v}\n" for v in _RECORDED) + "filled += 1\n"
     body = _LOOP.format(
-        views=", ".join(f"r_{v}" for v in _RECORDED), sample=start, store=store, step=indent(step),
+        views=", ".join(f"r_{v}" for v in _RECORDED), sample=start, store=indent(store), step=indent(step),
         resample=indent(resample), store_in_loop=indent(indent(store)),
     )
-    settings = "records, psa, psb, pra, prb, w, dt, n_steps, every"
-    return _kernel("step_loop", f"{_KERNEL_CONSTANTS}, {settings}, {sample_arguments(shape)}", body)
+    settings = "records, psa, psb, pra, prb, w, base, dt, first, last, next_record, filled, every, torque"
+    return _kernel("step_loop", [_KERNEL_CONSTANTS, settings, sample_arguments(shape)], body)
+
+
+def _load_pieces(load: LoadProfile, dt: float, n_steps: int):
+    """The step loop calls of a run, as (torque, base, step, first, last,
+    records): the runs of whole grid steps inside a load segment, which record
+    (an empty run records at its start), and the substeps of a grid step that
+    breakpoints fall in, one per segment it crosses, which do not. Breakpoints
+    at or past the last grid time change only the recorded load channel."""
+    end = n_steps * dt
+    (_, torque), *changes = load.breakpoints
+    k, t = 0, 0.0  # the time reached: the grid time k * dt, or inside step k + 1
+    for start, next_torque in [*(change for change in changes if change[0] < end), (end, None)]:
+        j = round(start / dt)
+        j -= j * dt > start  # so that j * dt <= start < (j + 1) * dt
+        if t != k * dt and j > k:
+            yield torque, t, (k + 1) * dt - t, 0, 1, False
+            k, t = k + 1, (k + 1) * dt
+        if t == k * dt:
+            yield torque, 0.0, dt, k, j, True
+            k, t = j, j * dt
+        if t < start:
+            yield torque, t, start - t, 0, 1, False
+            t = start
+        torque = next_torque
 
 
 def _derive_trace(p: MachineParameters, scenario: Scenario, records: np.ndarray) -> SimulationTrace:
-    """Build the trace from (t, v_sa, v_sb, tl, 5 states) rows, deriving the rest on arrays."""
-    t, v_sa, v_sb, tl, psa, psb, pra, prb, w = records
+    """Build the trace from (t, v_sa, v_sb, 5 states) rows, deriving the rest on arrays."""
+    t, v_sa, v_sb, psa, psb, pra, prb, w = records
+    # The load at each record time, right-continuous: the last breakpoint at or before it.
+    starts, torques = map(np.array, zip(*scenario.load.breakpoints))
+    tl = torques[np.searchsorted(starts, t, side="right") - 1]
     i_sa, i_sb, i_ra, i_rb = currents_from_fluxes(p, psa, psb, pra, prb)
     if scenario.speed_convention == "electrical_state":
         w = w * (1.0 / p.pole_pairs)  # recorded speed is always shaft speed
@@ -322,21 +338,26 @@ def integrate(p: MachineParameters, scenario: Scenario) -> SimulationTrace:
     the first step.
     """
     cfg = scenario.integrator
-    every = cfg.record_every
-    shape, source_values = sample_binding(scenario.supply, scenario.load)
-    # One column per record: the time, the sources sampled there and the states.
-    n_records = cfg.n_steps // every + 1
+    shape, voltages = sample_binding(scenario.supply)
+    # One column per record: the time, the voltages sampled there and the states.
+    n_records = cfg.n_steps // cfg.record_every + 1
     try:
         records = np.empty((len(_RECORDED), n_records))
     except (MemoryError, ValueError) as exc:  # numpy's ValueError: the size overflows its index
         raise MemoryError(f"cannot allocate {n_records} records of {len(_RECORDED)} floats "
                           f"({n_records * len(_RECORDED) * 8} bytes) for {cfg.n_steps} steps") from exc
-    failure = _step_loop(cfg.method, shape)(
-        *kernel_constants(p, scenario.speed_convention, scenario.blocked_rotor), records,
-        *scenario.initial_state.as_tuple(), cfg.step_size, cfg.n_steps, every, *source_values,
-    )
-    if failure is not None:
-        k, filled, state = failure
-        partial_trace = _derive_trace(p, scenario, records[:, :filled])
-        raise IntegrationError(k * cfg.step_size, MachineState(*state), partial_trace)
+    loop = partial(_step_loop(cfg.method, shape),
+                   *kernel_constants(p, scenario.speed_convention, scenario.blocked_rotor), records)
+    state, next_record, filled = scenario.initial_state.as_tuple(), 0, 0
+    for torque, base, step, first, last, recording in _load_pieces(scenario.load, cfg.step_size, cfg.n_steps):
+        # A substep is given the record index -1, which no step reaches.
+        finite, t, after, filled, state = loop(
+            *state, base, step, first, last, next_record if recording else -1, filled, cfg.record_every,
+            torque, *voltages,
+        )
+        if not finite:
+            partial_trace = _derive_trace(p, scenario, records[:, :filled])
+            raise IntegrationError(t, MachineState(*state), partial_trace)
+        if recording:
+            next_record = after
     return _derive_trace(p, scenario, records)

@@ -2,10 +2,13 @@
 
 Voltages are harmonic series evaluated exactly at any time (no lookup
 tables, no interpolation), so integrator stages can sample mid-step points
-analytically. Loads are right-continuous piecewise-constant profiles. The
-sampler is written once, as a statement template that tpim.dynamics
-compiles, inline at every sample point of a step loop or at one point as
-compile_sources; the values the template reads are passed as arguments.
+analytically. The voltage sampler is written once, as a statement template
+that tpim.dynamics compiles, inline at every sample point of a step loop or
+at one point as compile_sources; the values the template reads are passed
+as arguments. Loads are right-continuous piecewise-constant profiles, which
+no template reads: tpim.dynamics integrates each of their segments at its
+constant torque, and derives the recorded load channel from the record
+times.
 """
 
 from __future__ import annotations
@@ -113,43 +116,37 @@ def quadrature_supply(v_rms: float, frequency: float, amplitude_is_peak: bool = 
     )
 
 
-# The one definition of the source sampler: the kernels of tpim.dynamics
-# render it at every sample point, and import the cos and bisect_right it
-# calls. A supply's shape is (harmonics on alpha, on beta, stepped load).
+# The one definition of the voltage sampler: the kernels of tpim.dynamics
+# render it at every sample point, and import the cos it calls. A supply's
+# shape is (harmonics on alpha, harmonics on beta).
 _TERM = "amp_{p}{i} * cos(w_{p}{i} * {time} + ph_{p}{i})"
 
 
-def sample_arguments(shape: tuple[int, int, bool]) -> str:
+def sample_arguments(shape: tuple[int, int]) -> str:
     """The names render_sample reads, in the order of sample_binding's values."""
-    harmonics = [f"w_{p}{i}, amp_{p}{i}, ph_{p}{i}" for p, n in zip("ab", shape) for i in range(n)]
-    return ", ".join([*harmonics, "starts, torques" if shape[2] else "torque"])
+    return ", ".join(f"w_{p}{i}, amp_{p}{i}, ph_{p}{i}" for p, n in zip("ab", shape) for i in range(n))
 
 
-def sample_binding(supply: VoltageSource, load: LoadProfile) -> tuple[tuple, tuple]:
-    """The shape of (supply, load) and the values of sample_arguments(shape)."""
+def sample_binding(supply: VoltageSource) -> tuple[tuple[int, int], tuple]:
+    """The shape of supply and the values of sample_arguments(shape)."""
     w0 = _TWO_PI * supply.frequency
-    values = [v for h in supply.alpha + supply.beta for v in (w0 * h.order, h.amplitude, h.phase)]
-    starts, torques = zip(*load.breakpoints)
-    stepped = len(starts) > 1
-    values += [starts, torques] if stepped else [torques[0]]
-    return (len(supply.alpha), len(supply.beta), stepped), tuple(values)
+    values = tuple(v for h in supply.alpha + supply.beta for v in (w0 * h.order, h.amplitude, h.phase))
+    return (len(supply.alpha), len(supply.beta)), values
 
 
-def render_sample(shape: tuple[int, int, bool], time: str, names: str) -> str:
-    """Statements that assign the names (v_s_a v_s_b t_load) their values at time.
+def render_sample(shape: tuple[int, int], time: str, names: str) -> str:
+    """Statements that assign the names (v_s_a v_s_b) their values at time.
 
     time names one float, so that each harmonic multiplies it whole. One
-    harmonic per phase under a constant load renders v = amp * cos(...); other
-    shapes sum from 0.0 (0.0 + -0.0 is 0.0, for a zero amplitude) one statement
-    per term, left to right, so no harmonic count nests an expression.
+    harmonic per phase renders v = amp * cos(...); other shapes sum from 0.0
+    (0.0 + -0.0 is 0.0, for a zero amplitude) one statement per term, left to
+    right, so no harmonic count nests an expression.
     """
-    v_sa, v_sb, t_load = names.split()
     lines = []
-    for v, p, count in zip((v_sa, v_sb), "ab", shape):
+    for v, p, count in zip(names.split(), "ab", shape, strict=True):
         terms = [_TERM.format(p=p, i=i, time=time) for i in range(count)]
-        if shape == (1, 1, False):
+        if shape == (1, 1):
             lines.append(f"{v} = {terms[0]}")
         else:
             lines += [f"{v} = 0.0", *(f"{v} = {v} + {term}" for term in terms)]
-    lines.append(f"{t_load} = " + (f"torques[bisect_right(starts, {time}) - 1]" if shape[2] else "torque"))
     return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ _RHS reads passed as arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property
 
 __all__ = [
@@ -96,13 +96,7 @@ class MachineState:
         return cls(0.0, 0.0, 0.0, 0.0, 0.0)
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (
-            self.psi_s_alpha,
-            self.psi_s_beta,
-            self.psi_r_alpha,
-            self.psi_r_beta,
-            self.omega_mech,
-        )
+        return astuple(self)
 
 
 def validate_parameters(params: MachineParameters) -> MachineParameters:
@@ -113,21 +107,14 @@ def validate_parameters(params: MachineParameters) -> MachineParameters:
     passed this check (the determinants must be positive).
     """
     p = params
-    for name in ("r_s_alpha", "r_s_beta", "r_r_alpha", "r_r_beta"):
-        value = getattr(p, name)
-        if not value > 0.0:
-            raise ParameterError(f"resistance must be positive: {name} = {value}")
-    for name in (
-        "l_s_alpha",
-        "l_s_beta",
-        "l_r_alpha",
-        "l_r_beta",
-        "l_m_alpha",
-        "l_m_beta",
+    for kind, names in (
+        ("resistance", ("r_s_alpha", "r_s_beta", "r_r_alpha", "r_r_beta")),
+        ("inductance", ("l_s_alpha", "l_s_beta", "l_r_alpha", "l_r_beta", "l_m_alpha", "l_m_beta")),
     ):
-        value = getattr(p, name)
-        if not value > 0.0:
-            raise ParameterError(f"inductance must be positive: {name} = {value}")
+        for name in names:
+            value = getattr(p, name)
+            if not value > 0.0:
+                raise ParameterError(f"{kind} must be positive: {name} = {value}")
     if not p.turns_ratio_a > 0.0:
         raise ParameterError(
             f"turns ratio must be positive: turns_ratio_a = {p.turns_ratio_a}"
@@ -139,26 +126,16 @@ def validate_parameters(params: MachineParameters) -> MachineParameters:
     if not p.inertia_j > 0.0:
         raise ParameterError(f"inertia must be positive: inertia_j = {p.inertia_j}")
 
-    if not p.det_alpha > 0.0:
-        raise ParameterError(
-            "leakage condition violated: "
-            f"l_s_alpha*l_r_alpha - l_m_alpha**2 = {p.det_alpha:.6g} (must be > 0)"
-        )
-    if not p.det_beta > 0.0:
-        raise ParameterError(
-            "leakage condition violated: "
-            f"l_s_beta*l_r_beta - l_m_beta**2 = {p.det_beta:.6g} (must be > 0)"
-        )
-    if p.l_m_alpha > min(p.l_s_alpha, p.l_r_alpha):
-        raise ParameterError(
-            "magnetizing inductance exceeds self inductance: "
-            f"l_m_alpha = {p.l_m_alpha} > {min(p.l_s_alpha, p.l_r_alpha)}"
-        )
-    if p.l_m_beta > min(p.l_s_beta, p.l_r_beta):
-        raise ParameterError(
-            "magnetizing inductance exceeds self inductance: "
-            f"l_m_beta = {p.l_m_beta} > {min(p.l_s_beta, p.l_r_beta)}"
-        )
+    for axis in ("alpha", "beta"):
+        det = getattr(p, f"det_{axis}")
+        if not det > 0.0:
+            raise ParameterError(
+                f"leakage condition violated: l_s_{axis}*l_r_{axis} - l_m_{axis}**2 = {det:.6g} (must be > 0)"
+            )
+    for axis in ("alpha", "beta"):
+        l_m, bound = getattr(p, f"l_m_{axis}"), min(getattr(p, f"l_s_{axis}"), getattr(p, f"l_r_{axis}"))
+        if l_m > bound:
+            raise ParameterError(f"magnetizing inductance exceeds self inductance: l_m_{axis} = {l_m} > {bound}")
 
     return params
 

@@ -8,6 +8,7 @@ operates on the CSV; this package never imports a plotting library.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
 from .analysis import (
@@ -53,6 +54,12 @@ def write_trace_csv(trace: SimulationTrace, path) -> None:
 REPORT_SPEED_TOL = 0.05
 
 
+def _report_lines(report, prefix: str = "") -> list[str]:
+    """`name: repr(value)` for each field of a report but the first, which
+    says what the report is (steady_state_reached, torque_channel)."""
+    return [f"{prefix}{f.name}: {getattr(report, f.name)!r}" for f in fields(report)[1:]]
+
+
 def write_summary(
     trace: SimulationTrace,
     p: MachineParameters,
@@ -72,22 +79,9 @@ def write_summary(
         lines.append(f"steady_state_note: {exc}")
     else:
         lines.append("steady_state_reached: true")
-        lines.append(f"settle_time: {report.settle_time!r}")
-        lines.append(f"final_speed_mech: {report.final_speed_mech!r}")
-        lines.append(f"slip: {report.slip!r}")
-        lines.append(f"mean_torque: {report.mean_torque!r}")
-        lines.append(f"torque_ripple_pp: {report.torque_ripple_pp!r}")
-        lines.append(f"stator_current_rms_alpha: {report.stator_current_rms_alpha!r}")
-        lines.append(f"stator_current_rms_beta: {report.stator_current_rms_beta!r}")
+        lines += _report_lines(report)
     for channel in ("te_ec", "te"):
-        audit = energy_audit(trace, p, torque_channel=channel)
-        prefix = f"audit_{channel}"
-        lines.append(f"{prefix}.stator_input_energy: {audit.stator_input_energy!r}")
-        lines.append(f"{prefix}.stator_copper_loss: {audit.stator_copper_loss!r}")
-        lines.append(f"{prefix}.rotor_copper_loss: {audit.rotor_copper_loss!r}")
-        lines.append(f"{prefix}.field_energy_delta: {audit.field_energy_delta!r}")
-        lines.append(f"{prefix}.mechanical_energy_out: {audit.mechanical_energy_out!r}")
-        lines.append(f"{prefix}.residual: {audit.residual!r}")
+        lines += _report_lines(energy_audit(trace, p, torque_channel=channel), f"audit_{channel}.")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -95,6 +89,7 @@ _PLOT_TEMPLATE = '''#!/usr/bin/env python3
 """Render the standard channel plots from {csv_name} (written next to it)."""
 
 import csv
+from dataclasses import fields
 from pathlib import Path
 
 import matplotlib

@@ -3,9 +3,10 @@
 reference_derivative restates the right-hand side that
 tpim.dynamics.compile_derivative compiles, and reference_steady_state the
 all-windows formula that detect_steady_state evaluates by a faster route.
-sample_voltage and sample_load evaluate a supply and a load profile term
-by term, the reference for the sampler that tpim.dynamics.compile_sources
-compiles; fluxes_from_currents is the forward map that
+sample_voltage evaluates a supply term by term, the reference for the
+sampler that tpim.dynamics.compile_sources compiles, and sample_load a load
+profile, the reference for the recorded load channel and for the torque of
+each load segment; fluxes_from_currents is the forward map that
 currents_from_fluxes inverts. The phasor solver here is a test-only
 oracle: it computes the single-frequency steady state of the same state
 equations by a complex 4x4 solve, with no time stepping, so it verifies
@@ -75,10 +76,10 @@ STATE_CHANNELS = ("psi_sa", "psi_sb", "psi_ra", "psi_rb", "omega_mech")
 _TWO_PI = 2.0 * math.pi
 
 
-# Supplies and loads of each shape a generated step loop renders apart:
-# one harmonic per phase under a constant load, several harmonics, a load
-# that steps (at t = 2e-3 and, off every sample of a dt = 2e-3 run, at
-# 3.3e-3) and zero amplitudes, whose cos terms can be -0.0.
+# Supplies of each shape a generated step loop renders apart, one harmonic
+# per phase or several, and zero amplitudes, whose cos terms can be -0.0;
+# and a load that steps at t = 2e-3 and, inside the second step of a
+# dt = 2e-3 run, at 3.3e-3.
 _Q = 0.5 * math.pi
 SOURCE_SHAPES = {
     "quadrature": (quadrature_supply(V_RMS, F_SUPPLY), LoadProfile.constant(T_LOAD)),

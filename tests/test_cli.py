@@ -136,7 +136,7 @@ def test_records_that_cannot_be_allocated_exit_1(tmp_path, capsys, monkeypatch, 
     assert main(["run", str(tiny), "--output-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cannot allocate") and err.count("\n") == 1
-    assert f"{records} records of 9 floats ({records * 72} bytes)" in err
+    assert f"{records} records of 8 floats ({records * 64} bytes)" in err
     assert list(tmp_path.glob("*.csv")) == []
 
 

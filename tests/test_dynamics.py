@@ -86,11 +86,11 @@ def test_rk4_step_matches_manual_stage_assembly(table1):
     # phase, from a state with every channel alive.
     dt = 1e-4
     trace = integrate(table1, scenario(dt=dt, duration=124 * dt))
-    sources = compile_sources(rated_supply(), LoadProfile.constant(T_LOAD))
+    sources = compile_sources(rated_supply())
     t = 123 * dt
 
     def deriv_at(x, tau):
-        return reference_derivative(table1, x, *sources(tau))
+        return reference_derivative(table1, x, *sources(tau), T_LOAD)
 
     x = state_at(trace, 123)
     k1 = deriv_at(x, t)
@@ -113,25 +113,34 @@ def test_generated_loop_matches_derivative_stepped_by_hand(table1, method, conve
     dt = 2e-3  # large steps, so that a reordered sum shows in the state
     start = MachineState(0.4, -0.3, 0.35, 0.2, 60.0)
     deriv = compile_derivative(table1, convention, blocked)
-    half, sixth = 0.5 * dt, dt / 6.0
+
+    def advance(x, t, h, torque):
+        """One step of length h from time t, at one load torque."""
+        k1 = deriv(*x, *sources(t), torque)
+        if method == "euler":
+            return tuple(xi + h * d1 for xi, d1 in zip(x, k1))
+        half = 0.5 * h
+        k2 = deriv(*(xi + half * d for xi, d in zip(x, k1)), *sources(t + half), torque)
+        k3 = deriv(*(xi + half * d for xi, d in zip(x, k2)), *sources(t + half), torque)
+        k4 = deriv(*(xi + h * d for xi, d in zip(x, k3)), *sources(t + h), torque)
+        return tuple(
+            xi + h / 6.0 * (d1 + 2.0 * (d2 + d3) + d4) for xi, d1, d2, d3, d4 in zip(x, k1, k2, k3, k4)
+        )
+
     for shape, (supply, load) in SOURCE_SHAPES.items():
-        sources = compile_sources(supply, load)
+        sources = compile_sources(supply)
+        # Each step as its (start, length, torque) pieces. The load that steps
+        # changes torque at the end of step 1 and inside step 2, which splits
+        # there into one substep on each side of 3.3e-3.
+        steps = [[(k * dt, dt, sample_load(load, k * dt))] for k in range(3)]
+        if shape == "load_steps":
+            steps[1] = [(dt, 3.3e-3 - dt, 0.7), (3.3e-3, 2 * dt - 3.3e-3, T_LOAD)]
         x = start.as_tuple()
-        expected = [(*sources(0.0), *x)]
-        for k in range(3):
-            t = k * dt
-            k1 = deriv(*x, *sources(t))
-            if method == "euler":
-                x = tuple(xi + dt * d1 for xi, d1 in zip(x, k1))
-            else:
-                k2 = deriv(*(xi + half * d for xi, d in zip(x, k1)), *sources(t + half))
-                k3 = deriv(*(xi + half * d for xi, d in zip(x, k2)), *sources(t + half))
-                k4 = deriv(*(xi + dt * d for xi, d in zip(x, k3)), *sources(t + dt))
-                x = tuple(
-                    xi + sixth * (d1 + 2.0 * (d2 + d3) + d4)
-                    for xi, d1, d2, d3, d4 in zip(x, k1, k2, k3, k4)
-                )
-            expected.append((*sources((k + 1) * dt), *x))
+        expected = [(*sources(0.0), sample_load(load, 0.0), *x)]
+        for k, pieces in enumerate(steps):
+            for piece in pieces:
+                x = advance(x, *piece)
+            expected.append((*sources((k + 1) * dt), sample_load(load, (k + 1) * dt), *x))
 
         run = scenario(
             method=method, dt=dt, duration=3 * dt, initial_state=start,
@@ -200,8 +209,9 @@ def test_sources_sampled_once_per_grid_time(table1, monkeypatch, method, per_ste
 def test_rk4_end_sample_reuse_matches_reference_samplers(table1, on_grid):
     # Step k ends at (k - 1) * dt + dt, which is not always the float k * dt
     # that starts step k + 1: at dt = 1e-4 and k = 1003 the end is
-    # 0.10030000000000001. A load step there is read at the end of step k but
-    # not at its record, which must sample at k * dt again.
+    # 0.10030000000000001. The record at k * dt must sample the voltages there
+    # again, and read the load at k * dt, on whichever side of that one-ulp
+    # gap the load steps.
     dt, k = 1e-4, 1003
     end = (k - 1) * dt + dt
     assert end != k * dt
@@ -261,6 +271,18 @@ def test_nonfinite_state_raises_with_partial_trace(table1):
         assert np.array_equal(exc.partial_trace.channel(name), complete.channel(name)), name
 
 
+def test_nonfinite_state_in_a_split_step_raises_at_the_substep_end(table1):
+    # The step from 0.04 to 0.06 s splits at the load step; its first substep
+    # already goes non-finite, and substeps record nothing.
+    load = LoadProfile(((0.0, T_LOAD), (0.05, 0.5)))
+    with pytest.raises(IntegrationError) as err:
+        integrate(table1, dataclasses.replace(scenario(dt=0.02, duration=1.0), load=load))
+    assert err.value.time == 0.05
+    complete = integrate(table1, scenario(dt=0.02, duration=0.04))
+    for name in TRACE_CHANNELS:
+        assert np.array_equal(err.value.partial_trace.channel(name), complete.channel(name)), name
+
+
 def test_blocked_rotor_keeps_speed_at_zero(table1):
     trace = integrate(table1, scenario(duration=0.05, blocked_rotor=True))
     assert np.all(trace.omega_mech == 0.0)
@@ -289,6 +311,17 @@ def test_one_step_loop_serves_every_speed_convention_and_rotor(table1):
         for blocked in (False, True):
             integrate(table1, scenario(duration=1e-3, speed_convention=convention, blocked_rotor=blocked))
     assert _step_loop.cache_info().currsize == 1
+
+
+def test_one_step_loop_serves_constant_and_stepped_loads(table1):
+    # The load torque is an argument of the loop, constant over one call.
+    _step_loop.cache_clear()
+    integrate(table1, scenario(duration=1e-3))
+    stepped = LoadProfile(((0.0, 0.4), (2e-4, 0.7), (3.5e-4, T_LOAD)))
+    integrate(table1, dataclasses.replace(scenario(duration=1e-3), load=stepped))
+    assert _step_loop.cache_info().currsize == 1
+    _step_loop("rk4", (1, 1))  # the key is the method and the harmonics per phase
+    assert _step_loop.cache_info()[:2] == (2, 1)  # hits, misses
 
 
 def test_speed_conventions_coincide_for_single_pole_pair(table1):
@@ -370,6 +403,71 @@ def test_rk4_self_convergence_is_fourth_order(table1):
     d2 = np.max(np.abs(ends[4e-4] - ends[2e-4]) / scale)
     order = math.log2(d1 / d2)
     assert order >= 3.5, f"self-convergence order {order:.2f}"
+
+
+# Load steps from 0.4 N*m to rated load during the run-up, on grids of
+# 2^-11, 2^-12 and 2^-13 s, whose times are exact: 2^-4 s is on every grid,
+# and the other breakpoints fall inside a step of every grid.
+_GRID_STEP = 2.0**-4
+_FINEST = 2.0**-13
+LOAD_STEPS = {
+    "on_grid": ((_GRID_STEP, T_LOAD),),
+    "off_grid": ((_GRID_STEP + 0.3 * _FINEST, T_LOAD),),
+    "two_in_one_step": ((_GRID_STEP + 0.2 * _FINEST, 0.7), (_GRID_STEP + 0.7 * _FINEST, T_LOAD)),
+}
+
+
+@pytest.mark.parametrize("steps", LOAD_STEPS.values(), ids=LOAD_STEPS.keys())
+def test_rk4_self_convergence_is_fourth_order_across_load_steps(table1, steps):
+    """Each load segment is stepped at its own torque, and a step that a
+    breakpoint falls in is split there, so the order is that of a constant
+    load (the bound of the test above)."""
+    load = LoadProfile(((0.0, 0.4), *steps))
+    dts = (4 * _FINEST, 2 * _FINEST, _FINEST)
+    ends = {dt: _end_state(integrate(table1, dataclasses.replace(scenario(dt=dt, duration=0.125), load=load)))
+            for dt in dts}
+    scale = np.abs(ends[_FINEST]) + 1e-12
+    d1 = np.max(np.abs(ends[dts[0]] - ends[dts[1]]) / scale)
+    d2 = np.max(np.abs(ends[dts[1]] - ends[dts[2]]) / scale)
+    order = math.log2(d1 / d2)
+    assert order >= 3.5, f"self-convergence order {order:.2f}"
+
+
+_DT = 1e-4
+LOAD_EDGES = {
+    "first_half_of_first_step": (LoadProfile(((0.0, 0.4), (0.3 * _DT, T_LOAD))), 10, 1),
+    "at_the_duration": (LoadProfile(((0.0, 0.4), (10 * _DT, T_LOAD))), 10, 1),
+    "past_the_duration": (LoadProfile(((0.0, 0.4), (0.5, T_LOAD))), 10, 1),
+    "zero_duration": (LoadProfile(((0.0, 0.4), (0.5 * _DT, 0.7), (_DT, T_LOAD))), 0, 1),
+    "on_a_record_step": (LoadProfile(((0.0, 0.4), (6 * _DT, 0.7), (7.5 * _DT, T_LOAD))), 11, 3),
+}
+
+
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+@pytest.mark.parametrize("load, n_steps, every", LOAD_EDGES.values(), ids=LOAD_EDGES.keys())
+def test_load_steps_at_the_edges_of_the_grid(table1, method, load, n_steps, every):
+    # Substeps around a breakpoint record nothing, so every record sits on
+    # the grid, once, and reads the load at its own time.
+    run = dataclasses.replace(
+        scenario(method=method, duration=n_steps * _DT, record_every=every), load=load
+    )
+    assert run.integrator.n_steps == n_steps
+    trace = integrate(table1, run)
+    grid = range(0, n_steps + 1, every)
+    assert len(trace) == len(grid)
+    assert trace.t.tolist() == [k * _DT for k in grid]
+    assert trace.tl.tolist() == [sample_load(load, k * _DT) for k in grid]
+
+
+@pytest.mark.parametrize("start", [10 * _DT, 0.5], ids=["at_the_duration", "past_the_duration"])
+def test_load_step_from_the_last_record_on_changes_only_the_load_channel(table1, start):
+    constant = integrate(table1, scenario(duration=10 * _DT, load_torque=0.4))
+    load = LoadProfile(((0.0, 0.4), (start, T_LOAD)))
+    stepped = integrate(table1, dataclasses.replace(scenario(duration=10 * _DT), load=load))
+    for name in TRACE_CHANNELS:
+        if name != "tl":
+            assert np.array_equal(stepped.channel(name), constant.channel(name)), name
+    assert stepped.tl[-1] == (T_LOAD if start == 10 * _DT else 0.4)
 
 
 def test_final_speed_robust_to_step_halving(table1, rated_trace):

@@ -3,13 +3,15 @@
 Identical lines mean identical traces, CSV bytes, summaries and `tpim
 validate` output, and the exit code of each command is part of its artifact
 name. Between them the runs cover every generated step loop, rk4 and euler
-for each kind of supply shape: one harmonic per phase or several, zero
-amplitudes, constant or stepped load. They also cover each value that the
-run settings give the loop's constants: each speed convention, and free and
-blocked rotor. The `validate` outputs cover every branch of the rendered
-config: both supply modes, both load forms and every optional key set away
-from its default. Two RK4 runs put a load step on either side of the one-ulp
-gap between a step's end time and the next step's start time.
+for each kind of supply shape: one harmonic per phase or several, and zero
+amplitudes. They also cover each value that the run settings give the
+loop's constants: each speed convention, and free and blocked rotor. Both
+methods run a constant and a stepped load, with breakpoints on the step grid
+and inside a step, which splits there. The `validate` outputs cover every
+branch of the rendered config: both supply modes, both load forms and every
+optional key set away from its default. Two RK4 runs put a load step on
+either side of the one-ulp gap between a step's end time and the next
+step's start time.
 
 Its output is committed as tools/identity_digests.txt, and
 tests/test_identity.py checks the bundled configs' lines of that file. From
@@ -115,8 +117,8 @@ def digests(work: Path):
             **harmonics(three, three_beta, "0.0:0.4, 0.02:0.7, 0.0350003:0.9", "0.05"), **euler
         ),
         # RK4 starts step k + 1 from step k's end sample where (k - 1) * dt + dt
-        # is the float k * dt. At k = 1003 it is not: a load step at k * dt,
-        # and one at (k - 1) * dt + dt, one ulp later.
+        # is the float k * dt. At k = 1003 it is not: a load step at k * dt, on
+        # the grid, and one at (k - 1) * dt + dt, one ulp later, inside step k + 1.
         "rk4_load_step_at_k_dt": config_text(**stepped(repr(1003 * 1e-4))),
         "rk4_load_step_past_k_dt": config_text(**stepped(repr(1002 * 1e-4 + 1e-4))),
     }
