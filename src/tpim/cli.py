@@ -1,9 +1,13 @@
 """Command-line interface: run, validate and sweep simulation configs.
 
 Exit codes are part of the contract: 0 success, 1 configuration/validation
-failure or records that do not fit in memory, 2 numerical failure
-(non-finite state, timestamp on stderr; `run` also writes the trace
-recorded up to the failure as <prefix>_partial_trace.csv).
+failure, records that do not fit in memory or a `sweep` worker that died,
+2 numerical failure (non-finite state, timestamp on stderr; `run` also
+writes the trace recorded up to the failure as <prefix>_partial_trace.csv).
+
+`sweep` runs its rows in forked workers, one per CPU the process may use
+(`taskset` limits them), and writes them in value order with the same bytes.
+On Python 3.12 and later `fork` warns of numpy's thread; workers call no BLAS.
 """
 
 from __future__ import annotations
@@ -11,8 +15,11 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
+from contextlib import ExitStack
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from .analysis import SteadyStateNotReachedError, TraceTooShortError, SummaryReport, summarize
@@ -207,14 +214,27 @@ def _sweep_row(
 
 def _cmd_sweep(args) -> int:
     base, values, fields = _parse_sweep(args)
-    directory = _out_dir(base)
-    out_path = directory / f"{base.output.prefix}_sweep.csv"
-    with open(out_path, "w", newline="") as f:
+    out_path = _out_dir(base) / f"{base.output.prefix}_sweep.csv"
+    # Imported here: at module top they add import time and memory to every command.
+    import multiprocessing
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+    row = partial(_sweep_row, base, args.axis, fields=fields, speed_tol=args.speed_tol)
+    workers = min(len(values), len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
+    with open(out_path, "w", newline="") as f, ExitStack() as stack:
+        rows = map(row, values)
+        if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+            pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+            stack.callback(pool.shutdown, cancel_futures=True)  # an error drops the queued rows
+            rows = pool.map(row, values)
         writer = csv.writer(f)
         writer.writerow([args.axis, *fields, "status"])
-        for value in values:
-            cells, status = _sweep_row(base, args.axis, value, fields, args.speed_tol)
-            writer.writerow([repr(value), *cells, status])
+        try:
+            for value in values:
+                cells, status = next(rows)
+                writer.writerow([repr(value), *cells, status])
+        except BrokenExecutor as exc:
+            print(f"error: sweep worker died; no row from {args.axis} = {value!r} on: {exc}", file=sys.stderr)
+            return EXIT_INVALID
     print(out_path)
     return EXIT_OK
 

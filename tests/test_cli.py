@@ -1,13 +1,18 @@
 """CLI contract: files written, schemas, exit codes."""
 
 import csv
+import multiprocessing
+import os
 import subprocess
 import sys
+import time
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tpim
 from tpim import TRACE_CHANNELS, integrate, load_config
 from tpim.cli import main
 from tpim.config import build_scenario
@@ -280,6 +285,97 @@ def test_sweep_invalid_first_value_is_a_failed_row(tmp_path):
         rows = list(csv.reader(f))
     assert rows[1][-1].startswith("failed:")
     assert rows[2][-1] == "ok"
+
+
+def _sweep_torques(tmp_path, values):
+    argv = ["sweep", "paper_s3", "--axis", "load.torque", f"--values={values}"]
+    code = main(argv + ["--output-dir", str(tmp_path)])
+    # A worker left running would outlive the command.
+    assert multiprocessing.active_children() == []
+    return code, (tmp_path / "paper_s3_sweep.csv").read_bytes()
+
+
+def test_pooled_and_in_process_sweeps_write_the_same_bytes(tmp_path, monkeypatch):
+    values = "0.0,-50.0,0.5,1.0096,0.75"  # -50 N*m never settles: a failed row
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    pooled = _sweep_torques(tmp_path / "pool", values)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    in_process = _sweep_torques(tmp_path / "one", values)
+    assert pooled == in_process
+    rows = list(csv.reader(pooled[1].decode().splitlines()))
+    assert [row[0] for row in rows[1:]] == values.split(",")
+    assert [row[-1][:7] for row in rows[1:]] == ["ok", "failed:", "ok", "ok", "ok"]
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="rows run in process")
+def test_dead_sweep_worker_exits_1_and_keeps_the_rows_before_it(tmp_path, capsys, monkeypatch):
+    # The patch reaches the forked workers: the row for 0.9 N*m ends its
+    # worker as a crash would, once both earlier rows are integrated and a
+    # grace period has let their results reach the parent.
+    done = tmp_path / "done"
+    done.mkdir()
+
+    def integrate_or_die(p, scenario):
+        torque = scenario.load.breakpoints[0][1]
+        if torque == 0.9:
+            deadline = time.monotonic() + 60.0
+            while len(list(done.iterdir())) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.5)
+            os._exit(3)
+        trace = integrate(p, scenario)
+        (done / repr(torque)).touch()
+        return trace
+
+    monkeypatch.setattr("tpim.cli.integrate", integrate_or_die)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    code, table = _sweep_torques(tmp_path, "0.0,0.5,0.9,1.0")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep worker died; no row from load.torque = 0.9 on: ")
+    assert err.count("\n") == 1
+    rows = list(csv.reader(table.decode().splitlines()))
+    assert [(row[0], row[-1]) for row in rows[1:]] == [("0.0", "ok"), ("0.5", "ok")]
+
+
+def test_writer_error_drops_the_queued_rows(tmp_path, capsys, monkeypatch):
+    # A table that cannot be written stops the sweep: the rows still queued
+    # for the workers are cancelled, not run to the end.
+    ran = tmp_path / "ran"
+    ran.mkdir()
+
+    def integrate_and_count(p, scenario):
+        (ran / f"{os.getpid()}-{time.perf_counter_ns()}").touch()
+        return integrate(p, scenario)
+
+    class FullDisk:
+        def __init__(self, f):
+            self.rows = 0
+
+        def writerow(self, row):
+            self.rows += 1
+            if self.rows == 3:
+                raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("tpim.cli.integrate", integrate_and_count)
+    monkeypatch.setattr("tpim.cli.csv.writer", FullDisk)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    code, _ = _sweep_torques(tmp_path, ",".join(["0.5"] * 20))
+    assert code == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert 2 <= len(list(ran.iterdir())) < 20
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # Only `sweep` imports the pool: at module top it adds import time and
+    # peak memory to every command.
+    src = str(Path(tpim.__file__).resolve().parent.parent)
+    code = f"import sys; sys.path.insert(0, {src!r}); import tpim.cli; print(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "tpim.cli" in loaded
+    assert not {"concurrent.futures", "multiprocessing"} & loaded
 
 
 def test_sweep_spec_errors_exit_1(tmp_path, capsys):
