@@ -1,13 +1,17 @@
 """Command-line interface: run, validate and sweep simulation configs.
 
 Exit codes are part of the contract: 0 success, 1 configuration/validation
-failure, records that do not fit in memory or a `sweep` worker that died,
-2 numerical failure (non-finite state, timestamp on stderr; `run` also
-writes the trace recorded up to the failure as <prefix>_partial_trace.csv).
+failure, records that do not fit in memory or a `sweep` worker or trace
+writer process that died, 2 numerical failure (non-finite state, timestamp
+on stderr; `run` also writes the trace recorded up to the failure as
+<prefix>_partial_trace.csv).
 
-`sweep` runs its rows in forked workers, one per CPU the process may use
-(`taskset` limits them), and writes them in value order with the same bytes.
-On Python 3.12 and later `fork` warns of numpy's thread; workers call no BLAS.
+Both commands use every CPU the process may use (`taskset` limits them) and
+write the same bytes whatever their number. `sweep` runs its rows in forked
+workers and writes them in value order. `run` formats its trace CSV in
+forked processes, one contiguous part of at least 1,024 rows each.
+On Python 3.12 and later `fork` warns of numpy's thread; no forked process
+calls BLAS.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
 from contextlib import ExitStack
 from dataclasses import replace
@@ -34,7 +37,7 @@ from .config import (
 )
 from .dynamics import IntegrationError, integrate
 from .machine import ParameterError, validate_parameters
-from .output import REPORT_SPEED_TOL, write_plot_script, write_summary, write_trace_csv
+from .output import REPORT_SPEED_TOL, usable_cpus, write_plot_script, write_summary, write_trace_csv
 
 __all__ = ["main"]
 
@@ -219,10 +222,10 @@ def _cmd_sweep(args) -> int:
     import multiprocessing
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
     row = partial(_sweep_row, base, args.axis, fields=fields, speed_tol=args.speed_tol)
-    workers = min(len(values), len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
+    workers = min(len(values), usable_cpus())
     with open(out_path, "w", newline="") as f, ExitStack() as stack:
         rows = map(row, values)
-        if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        if workers > 1:
             pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
             stack.callback(pool.shutdown, cancel_futures=True)  # an error drops the queued rows
             rows = pool.map(row, values)

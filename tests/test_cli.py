@@ -5,7 +5,9 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tempfile
 import time
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -13,10 +15,12 @@ import numpy as np
 import pytest
 
 import tpim
+import tpim.output
 from tpim import TRACE_CHANNELS, integrate, load_config
 from tpim.cli import main
 from tpim.config import build_scenario
-from tpim.output import CSV_HEADER
+from tpim.dynamics import IntegrationError
+from tpim.output import CSV_HEADER, usable_cpus, write_trace_csv
 
 
 def _reference_text():
@@ -178,6 +182,114 @@ def test_numerical_failure_leaves_the_partial_trace(tmp_path, capsys):
     assert not (tmp_path / "blow_trace.csv").exists()
     assert main(["run", str(stop), "--output-dir", str(tmp_path)]) == 0
     assert partial.read_bytes() == (tmp_path / "stop_trace.csv").read_bytes()
+
+
+_needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="trace rows are written in process")
+
+
+def _first_rows(trace, rows):
+    return replace(trace, **{name: trace.channel(name)[:rows] for name in TRACE_CHANNELS})
+
+
+def _trace_bytes(trace, path, monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    write_trace_csv(trace, path)
+    return path.read_bytes()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("rows", [1, 1023, 1024, 2047, 2048, 2049, 10001])
+def test_trace_csv_bytes_do_not_depend_on_the_cpus(tmp_path, monkeypatch, rated_trace, rows):
+    # From 2 * 1024 rows on, two CPUs split the rows into two parts, three
+    # CPUs into up to three; fewer rows stay in one part.
+    trace = _first_rows(rated_trace, rows)
+    one = _trace_bytes(trace, tmp_path / "one.csv", monkeypatch, {0})
+    assert one.count(b"\n") == rows + 1
+    assert _trace_bytes(trace, tmp_path / "two.csv", monkeypatch, {0, 1}) == one
+    assert _trace_bytes(trace, tmp_path / "three.csv", monkeypatch, {0, 1, 2}) == one
+    _assert_no_child_left()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["one.csv", "three.csv", "two.csv"]
+
+
+@_needs_fork
+def test_one_usable_cpu_writes_in_process(tmp_path, monkeypatch, rated_trace):
+    expected = _trace_bytes(rated_trace, tmp_path / "two.csv", monkeypatch, {0, 1})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("one usable CPU forks no process and makes no temporary file")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(tempfile, "TemporaryFile", refuse)
+    assert usable_cpus() == 2
+    assert _trace_bytes(rated_trace, tmp_path / "one.csv", monkeypatch, {0}) == expected
+    monkeypatch.delattr(os, "fork")
+    assert usable_cpus() == 1
+    assert _trace_bytes(rated_trace, tmp_path / "nofork.csv", monkeypatch, {0, 1}) == expected
+
+
+def test_partial_trace_bytes_do_not_depend_on_the_cpus(tmp_path, capsys, monkeypatch):
+    # Bundled configs fail within a few records, so a run that fails after
+    # 2,049 records stands in for a numerical failure late in a run.
+    def integrate_then_fail(p, scenario):
+        trace = integrate(p, scenario)
+        raise IntegrationError(trace.t[2048], None, _first_rows(trace, 2049))
+
+    monkeypatch.setattr("tpim.cli.integrate", integrate_then_fail)
+    path = _short_config(tmp_path, duration="0.25")
+    tables = []
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        out = tmp_path / str(len(cpus))
+        assert main(["run", str(path), "--output-dir", str(out)]) == 2
+        assert "partial trace written to" in capsys.readouterr().err
+        assert [item.name for item in out.iterdir()] == ["short_partial_trace.csv"]
+        tables.append((out / "short_partial_trace.csv").read_bytes())
+    assert tables[0] == tables[1]
+    assert tables[0].count(b"\n") == 2050
+    _assert_no_child_left()
+
+
+def _run_two_parts(tmp_path, capsys, monkeypatch, fail_in_child):
+    """Run a 2,501-record trace on two CPUs with the writer failing in the
+    forked part (fail_in_child) or in the parent's own part; stderr."""
+    parent = os.getpid()
+    write_rows = tpim.output._write_rows
+
+    def failing_write_rows(f, channels, start, stop):
+        if (os.getpid() != parent) == fail_in_child:
+            if fail_in_child:
+                os._exit(3)
+            raise OSError(28, "No space left on device")
+        write_rows(f, channels, start, stop)
+
+    monkeypatch.setattr(tpim.output, "_write_rows", failing_write_rows)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    path = _short_config(tmp_path, duration="0.25")
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--output-dir", str(out)]) == 1
+    _assert_no_child_left()
+    # The failing write leaves its trace file as the OS left it; nothing else.
+    assert [item.name for item in out.iterdir()] == ["short_trace.csv"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    return captured.err
+
+
+@_needs_fork
+def test_dead_trace_writer_process_exits_1(tmp_path, capsys, monkeypatch):
+    err = _run_two_parts(tmp_path, capsys, monkeypatch, fail_in_child=True)
+    assert err == "error: trace writer process for part 2 of 2 ended with status 3\n"
+
+
+@_needs_fork
+def test_failing_parent_part_still_reaps_the_writer_process(tmp_path, capsys, monkeypatch):
+    err = _run_two_parts(tmp_path, capsys, monkeypatch, fail_in_child=False)
+    assert err == "error: [Errno 28] No space left on device\n"
 
 
 def test_unknown_config_exits_1(capsys):
