@@ -11,11 +11,14 @@ a step that a breakpoint falls in is split there (Hairer, Norsett and
 Wanner, Solving ODEs I, II.6), so RK4 keeps its order across a load step.
 RK4 starts each step from the previous step's end sample where the two
 times are the same float. Records go item by item into a channel-major
-buffer, from which the other channels are derived on arrays after the
-loop. Both are deterministic: identical inputs give bit-identical traces.
+buffer; after the loop, the channels kernel derives the currents and both
+torques from its rows, on arrays, from the current and torque templates the
+loops inline. Both are deterministic: identical inputs give bit-identical
+traces.
 
-All generated code is compiled here, by one builder: the step loops and
-the templates' one-point forms, compile_derivative and compile_sources.
+All generated code is compiled here, by one builder: the step loops, the
+channels kernel and the templates' one-point forms, compile_derivative and
+compile_sources.
 Every name a template reads is an argument of the compiled function, but
 cos and isfinite, which it imports when called.
 """
@@ -32,14 +35,12 @@ import numpy as np
 
 from .excitation import LoadProfile, VoltageSource, render_sample, sample_arguments, sample_binding
 from .machine import (
+    _CHANNELS,
     _KERNEL_CONSTANTS,
     _RHS_NAMES,
     SPEED_CONVENTIONS,
     MachineParameters,
     MachineState,
-    currents_from_fluxes,
-    electromagnetic_torque,
-    energy_consistent_torque,
     kernel_constants,
     render_rhs,
 )
@@ -260,6 +261,15 @@ def compile_sources(supply: VoltageSource):
 
 
 @cache
+def _channels():
+    """tpim.machine._CHANNELS as a function of the machine constants and the
+    four fluxes, returning (i_sa, i_sb, i_ra, i_rb, te, te_ec); on arrays,
+    element by element."""
+    body = _CHANNELS + "return i_sa, i_sb, i_ra, i_rb, te, te_ec\n"
+    return _kernel("channels", [_KERNEL_CONSTANTS, "psa, psb, pra, prb"], body)
+
+
+@cache
 def _step_loop(method: str, shape: tuple[int, int]):
     """The generated loop of one method and supply shape. Its arguments are
     the machine constants, the records buffer, the initial state, the call's
@@ -313,15 +323,13 @@ def _derive_trace(p: MachineParameters, scenario: Scenario, records: np.ndarray)
     # The load at each record time, right-continuous: the last breakpoint at or before it.
     starts, torques = map(np.array, zip(*scenario.load.breakpoints))
     tl = torques[np.searchsorted(starts, t, side="right") - 1]
-    i_sa, i_sb, i_ra, i_rb = currents_from_fluxes(p, psa, psb, pra, prb)
+    constants = kernel_constants(p, scenario.speed_convention, scenario.blocked_rotor)
+    i_sa, i_sb, i_ra, i_rb, te, te_ec = _channels()(*constants, psa, psb, pra, prb)
     if scenario.speed_convention == "electrical_state":
         w = w * (1.0 / p.pole_pairs)  # recorded speed is always shaft speed
     return SimulationTrace(
         t=t, v_sa=v_sa, v_sb=v_sb, i_sa=i_sa, i_sb=i_sb, i_ra=i_ra, i_rb=i_rb,
-        psi_sa=psa, psi_sb=psb, psi_ra=pra, psi_rb=prb,
-        te=electromagnetic_torque(p, i_sa, i_sb, i_ra, i_rb),
-        te_ec=energy_consistent_torque(p, pra, prb, i_ra, i_rb),
-        omega_mech=w, tl=tl,
+        psi_sa=psa, psi_sb=psb, psi_ra=pra, psi_rb=prb, te=te, te_ec=te_ec, omega_mech=w, tl=tl,
         step_size=scenario.integrator.step_size,
         record_every=scenario.integrator.record_every,
         supply_frequency=scenario.supply.frequency,

@@ -7,17 +7,17 @@ rotor axes couple through speed voltages scaled by the reciprocal
 turns-ratio pair (+a, -1/a).
 
 The integrated states are the four winding flux linkages plus rotor speed.
-Currents and torque are algebraic in those states, so every function here
-is pure. The formulas use only +, -, *, /, and therefore also work
-element-wise on numpy arrays. The state derivative is written once, as the
-statement template _RHS; tpim.dynamics compiles it, with the constants
-_RHS reads passed as arguments.
+Currents and torque are algebraic in those states. Each equation is written
+once, as template text that tpim.dynamics compiles, with the constants it
+reads as arguments: the currents _CURRENTS and the torque _TE are rendered
+into the state derivative _RHS, which the step loops inline per stage, and
+into _CHANNELS, the channels kernel over the recorded fluxes. Using only
++, -, * and /, they give on numpy arrays, element-wise, the bits of floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-from functools import cached_property
 
 __all__ = [
     "SPEED_CONVENTIONS",
@@ -25,9 +25,6 @@ __all__ = [
     "MachineParameters",
     "MachineState",
     "validate_parameters",
-    "currents_from_fluxes",
-    "electromagnetic_torque",
-    "energy_consistent_torque",
 ]
 
 # How the integrated speed state is read by the rotor equations:
@@ -66,12 +63,11 @@ class MachineParameters:
 
     # Per-axis inductance determinants L_s*L_r - L_m**2, the denominators of
     # the flux-to-current inversion; positive once validate_parameters passes.
-    # Cached because every recorded sample reads them.
-    @cached_property
+    @property
     def det_alpha(self) -> float:
         return self.l_s_alpha * self.l_r_alpha - self.l_m_alpha * self.l_m_alpha
 
-    @cached_property
+    @property
     def det_beta(self) -> float:
         return self.l_s_beta * self.l_r_beta - self.l_m_beta * self.l_m_beta
 
@@ -140,48 +136,11 @@ def validate_parameters(params: MachineParameters) -> MachineParameters:
     return params
 
 
-def currents_from_fluxes(p: MachineParameters, psi_s_alpha, psi_s_beta, psi_r_alpha, psi_r_beta):
-    """Winding currents from flux linkages (exact per-axis 2x2 inversion).
-
-    The validated leakage condition guarantees both denominators are
-    strictly positive. Returns (i_s_alpha, i_s_beta, i_r_alpha, i_r_beta).
-    """
-    i_s_alpha = (p.l_r_alpha * psi_s_alpha - p.l_m_alpha * psi_r_alpha) / p.det_alpha
-    i_s_beta = (p.l_r_beta * psi_s_beta - p.l_m_beta * psi_r_beta) / p.det_beta
-    i_r_alpha = (p.l_s_alpha * psi_r_alpha - p.l_m_alpha * psi_s_alpha) / p.det_alpha
-    i_r_beta = (p.l_s_beta * psi_r_beta - p.l_m_beta * psi_s_beta) / p.det_beta
-    return i_s_alpha, i_s_beta, i_r_alpha, i_r_beta
-
-
-def electromagnetic_torque(p: MachineParameters, i_s_alpha, i_s_beta, i_r_alpha, i_r_beta):
-    """Shaft torque T_e = p_p * (L_m_beta*i_s_beta*i_r_alpha - L_m_alpha*i_s_alpha*i_r_beta)."""
-    return p.pole_pairs * (
-        p.l_m_beta * i_s_beta * i_r_alpha - p.l_m_alpha * i_s_alpha * i_r_beta
-    )
-
-
-def energy_consistent_torque(p: MachineParameters, psi_r_alpha, psi_r_beta, i_r_alpha, i_r_beta):
-    """Diagnostic torque implied by the rotor speed-voltage power.
-
-    The power absorbed by the rotor coupling terms is
-    w_e * (a*psi_r_beta*i_r_alpha - psi_r_alpha*i_r_beta/a); dividing by
-    shaft speed cancels to p_p * (a*psi_r_beta*i_r_alpha -
-    psi_r_alpha*i_r_beta/a), defined at zero speed as well. For a
-    symmetric machine (a = 1, equal axis inductances) this is identical to
-    electromagnetic_torque; for an asymmetric machine the two differ and
-    the divergence is reported, not hidden.
-    """
-    a = p.turns_ratio_a
-    return p.pole_pairs * (
-        a * psi_r_beta * i_r_alpha - psi_r_alpha * i_r_beta / a
-    )
-
-
 # The machine constants, the leading arguments of each kernel that renders
-# _RHS (locals, since millions of steps read them). pole_pairs is a float and the
-# rotor resistances are negated; that gives the same bits, since int * float
-# converts the int first and -r * i is (-r) * i. w_scale turns the speed state
-# into electrical speed.
+# _RHS or _CHANNELS (locals, since millions of steps read them). pole_pairs is
+# a float and the rotor resistances are negated; that gives the same bits,
+# since int * float converts the int first and -r * i is (-r) * i. w_scale
+# turns the speed state into electrical speed.
 _KERNEL_CONSTANTS = (
     "r_sa, r_sb, neg_r_ra, neg_r_rb, l_sa, l_sb, l_ra, l_rb, l_ma, l_mb, det_a, det_b, a, "
     "pole_pairs, inv_j, w_scale"
@@ -203,8 +162,20 @@ def kernel_constants(p: MachineParameters, speed_convention: str, blocked_rotor:
     )
 
 
-# The one definition of the explicit time derivative of the five states,
-# rendered by render_rhs once per stage of a generated kernel:
+# The flux-to-current inversion, per axis the exact inverse of the 2x2
+# inductance matrix: statements setting i_sa .. i_rb from {psa} .. {prb}.
+_CURRENTS = """\
+i_sa = (l_ra * {psa} - l_ma * {pra}) / det_a
+i_sb = (l_rb * {psb} - l_mb * {prb}) / det_b
+i_ra = (l_sa * {pra} - l_ma * {psa}) / det_a
+i_rb = (l_sb * {prb} - l_mb * {psb}) / det_b
+"""
+# The electromagnetic torque T_e = p_p * (L_m_beta*i_s_beta*i_r_alpha -
+# L_m_alpha*i_s_alpha*i_r_beta), an expression over the currents.
+_TE = "pole_pairs * (l_mb * i_sb * i_ra - l_ma * i_sa * i_rb)"
+
+# The explicit time derivative of the five states, rendered by render_rhs
+# once per stage of a generated kernel:
 #
 #     d psi_s_alpha/dt = v_s_alpha - R_s_alpha*i_s_alpha
 #     d psi_s_beta/dt  = v_s_beta  - R_s_beta*i_s_beta
@@ -212,22 +183,17 @@ def kernel_constants(p: MachineParameters, speed_convention: str, blocked_rotor:
 #     d psi_r_beta/dt  = -R_r_beta*i_r_beta  + (w_e/a)*psi_r_alpha
 #     d omega/dt       = (T_e - T_load) / J
 #
-# with the currents of currents_from_fluxes and T_e of
-# electromagnetic_torque. Under the default convention the state speed is
-# shaft speed and w_e = pole_pairs*omega; under "electrical_state" the
-# state speed is the electrical speed and w_e = omega. A blocked rotor
-# (locked-shaft fixture) is a zero 1/J.
-_RHS = """\
-i_sa = (l_ra * {psa} - l_ma * {pra}) / det_a
-i_sb = (l_rb * {psb} - l_mb * {prb}) / det_b
-i_ra = (l_sa * {pra} - l_ma * {psa}) / det_a
-i_rb = (l_sb * {prb} - l_mb * {psb}) / det_b
+# with the currents of _CURRENTS and T_e of _TE, inline. Under the default
+# convention the state speed is shaft speed and w_e = pole_pairs*omega;
+# under "electrical_state" the state speed is the electrical speed and
+# w_e = omega. A blocked rotor (locked-shaft fixture) is a zero 1/J.
+_RHS = _CURRENTS + """\
 w_e = w_scale * {w}
 {d_psa} = {v_sa} - r_sa * i_sa
 {d_psb} = {v_sb} - r_sb * i_sb
 {d_pra} = neg_r_ra * i_ra - a * w_e * {prb}
 {d_prb} = neg_r_rb * i_rb + (w_e / a) * {pra}
-{d_w} = (pole_pairs * (l_mb * i_sb * i_ra - l_ma * i_sa * i_rb) - {t_load}) * inv_j
+{d_w} = (""" + _TE + """ - {t_load}) * inv_j
 """
 _RHS_NAMES = "psa psb pra prb w v_sa v_sb t_load d_psa d_psb d_pra d_prb d_w".split()
 
@@ -239,3 +205,13 @@ def render_rhs(names: str) -> str:
     samples (v_s_a, v_s_b, t_load) and the five derivative outputs.
     """
     return _RHS.format(**dict(zip(_RHS_NAMES, names.split(), strict=True)))
+
+
+# The derived trace channels of the fluxes: the currents, te, and te_ec, the
+# torque implied by the rotor speed-voltage power w_e * (a*psi_r_beta*i_r_alpha
+# - psi_r_alpha*i_r_beta/a) per unit shaft speed. te_ec is te for a symmetric
+# machine; for an asymmetric one the divergence is reported, not hidden.
+_CHANNELS = _CURRENTS.format(psa="psa", psb="psb", pra="pra", prb="prb") + f"""\
+te = {_TE}
+te_ec = pole_pairs * (a * prb * i_ra - pra * i_rb / a)
+"""

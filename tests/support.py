@@ -1,18 +1,21 @@
 """Shared machines, scenario builders and independent oracles for the tests.
 
 reference_derivative restates the right-hand side that
-tpim.dynamics.compile_derivative compiles, and reference_steady_state the
-all-windows formula that detect_steady_state evaluates by a faster route.
-sample_voltage evaluates a supply term by term, the reference for the
-sampler that tpim.dynamics.compile_sources compiles, and sample_load a load
-profile, the reference for the recorded load channel and for the torque of
-each load segment; fluxes_from_currents is the forward map that
-currents_from_fluxes inverts. The phasor solver here is a test-only
-oracle: it computes the single-frequency steady state of the same state
-equations by a complex 4x4 solve, with no time stepping, so it verifies
+tpim.dynamics.compile_derivative compiles, from solve_currents and the
+textbook torque, and reference_steady_state the all-windows formula that
+detect_steady_state evaluates by a faster route. sample_voltage evaluates a
+supply term by term, the reference for the sampler that
+tpim.dynamics.compile_sources compiles, and sample_load a load profile, the
+reference for the recorded load channel and for the torque of each load
+segment; fluxes_from_currents is the forward map that the current template
+inverts, and channels evaluates that template (with both torques) at given
+fluxes. The phasor solver here is a test-only oracle: it computes the
+periodic steady state of the same state equations at a held speed by one
+complex 4x4 solve per harmonic order, with no time stepping, so it verifies
 the integrator through an entirely different route.
 """
 
+import cmath
 import math
 from bisect import bisect_right
 
@@ -29,7 +32,8 @@ from tpim import (
     VoltageSource,
     quadrature_supply,
 )
-from tpim.machine import currents_from_fluxes, electromagnetic_torque
+from tpim.dynamics import _channels
+from tpim.machine import kernel_constants
 
 # Benchmark machine: 230 V rms, 50 Hz, 4 pole, referred rotor per axis.
 TABLE1 = MachineParameters(
@@ -183,14 +187,30 @@ def solve_currents(p, psi_s_alpha, psi_s_beta, psi_r_alpha, psi_r_beta):
     return alpha[0], beta[0], alpha[1], beta[1]
 
 
+def textbook_torques(p, psi_r_alpha, psi_r_beta, i_s_alpha, i_s_beta, i_r_alpha, i_r_beta):
+    """(te, te_ec): the electromagnetic torque p_p*(L_m_beta*i_s_beta*i_r_alpha
+    - L_m_alpha*i_s_alpha*i_r_beta) and the torque of the rotor speed-voltage
+    power, p_p*(a*psi_r_beta*i_r_alpha - psi_r_alpha*i_r_beta/a)."""
+    te = p.pole_pairs * (p.l_m_beta * i_s_beta * i_r_alpha - p.l_m_alpha * i_s_alpha * i_r_beta)
+    a = p.turns_ratio_a
+    return te, p.pole_pairs * (a * psi_r_beta * i_r_alpha - psi_r_alpha * i_r_beta / a)
+
+
+def channels(p, psi_s_alpha, psi_s_beta, psi_r_alpha, psi_r_beta):
+    """(i_sa, i_sb, i_ra, i_rb, te, te_ec) of the fluxes, by the channels
+    kernel that derives the recorded trace channels."""
+    return _channels()(*kernel_constants(p, "mechanical_state", False),
+                       psi_s_alpha, psi_s_beta, psi_r_alpha, psi_r_beta)
+
+
 def reference_derivative(p, state, v_sa, v_sb, t_load):
-    """State equations written out from the public current and torque maps,
-    as an array in STATE_CHANNELS order; the oracle for compile_derivative
-    (shaft-speed convention, free rotor)."""
+    """State equations written out from the linear-solve current inversion
+    and the textbook torque, as an array in STATE_CHANNELS order; the oracle
+    for compile_derivative (shaft-speed convention, free rotor)."""
     psa, psb, pra, prb, w = state
-    i_sa, i_sb, i_ra, i_rb = currents_from_fluxes(p, psa, psb, pra, prb)
+    i_sa, i_sb, i_ra, i_rb = solve_currents(p, psa, psb, pra, prb)
     w_e, a = p.pole_pairs * w, p.turns_ratio_a
-    te = electromagnetic_torque(p, i_sa, i_sb, i_ra, i_rb)
+    te, _ = textbook_torques(p, pra, prb, i_sa, i_sb, i_ra, i_rb)
     return np.array([
         v_sa - p.r_s_alpha * i_sa,
         v_sb - p.r_s_beta * i_sb,
@@ -224,41 +244,78 @@ def _current_matrix(p):
     )
 
 
-def phasor_steady_state(p, omega_mech, v_peak=V_PEAK, f_supply=F_SUPPLY):
-    """Fixed-speed sinusoidal steady state of the flux equations.
+class PeriodicOrbit:
+    """The periodic solution of the flux equations at a held speed.
+
+    With the speed state held at omega (a blocked rotor), the flux equations
+    are linear and time-invariant and the supply is a sum of cosines, so the
+    periodic solution is the sum over harmonic orders k of
+    Re(Psi_k * exp(1j * k * w0 * t)), Psi_k from one complex 4x4 solve per
+    order (Krause, Wasynczuk and Sudhoff, Analysis of Electric Machinery).
+    A run started on it at t = 0 has no transient: its deviation from the
+    orbit is the integrator's global error alone.
+    """
+
+    def __init__(self, p, supply, omega, speed_convention="mechanical_state"):
+        self.p, self.w0 = p, 2.0 * math.pi * supply.frequency
+        self.M = _current_matrix(p)
+        w_e = (1.0 if speed_convention == "electrical_state" else p.pole_pairs) * omega
+        a = p.turns_ratio_a
+        A = -np.diag([p.r_s_alpha, p.r_s_beta, p.r_r_alpha, p.r_r_beta]) @ self.M
+        A[2, 3] += -a * w_e
+        A[3, 2] += w_e / a
+        self.phasors = {}
+        for order in sorted({h.order for h in (*supply.alpha, *supply.beta)}):
+            v = np.zeros(4, complex)
+            for row, phase in ((0, supply.alpha), (1, supply.beta)):
+                v[row] = sum(h.amplitude * cmath.exp(1j * h.phase) for h in phase if h.order == order)
+            self.phasors[order] = np.linalg.solve(1j * order * self.w0 * np.eye(4) - A, v)
+
+    def _at(self, t, phasors):
+        """The real signals of {order: phasor vector} at the times t."""
+        t = np.asarray(t, dtype=float)
+        return sum(np.multiply.outer(vec, np.exp(1j * order * self.w0 * t)).real for order, vec in phasors.items())
+
+    def fluxes(self, t):
+        """(psi_sa, psi_sb, psi_ra, psi_rb) at the times t, rows of an array."""
+        return self._at(t, self.phasors)
+
+    def currents(self, t):
+        """(i_sa, i_sb, i_ra, i_rb) at the times t, from the current phasors."""
+        return self._at(t, {k: self.M @ psi for k, psi in self.phasors.items()})
+
+    def mean_torques(self):
+        """The cycle means of (te, te_ec): the mean of a product of two
+        cosines of one order is Re(A conj(B))/2; of two orders, zero."""
+        p, a = self.p, self.p.turns_ratio_a
+        te = te_ec = 0.0
+        for psi in self.phasors.values():
+            i_sa, i_sb, i_ra, i_rb = self.M @ psi
+            te += p.pole_pairs * 0.5 * (
+                p.l_m_beta * (i_sb * np.conj(i_ra)).real - p.l_m_alpha * (i_sa * np.conj(i_rb)).real
+            )
+            te_ec += p.pole_pairs * 0.5 * (a * (psi[3] * np.conj(i_ra)).real - (psi[2] * np.conj(i_rb)).real / a)
+        return te, te_ec
+
+
+def phasor_steady_state(p, omega_mech, supply=None, speed_convention="mechanical_state"):
+    """Fixed-speed periodic steady state of the flux equations.
 
     Returns (mean torque, mean energy-consistent torque, rms i_s_alpha,
-    rms i_s_beta). Mean of a product of sinusoids is Re(A conj(B))/2.
+    rms i_s_beta); supply defaults to the rated quadrature supply.
     """
-    M = _current_matrix(p)
-    w_e = p.pole_pairs * omega_mech
-    a = p.turns_ratio_a
-    A = np.zeros((4, 4))
-    A[0] = -p.r_s_alpha * M[0]
-    A[1] = -p.r_s_beta * M[1]
-    A[2] = -p.r_r_alpha * M[2]
-    A[3] = -p.r_r_beta * M[3]
-    A[2, 3] += -a * w_e
-    A[3, 2] += w_e / a
-    w_s = 2.0 * math.pi * f_supply
-    v = np.array([v_peak, -1j * v_peak, 0.0, 0.0])
-    psi = np.linalg.solve(1j * w_s * np.eye(4) - A, v)
-    i_sa, i_sb, i_ra, i_rb = M @ psi
-    te = p.pole_pairs * 0.5 * (
-        p.l_m_beta * (i_sb * np.conj(i_ra)).real
-        - p.l_m_alpha * (i_sa * np.conj(i_rb)).real
-    )
-    te_ec = p.pole_pairs * 0.5 * (
-        a * (psi[3] * np.conj(i_ra)).real - (psi[2] * np.conj(i_rb)).real / a
-    )
-    return te, te_ec, abs(i_sa) / math.sqrt(2.0), abs(i_sb) / math.sqrt(2.0)
+    orbit = PeriodicOrbit(p, supply or rated_supply(), omega_mech, speed_convention)
+    te, te_ec = orbit.mean_torques()
+    rms = [math.sqrt(sum(abs((orbit.M @ psi)[axis]) ** 2 for psi in orbit.phasors.values()) / 2.0)
+           for axis in (0, 1)]
+    return te, te_ec, rms[0], rms[1]
 
 
-def phasor_equilibrium_speed(p, t_load, lo=100.0, hi=170.0, v_peak=V_PEAK, f_supply=F_SUPPLY):
+def phasor_equilibrium_speed(p, t_load, lo=100.0, hi=170.0, supply=None):
     """Speed where the phasor mean torque balances the load (bisection)."""
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        te, _, _, _ = phasor_steady_state(p, mid, v_peak, f_supply)
+        te, _, _, _ = phasor_steady_state(p, mid, supply)
         if te > t_load:
             lo = mid
         else:

@@ -21,8 +21,8 @@ from tpim.dynamics import TRACE_CHANNELS, _step_loop, compile_derivative, compil
 from tpim.machine import SPEED_CONVENTIONS
 
 from support import (
-    SOURCE_SHAPES, T_LOAD, W_SYNC, rated_supply, reference_derivative, sample_load, sample_voltage, scenario,
-    state_at,
+    SOURCE_SHAPES, T_LOAD, W_SYNC, PeriodicOrbit, rated_supply, reference_derivative, sample_load, sample_voltage,
+    scenario, solve_currents, state_at, textbook_torques,
 )
 
 SILENT = VoltageSource(alpha=(), beta=(), frequency=50.0)
@@ -343,6 +343,34 @@ def test_speed_conventions_differ_for_multiple_pole_pairs(table1):
     assert np.all(np.isfinite(elec.omega_mech))
 
 
+def _assert_channels_match_independent_maps(p, trace):
+    fluxes = (trace.psi_sa, trace.psi_sb, trace.psi_ra, trace.psi_rb)
+    currents = solve_currents(p, *fluxes)
+    torques = textbook_torques(p, trace.psi_ra, trace.psi_rb, *currents)
+    for name, want in zip(("i_sa", "i_sb", "i_ra", "i_rb", "te", "te_ec"), (*currents, *torques)):
+        got = trace.channel(name)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+
+@pytest.mark.parametrize("blocked", [False, True])
+@pytest.mark.parametrize("convention", SPEED_CONVENTIONS)
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+def test_recorded_channels_match_independent_maps(table1, method, convention, blocked):
+    # The currents of a 2x2 linear solve per axis and the textbook torques of
+    # those currents, at the recorded fluxes.
+    start = MachineState(0.0, 0.0, 0.0, 0.0, 60.0)
+    run = scenario(method=method, dt=1e-4 if method == "rk4" else 1e-5, duration=0.02, initial_state=start,
+                   speed_convention=convention, blocked_rotor=blocked)
+    _assert_channels_match_independent_maps(table1, integrate(table1, run))
+
+
+def test_partial_trace_channels_match_independent_maps(table1):
+    with pytest.raises(IntegrationError) as err:
+        integrate(table1, scenario(dt=0.02, duration=1.0))
+    assert len(err.value.partial_trace) == 3
+    _assert_channels_match_independent_maps(table1, err.value.partial_trace)
+
+
 # ---------------------------------------------------------------------------
 # oracle agreement and convergence
 # ---------------------------------------------------------------------------
@@ -474,6 +502,54 @@ def test_final_speed_robust_to_step_halving(table1, rated_trace):
     half = integrate(table1, scenario(dt=5e-5))
     w1, w2 = rated_trace.omega_mech[-1], half.omega_mech[-1]
     assert abs(w1 - w2) / abs(w1) < 1e-6
+
+
+# Held speeds, as the state holds them under each convention: 150 rad/s of
+# shaft speed, and 150 rad/s of electrical speed.
+_HELD = 150.0
+
+
+def _orbit_errors(p, supply, convention, method, dts, duration):
+    """Max flux deviation from the periodic orbit over every record, relative
+    to the largest orbit flux, for each dt; and the finest run and orbit."""
+    orbit = PeriodicOrbit(p, supply, _HELD, convention)
+    start = MachineState(*orbit.fluxes(0.0), _HELD)
+    errors = []
+    for dt in dts:
+        trace = integrate(p, scenario(supply=supply, method=method, dt=dt, duration=duration, initial_state=start,
+                                      speed_convention=convention, blocked_rotor=True))
+        want = orbit.fluxes(trace.t)
+        got = np.array([trace.psi_sa, trace.psi_sb, trace.psi_ra, trace.psi_rb])
+        errors.append(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+    return errors, trace, orbit
+
+
+@pytest.mark.parametrize("convention", SPEED_CONVENTIONS)
+@pytest.mark.parametrize("shape", ["quadrature", "harmonics", "zero_amplitude"])
+def test_rk4_is_fourth_order_on_the_held_speed_orbit(table1, shape, convention):
+    """Started on the exact periodic solution at a held speed, the run has no
+    transient, so its deviation is RK4's global error at every record; the
+    order bound is that of the self-convergence test above. At the finest
+    step the recorded currents and torques agree with the orbit's."""
+    supply = SOURCE_SHAPES[shape][0]
+    errors, trace, orbit = _orbit_errors(table1, supply, convention, "rk4", (4e-4, 2e-4, 1e-4), 0.1)
+    orders = [math.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
+    assert min(orders) >= 3.5, f"orders {orders}, errors {errors}"
+    # The currents relative to the largest orbit current, as the fluxes above.
+    currents = orbit.currents(trace.t)
+    fluxes = orbit.fluxes(trace.t)
+    scale = np.max(np.abs(currents))
+    torques = textbook_torques(table1, fluxes[2], fluxes[3], *currents)
+    for name, want in zip(("i_sa", "i_sb", "i_ra", "i_rb", "te", "te_ec"), (*currents, *torques)):
+        deviation = np.max(np.abs(trace.channel(name) - want)) / (scale if name[0] == "i" else np.max(np.abs(want)))
+        assert deviation < 1e-6, f"{name} deviates by {deviation:.2e}"
+
+
+@pytest.mark.parametrize("convention", SPEED_CONVENTIONS)
+def test_euler_is_first_order_on_the_held_speed_orbit(table1, convention):
+    errors, _, _ = _orbit_errors(table1, rated_supply(), convention, "euler", (4e-5, 2e-5, 1e-5), 0.05)
+    orders = [math.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
+    assert all(abs(order - 1.0) < 0.05 for order in orders), f"orders {orders}, errors {errors}"
 
 
 # ---------------------------------------------------------------------------

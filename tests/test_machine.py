@@ -1,4 +1,8 @@
-"""Machine model: validation, flux/current maps, torque, state derivative."""
+"""Machine model: validation, flux/current maps, torque, state derivative.
+
+The current and torque maps are tested through the channels kernel that
+derives the recorded trace channels (support.channels), at given fluxes.
+"""
 
 import dataclasses
 import math
@@ -17,9 +21,8 @@ from tpim import (
     validate_parameters,
 )
 from tpim.dynamics import compile_derivative
-from tpim.machine import currents_from_fluxes, electromagnetic_torque, energy_consistent_torque
 
-from support import SYMMETRIC, TABLE1, fluxes_from_currents, reference_derivative, solve_currents
+from support import SYMMETRIC, TABLE1, channels, fluxes_from_currents, reference_derivative, solve_currents
 
 
 # ---------------------------------------------------------------------------
@@ -98,14 +101,23 @@ def test_beta_flux_hand_value(table1):
     assert psi[1] == pytest.approx(0.1920, abs=1e-12)
 
 
+def _currents(p, *fluxes):
+    return channels(p, *fluxes)[:4]
+
+
+def _torques(p, *currents):
+    """(te, te_ec) of the channels kernel at the fluxes of the currents."""
+    return channels(p, *fluxes_from_currents(p, *currents))[4:]
+
+
 def test_zero_fluxes_give_zero_currents(table1):
-    assert currents_from_fluxes(table1, 0.0, 0.0, 0.0, 0.0) == (0.0, 0.0, 0.0, 0.0)
+    assert _currents(table1, 0.0, 0.0, 0.0, 0.0) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_current_recovery_matches_linear_solve_oracle(table1):
     currents = (1.0, 0.5, -0.2, 0.3)
     psi = fluxes_from_currents(table1, *currents)
-    recovered = currents_from_fluxes(table1, *psi)
+    recovered = _currents(table1, *psi)
     oracle = solve_currents(table1, *psi)
     for got, expect, want in zip(recovered, oracle, currents):
         assert got == pytest.approx(expect, rel=1e-12)
@@ -113,7 +125,7 @@ def test_current_recovery_matches_linear_solve_oracle(table1):
 
 
 def test_inverse_of_unit_current_fluxes(table1):
-    i = currents_from_fluxes(table1, 0.2549, 0.0, 0.2464, 0.0)
+    i = _currents(table1, 0.2549, 0.0, 0.2464, 0.0)
     assert i[0] == pytest.approx(1.0, rel=1e-12)
     assert i[2] == pytest.approx(0.0, abs=1e-12)
     assert i[1] == 0.0 and i[3] == 0.0
@@ -123,7 +135,7 @@ def test_round_trip_random_currents(table1):
     rng = np.random.default_rng(7)
     for _ in range(200):
         currents = rng.uniform(-50.0, 50.0, size=4)
-        back = currents_from_fluxes(table1, *fluxes_from_currents(table1, *currents))
+        back = _currents(table1, *fluxes_from_currents(table1, *currents))
         scale = np.max(np.abs(currents))
         assert np.max(np.abs(np.array(back) - currents)) <= 1e-12 * scale
 
@@ -139,9 +151,9 @@ def test_flux_maps_are_linear(table1):
     )
     assert direct == pytest.approx(combined, rel=1e-12, abs=1e-14)
 
-    direct_i = np.array(currents_from_fluxes(table1, *(a * x + b * y)))
-    combined_i = a * np.array(currents_from_fluxes(table1, *x)) + b * np.array(
-        currents_from_fluxes(table1, *y)
+    direct_i = np.array(_currents(table1, *(a * x + b * y)))
+    combined_i = a * np.array(_currents(table1, *x)) + b * np.array(
+        _currents(table1, *y)
     )
     assert direct_i == pytest.approx(combined_i, rel=1e-12, abs=1e-12)
 
@@ -149,8 +161,8 @@ def test_flux_maps_are_linear(table1):
 def test_axis_decoupling(table1):
     base = (0.3, 0.1, -0.2, 0.05)
     perturbed = (0.3, 0.9, -0.2, -0.7)  # only beta fluxes changed
-    i0 = currents_from_fluxes(table1, *base)
-    i1 = currents_from_fluxes(table1, *perturbed)
+    i0 = _currents(table1, *base)
+    i1 = _currents(table1, *perturbed)
     assert i1[0] == i0[0]  # i_s_alpha untouched
     assert i1[2] == i0[2]  # i_r_alpha untouched
     assert i1[1] != i0[1] and i1[3] != i0[3]
@@ -161,14 +173,14 @@ def test_axis_decoupling(table1):
 # ---------------------------------------------------------------------------
 
 def test_torque_zero_currents(table1):
-    assert electromagnetic_torque(table1, 0.0, 0.0, 0.0, 0.0) == 0.0
+    assert _torques(table1, 0.0, 0.0, 0.0, 0.0)[0] == 0.0
 
 
 def test_torque_hand_values(table1):
-    assert electromagnetic_torque(table1, 0.0, 1.0, 1.0, 0.0) == pytest.approx(
+    assert _torques(table1, 0.0, 1.0, 1.0, 0.0)[0] == pytest.approx(
         2 * 0.1772, abs=1e-15
     )
-    assert electromagnetic_torque(table1, 1.0, 0.0, 0.0, 1.0) == pytest.approx(
+    assert _torques(table1, 1.0, 0.0, 0.0, 1.0)[0] == pytest.approx(
         -2 * 0.2464, abs=1e-15
     )
 
@@ -178,33 +190,35 @@ def test_torque_bilinearity(table1):
     s1, s2 = rng.uniform(-8, 8, size=2), rng.uniform(-8, 8, size=2)
     rotor = rng.uniform(-8, 8, size=2)
     a, b = 2.5, -1.25
-    mixed = electromagnetic_torque(
+    mixed = _torques(
         table1, a * s1[0] + b * s2[0], a * s1[1] + b * s2[1], rotor[0], rotor[1]
-    )
-    split = a * electromagnetic_torque(table1, s1[0], s1[1], *rotor) + b * (
-        electromagnetic_torque(table1, s2[0], s2[1], *rotor)
+    )[0]
+    split = a * _torques(table1, s1[0], s1[1], *rotor)[0] + b * (
+        _torques(table1, s2[0], s2[1], *rotor)[0]
     )
     assert mixed == pytest.approx(split, rel=1e-12)
 
     r1, r2 = rng.uniform(-8, 8, size=2), rng.uniform(-8, 8, size=2)
     stator = rng.uniform(-8, 8, size=2)
-    mixed_r = electromagnetic_torque(
+    mixed_r = _torques(
         table1, stator[0], stator[1], a * r1[0] + b * r2[0], a * r1[1] + b * r2[1]
-    )
-    split_r = a * electromagnetic_torque(table1, *stator, r1[0], r1[1]) + b * (
-        electromagnetic_torque(table1, *stator, r2[0], r2[1])
+    )[0]
+    split_r = a * _torques(table1, *stator, r1[0], r1[1])[0] + b * (
+        _torques(table1, *stator, r2[0], r2[1])[0]
     )
     assert mixed_r == pytest.approx(split_r, rel=1e-12)
 
 
 def test_energy_consistent_torque_zero_state(table1):
-    assert energy_consistent_torque(table1, 0.0, 0.0, 0.0, 0.0) == 0.0
+    assert _torques(table1, 0.0, 0.0, 0.0, 0.0)[1] == 0.0
 
 
 def test_energy_consistent_torque_hand_value(table1):
     # p_p * (a*psi_r_beta*i_r_alpha - psi_r_alpha*i_r_beta/a) with only
-    # psi_r_alpha = 0.2464 and i_r_beta = 1: -2*0.2464/1.18
-    got = energy_consistent_torque(table1, 0.2464, 0.0, 0.0, 1.0)
+    # psi_r_alpha = 0.2464 and i_r_beta = 1: -2*0.2464/1.18. The stator
+    # currents (1, -l_r_beta/l_m_beta) give that rotor flux and cancel
+    # psi_r_beta.
+    got = _torques(table1, 1.0, -table1.l_r_beta / table1.l_m_beta, 0.0, 1.0)[1]
     assert got == pytest.approx(-2 * 0.2464 / 1.18, rel=1e-12)
 
 
@@ -212,9 +226,7 @@ def test_symmetric_machine_torques_identical(symmetric):
     rng = np.random.default_rng(11)
     for _ in range(100):
         psi = rng.uniform(-1.5, 1.5, size=4)
-        i = currents_from_fluxes(symmetric, *psi)
-        te = electromagnetic_torque(symmetric, *i)
-        te_ec = energy_consistent_torque(symmetric, psi[2], psi[3], i[2], i[3])
+        *_, te, te_ec = channels(symmetric, *psi)
         assert te_ec == pytest.approx(te, rel=1e-10, abs=1e-12)
 
 
@@ -253,7 +265,7 @@ def test_electrical_speed_convention_scales_coupling(table1):
     )
     # Same state speed used directly as electrical speed halves the coupling
     # relative to pole_pairs = 2.
-    i = currents_from_fluxes(table1, *state[:4])
+    i = _currents(table1, *state[:4])
     resistive = -table1.r_r_alpha * i[2]
     assert elec[2] - resistive == pytest.approx((mech[2] - resistive) / 2.0, rel=1e-12)
     with pytest.raises(ValueError, match="speed convention"):
@@ -275,6 +287,29 @@ def test_compiled_derivative_matches_reference(table1):
         fast = deriv(*s, v_sa, v_sb, tl)
         ref = reference_derivative(table1, s, v_sa, v_sb, tl)
         assert fast == pytest.approx(tuple(ref), rel=1e-13)
+
+
+def test_derivative_and_channels_share_one_definition(table1):
+    # The step loop and the channels kernel render the same current and
+    # torque templates, so the derivative is made, bit for bit, of the
+    # kernel's currents and te.
+    rng = np.random.default_rng(17)
+    p = table1
+    for convention in ("mechanical_state", "electrical_state"):
+        deriv = compile_derivative(p, speed_convention=convention)
+        w_scale = p.pole_pairs if convention == "mechanical_state" else 1.0
+        for _ in range(50):
+            psa, psb, pra, prb, w = rng.uniform(-2, 2, size=5).tolist()
+            v_sa, v_sb, tl = rng.uniform(-400, 400, size=3).tolist()
+            i_sa, i_sb, i_ra, i_rb, te, _ = channels(p, psa, psb, pra, prb)
+            w_e, a = w_scale * w, p.turns_ratio_a
+            assert deriv(psa, psb, pra, prb, w, v_sa, v_sb, tl) == (
+                v_sa - p.r_s_alpha * i_sa,
+                v_sb - p.r_s_beta * i_sb,
+                -p.r_r_alpha * i_ra - a * w_e * prb,
+                -p.r_r_beta * i_rb + (w_e / a) * pra,
+                (te - tl) * (1.0 / p.inertia_j),
+            )
 
 
 # ---------------------------------------------------------------------------
