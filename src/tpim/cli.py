@@ -1,17 +1,15 @@
 """Command-line interface: run, validate and sweep simulation configs.
 
 Exit codes are part of the contract: 0 success, 1 configuration/validation
-failure, records that do not fit in memory or a `sweep` worker or trace
-writer process that died, 2 numerical failure (non-finite state, timestamp
-on stderr; `run` also writes the trace recorded up to the failure as
-<prefix>_partial_trace.csv).
+failure, records that do not fit in memory or a `sweep` worker that died,
+2 numerical failure (non-finite state, timestamp on stderr; `run` also
+writes the trace recorded up to the failure as <prefix>_partial_trace.csv).
 
-Both commands use every CPU the process may use (`taskset` limits them) and
-write the same bytes whatever their number. `sweep` runs its rows in forked
-workers and writes them in value order. `run` formats its trace CSV in
-forked processes, one contiguous part of at least 1,024 rows each.
-On Python 3.12 and later `fork` warns of numpy's thread; no forked process
-calls BLAS.
+`run` works in this process alone. `sweep` runs its rows in forked workers,
+one per CPU the process may use (`taskset` limits them), and writes them in
+value order, so the table's bytes do not depend on the number of workers.
+On Python 3.12 and later `fork` warns of numpy's thread; no worker calls
+BLAS.
 """
 
 from __future__ import annotations
@@ -19,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from contextlib import ExitStack
 from dataclasses import replace
@@ -37,7 +36,7 @@ from .config import (
 )
 from .dynamics import IntegrationError, integrate
 from .machine import ParameterError, validate_parameters
-from .output import REPORT_SPEED_TOL, usable_cpus, write_plot_script, write_summary, write_trace_csv
+from .output import REPORT_SPEED_TOL, write_plot_script, write_summary, write_trace_csv
 
 __all__ = ["main"]
 
@@ -53,6 +52,13 @@ _DEFAULT_SWEEP_FIELDS = (
     "settle_time",
 )
 _SUMMARY_FIELDS = tuple(SummaryReport.__dataclass_fields__)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (`taskset` limits them); 1 without `fork`."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 class _CliError(Exception):

@@ -8,12 +8,10 @@ operates on the CSV; this package never imports a plotting library.
 
 from __future__ import annotations
 
-import os
-import shutil
-import tempfile
-from contextlib import ExitStack
 from dataclasses import fields
 from pathlib import Path
+
+import numpy as np
 
 from .analysis import (
     SteadyStateNotReachedError,
@@ -35,75 +33,32 @@ __all__ = [
 CSV_HEADER = ",".join(TRACE_CHANNELS)
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on (`taskset` limits them); 1 without `fork`."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-# Rows formatted per write: whole columns go through repr at C speed, while
-# the text held at once stays a small fraction of the file. Also the fewest
-# rows a writer process formats: below about 600 rows the fork costs more
-# than the second core saves.
+# Rows serialized per write: orjson formats a whole block in C, while the
+# text held at once stays a small fraction of the file.
 _CSV_BLOCK_ROWS = 1024
 
 
-def _write_rows(f, channels, start: int, stop: int) -> None:
-    # tolist() yields Python floats, whose repr is the shortest decimal
-    # that round-trips to the same double.
-    for block in range(start, stop, _CSV_BLOCK_ROWS):
-        end = min(block + _CSV_BLOCK_ROWS, stop)
-        columns = [map(repr, channel[block:end].tolist()) for channel in channels]
-        f.write("\n".join(map(",".join, zip(*columns))) + "\n")
-
-
-def _write_parts(f, channels, bounds: list[int], directory: Path) -> None:
-    """Rows bounds[0]:bounds[1] in process, each later part in a forked
-    process writing an unnamed temporary file in `directory`; the parts are
-    appended in order, so the file holds the bytes of one in-process part."""
-    children = []  # (pid, temporary file) of parts 2 on
-    with ExitStack() as stack:
-        try:
-            for start, stop in zip(bounds[1:-1], bounds[2:]):
-                part = stack.enter_context(tempfile.TemporaryFile("w+", dir=directory))
-                pid = os.fork()
-                if pid == 0:  # ends in os._exit: never returns or flushes inherited files
-                    status = 1
-                    try:
-                        _write_rows(part, channels, start, stop)
-                        part.flush()
-                        status = 0
-                    finally:
-                        os._exit(status)
-                children.append((pid, part))
-            _write_rows(f, channels, bounds[0], bounds[1])
-        finally:
-            statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
-        for number, status in enumerate(statuses, 2):
-            if status != 0:
-                raise OSError(
-                    f"trace writer process for part {number} of {len(bounds) - 1} "
-                    f"ended with status {status}"
-                )
-        for _, part in children:
-            part.seek(0)
-            shutil.copyfileobj(part, f)
-
-
 def write_trace_csv(trace: SimulationTrace, path) -> None:
-    """Write the trace CSV, formatting contiguous row parts of at least
-    _CSV_BLOCK_ROWS rows on every usable CPU; one part runs in process."""
+    """Write the trace CSV, _CSV_BLOCK_ROWS rows at a time.
+
+    orjson writes each double as Ryu's shortest round-trip digits, which are
+    repr's wherever 1e-4 <= |v| < 1e16 or v == 0; a row holding any other
+    value (subnormal or tiny, huge, nan, inf) is formatted by repr instead.
+    """
+    # Imported here: at module top it adds import time and memory to every command.
+    import orjson
+
     channels = [trace.channel(name) for name in TRACE_CHANNELS]
-    rows = len(trace)
-    parts = min(usable_cpus(), rows // _CSV_BLOCK_ROWS)
-    with open(path, "w") as f:
-        f.write(CSV_HEADER + "\n")
-        if parts < 2:
-            _write_rows(f, channels, 0, rows)
-        else:
-            bounds = [rows * k // parts for k in range(parts + 1)]
-            _write_parts(f, channels, bounds, Path(path).parent)
+    with open(path, "wb") as f:
+        f.write(CSV_HEADER.encode() + b"\n")
+        for start in range(0, len(trace), _CSV_BLOCK_ROWS):
+            block = np.column_stack([channel[start:start + _CSV_BLOCK_ROWS] for channel in channels])
+            lines = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
+            size = np.abs(block)
+            unlike_repr = ((size > 0.0) & (size < 1e-4)) | ~(size < 1e16)  # nan fails both
+            for row in np.flatnonzero(unlike_repr.any(axis=1)):
+                lines[row] = ",".join(map(repr, block[row].tolist())).encode()
+            f.write(b"\n".join(lines) + b"\n")
 
 
 # An unsymmetrical machine carries an inherent double-supply-frequency

@@ -12,7 +12,8 @@ inverts, and channels evaluates that template (with both torques) at given
 fluxes. The phasor solver here is a test-only oracle: it computes the
 periodic steady state of the same state equations at a held speed by one
 complex 4x4 solve per harmonic order, with no time stepping, so it verifies
-the integrator through an entirely different route.
+the integrator through an entirely different route. reference_trace_csv
+is the trace CSV by its definition, one repr per value.
 """
 
 import cmath
@@ -32,8 +33,9 @@ from tpim import (
     VoltageSource,
     quadrature_supply,
 )
-from tpim.dynamics import _channels
+from tpim.dynamics import TRACE_CHANNELS, _channels
 from tpim.machine import kernel_constants
+from tpim.output import CSV_HEADER
 
 # Benchmark machine: 230 V rms, 50 Hz, 4 pole, referred rotor per axis.
 TABLE1 = MachineParameters(
@@ -111,6 +113,14 @@ SOURCE_SHAPES = {
 def state_at(trace, idx):
     """The integrated state vector (STATE_CHANNELS order) at record idx."""
     return np.array([trace.channel(c)[idx] for c in STATE_CHANNELS])
+
+
+def reference_trace_csv(trace) -> bytes:
+    """The trace CSV's bytes: the header, then each record's values joined
+    by commas, each the repr of the double (its shortest round-trip text)."""
+    rows = zip(*(trace.channel(name).tolist() for name in TRACE_CHANNELS))
+    lines = [CSV_HEADER, *(",".join(map(repr, row)) for row in rows)]
+    return "".join(line + "\n" for line in lines).encode()
 
 
 def rated_supply():

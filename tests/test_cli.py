@@ -1,26 +1,33 @@
 """CLI contract: files written, schemas, exit codes."""
 
 import csv
+import io
+import math
 import multiprocessing
 import os
 import subprocess
 import sys
-import tempfile
 import time
 from dataclasses import replace
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import tpim
 import tpim.output
 from tpim import TRACE_CHANNELS, integrate, load_config
-from tpim.cli import main
+from tpim.cli import main, usable_cpus
 from tpim.config import build_scenario
 from tpim.dynamics import IntegrationError
-from tpim.output import CSV_HEADER, usable_cpus, write_trace_csv
+from tpim.output import CSV_HEADER, write_trace_csv
+
+from support import reference_trace_csv
 
 
 def _reference_text():
@@ -184,17 +191,8 @@ def test_numerical_failure_leaves_the_partial_trace(tmp_path, capsys):
     assert partial.read_bytes() == (tmp_path / "stop_trace.csv").read_bytes()
 
 
-_needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="trace rows are written in process")
-
-
 def _first_rows(trace, rows):
     return replace(trace, **{name: trace.channel(name)[:rows] for name in TRACE_CHANNELS})
-
-
-def _trace_bytes(trace, path, monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    write_trace_csv(trace, path)
-    return path.read_bytes()
 
 
 def _assert_no_child_left():
@@ -203,93 +201,101 @@ def _assert_no_child_left():
 
 
 @pytest.mark.parametrize("rows", [1, 1023, 1024, 2047, 2048, 2049, 10001])
-def test_trace_csv_bytes_do_not_depend_on_the_cpus(tmp_path, monkeypatch, rated_trace, rows):
-    # From 2 * 1024 rows on, two CPUs split the rows into two parts, three
-    # CPUs into up to three; fewer rows stay in one part.
+def test_trace_csv_bytes_do_not_depend_on_the_cpus(tmp_path, rated_trace, rows):
+    # One writer in process: its bytes are the reference writer's, whatever
+    # the CPUs. The row counts straddle its 1,024-row blocks.
     trace = _first_rows(rated_trace, rows)
-    one = _trace_bytes(trace, tmp_path / "one.csv", monkeypatch, {0})
-    assert one.count(b"\n") == rows + 1
-    assert _trace_bytes(trace, tmp_path / "two.csv", monkeypatch, {0, 1}) == one
-    assert _trace_bytes(trace, tmp_path / "three.csv", monkeypatch, {0, 1, 2}) == one
-    _assert_no_child_left()
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["one.csv", "three.csv", "two.csv"]
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == reference_trace_csv(trace)
+    assert [path.name for path in tmp_path.iterdir()] == ["trace.csv"]
 
 
-@_needs_fork
-def test_one_usable_cpu_writes_in_process(tmp_path, monkeypatch, rated_trace):
-    expected = _trace_bytes(rated_trace, tmp_path / "two.csv", monkeypatch, {0, 1})
+# Where the shortest round-trip texts of orjson and repr part ways
+# (0 < |v| < 1e-4, |v| >= 1e16, nan, inf), and their neighbours.
+_EDGE_VALUES = (
+    0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 9.999999999999999e-05,
+    1e-4, 1.0000000000000002e-4, 0.1, 1.0, 9999999999999998.0, 1e16,
+    1.0000000000000002e16, 1.7976931348623157e308, math.inf, math.nan,
+)
+_SIGNED_EDGES = np.resize(np.outer((1.0, -1.0), _EDGE_VALUES), (3, len(TRACE_CHANNELS)))
+_cells = st.one_of(st.sampled_from(_SIGNED_EDGES.ravel().tolist()), st.floats())
+_tables = arrays(
+    np.float64, st.tuples(st.integers(1, 3), st.just(len(TRACE_CHANNELS))), elements=_cells
+)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("one usable CPU forks no process and makes no temporary file")
 
-    monkeypatch.setattr(os, "fork", refuse)
-    monkeypatch.setattr(tempfile, "TemporaryFile", refuse)
-    assert usable_cpus() == 2
-    assert _trace_bytes(rated_trace, tmp_path / "one.csv", monkeypatch, {0}) == expected
-    monkeypatch.delattr(os, "fork")
-    assert usable_cpus() == 1
-    assert _trace_bytes(rated_trace, tmp_path / "nofork.csv", monkeypatch, {0, 1}) == expected
+@settings(max_examples=60, deadline=None, database=None)
+@example(table=_SIGNED_EDGES)
+@given(table=_tables)
+def test_trace_csv_is_repr_of_every_value(tmp_path_factory, rated_trace, table):
+    trace = replace(rated_trace, **dict(zip(TRACE_CHANNELS, table.T)))
+    path = tmp_path_factory.getbasetemp() / "property_trace.csv"
+    write_trace_csv(trace, path)
+    assert path.read_bytes() == reference_trace_csv(trace)
 
 
 def test_partial_trace_bytes_do_not_depend_on_the_cpus(tmp_path, capsys, monkeypatch):
     # Bundled configs fail within a few records, so a run that fails after
-    # 2,049 records stands in for a numerical failure late in a run.
+    # 2,049 records stands in for a numerical failure late in a run. Its
+    # partial trace comes from the same in-process writer as a full one.
+    recorded = []
+
     def integrate_then_fail(p, scenario):
-        trace = integrate(p, scenario)
-        raise IntegrationError(trace.t[2048], None, _first_rows(trace, 2049))
+        recorded.append(_first_rows(integrate(p, scenario), 2049))
+        raise IntegrationError(recorded[0].t[-1], None, recorded[0])
 
     monkeypatch.setattr("tpim.cli.integrate", integrate_then_fail)
     path = _short_config(tmp_path, duration="0.25")
-    tables = []
-    for cpus in ({0, 1}, {0}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        out = tmp_path / str(len(cpus))
-        assert main(["run", str(path), "--output-dir", str(out)]) == 2
-        assert "partial trace written to" in capsys.readouterr().err
-        assert [item.name for item in out.iterdir()] == ["short_partial_trace.csv"]
-        tables.append((out / "short_partial_trace.csv").read_bytes())
-    assert tables[0] == tables[1]
-    assert tables[0].count(b"\n") == 2050
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--output-dir", str(out)]) == 2
+    assert "partial trace written to" in capsys.readouterr().err
+    assert [item.name for item in out.iterdir()] == ["short_partial_trace.csv"]
+    assert (out / "short_partial_trace.csv").read_bytes() == reference_trace_csv(recorded[0])
+
+
+def test_run_starts_no_process(tmp_path, monkeypatch, table1):
+    def refuse(*args, **kwargs):
+        raise AssertionError("tpim run starts no process")
+
+    for name in ("fork", "posix_spawn", "posix_spawnp"):
+        monkeypatch.setattr(os, name, refuse, raising=False)
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    path = _short_config(tmp_path, duration="0.25")
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--output-dir", str(out)]) == 0
     _assert_no_child_left()
+    assert sorted(item.name for item in out.iterdir()) == ["short_summary.txt", "short_trace.csv"]
+    trace = integrate(table1, build_scenario(load_config(str(path))))
+    assert (out / "short_trace.csv").read_bytes() == reference_trace_csv(trace)
 
 
-def _run_two_parts(tmp_path, capsys, monkeypatch, fail_in_child):
-    """Run a 2,501-record trace on two CPUs with the writer failing in the
-    forked part (fail_in_child) or in the parent's own part; stderr."""
-    parent = os.getpid()
-    write_rows = tpim.output._write_rows
+def test_failing_trace_write_exits_1(tmp_path, capsys, monkeypatch):
+    class FullDisk(io.BufferedWriter):
+        def write(self, data):
+            if self.tell() > 0:  # the disk fills after the header
+                raise OSError(28, "No space left on device")
+            return super().write(data)
 
-    def failing_write_rows(f, channels, start, stop):
-        if (os.getpid() != parent) == fail_in_child:
-            if fail_in_child:
-                os._exit(3)
-            raise OSError(28, "No space left on device")
-        write_rows(f, channels, start, stop)
-
-    monkeypatch.setattr(tpim.output, "_write_rows", failing_write_rows)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(
+        tpim.output, "open", lambda path, mode: FullDisk(io.FileIO(path, "w")), raising=False
+    )
     path = _short_config(tmp_path, duration="0.25")
     out = tmp_path / "out"
     assert main(["run", str(path), "--output-dir", str(out)]) == 1
-    _assert_no_child_left()
     # The failing write leaves its trace file as the OS left it; nothing else.
     assert [item.name for item in out.iterdir()] == ["short_trace.csv"]
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    return captured.err
+    assert captured.err == "error: [Errno 28] No space left on device\n"
 
 
-@_needs_fork
-def test_dead_trace_writer_process_exits_1(tmp_path, capsys, monkeypatch):
-    err = _run_two_parts(tmp_path, capsys, monkeypatch, fail_in_child=True)
-    assert err == "error: trace writer process for part 2 of 2 ended with status 3\n"
-
-
-@_needs_fork
-def test_failing_parent_part_still_reaps_the_writer_process(tmp_path, capsys, monkeypatch):
-    err = _run_two_parts(tmp_path, capsys, monkeypatch, fail_in_child=False)
-    assert err == "error: [Errno 28] No space left on device\n"
+def test_usable_cpus_count_the_affinity_and_need_fork(monkeypatch):
+    # The size of the sweep pool: `taskset` limits it, and without fork the
+    # rows run in process.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert usable_cpus() == 2
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert usable_cpus() == 1
 
 
 def test_unknown_config_exits_1(capsys):
@@ -478,16 +484,28 @@ def test_writer_error_drops_the_queued_rows(tmp_path, capsys, monkeypatch):
     assert 2 <= len(list(ran.iterdir())) < 20
 
 
+@cache
+def _modules_after_import() -> frozenset[str]:
+    """The modules a fresh interpreter holds after `import tpim, tpim.cli`."""
+    src = str(Path(tpim.__file__).resolve().parent.parent)
+    code = f"import sys; sys.path.insert(0, {src!r}); import tpim, tpim.cli; print(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return frozenset(proc.stdout.split())
+
+
 def test_importing_the_cli_loads_no_process_pool():
     # Only `sweep` imports the pool: at module top it adds import time and
     # peak memory to every command.
-    src = str(Path(tpim.__file__).resolve().parent.parent)
-    code = f"import sys; sys.path.insert(0, {src!r}); import tpim.cli; print(*sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
+    loaded = _modules_after_import()
     assert "tpim.cli" in loaded
     assert not {"concurrent.futures", "multiprocessing"} & loaded
+
+
+def test_importing_the_cli_loads_no_orjson():
+    # Only the trace writer imports orjson, so `validate`, `sweep` and the
+    # library's setup do not pay for it.
+    assert "orjson" not in _modules_after_import()
 
 
 def test_sweep_spec_errors_exit_1(tmp_path, capsys):
