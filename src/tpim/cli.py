@@ -24,7 +24,7 @@ from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
-from .analysis import SteadyStateNotReachedError, TraceTooShortError, SummaryReport, summarize
+from .analysis import SteadyStateNotReachedError, SummaryReport, summarize
 from .config import (
     ConfigError,
     RunConfig,
@@ -215,8 +215,7 @@ def _sweep_row(
         p = validate_parameters(config.machine)
         trace = integrate(p, build_scenario(config))
         report = summarize(trace, p, speed_tol=speed_tol)
-    except (ConfigError, ParameterError, ValueError, MemoryError, IntegrationError,
-            TraceTooShortError, SteadyStateNotReachedError) as exc:
+    except (ValueError, MemoryError, IntegrationError, SteadyStateNotReachedError) as exc:
         return [""] * len(fields), f"failed: {exc}"
     return [repr(getattr(report, name)) for name in fields], "ok"
 

@@ -254,8 +254,8 @@ def parse_config(text: str, name: str = "run") -> RunConfig:
         **_section(entries, ""),
         output=OutputOptions(**{"prefix": name, **_section(entries, "output")}),
     )
-    try:  # the source checks what the spec cannot, such as a finite 2*pi*f*order
-        build_supply(config)
+    try:  # the source and the scenario check what the spec cannot, such as a finite 2*pi*f*order*t
+        build_scenario(config)
     except ValueError as exc:
         raise ConfigError(f"supply: {exc}") from None
     return config

@@ -127,6 +127,16 @@ class Scenario:
     def __post_init__(self):
         if self.speed_convention not in SPEED_CONVENTIONS:
             raise ValueError(f"unknown speed convention: {self.speed_convention!r}")
+        # The last time a step loop samples the supply, the end of its last
+        # step: n * dt, or RK4's (n - 1) * dt + dt. cos of an infinite phase
+        # argument raises, so it must stay finite up to there.
+        n, dt, f = self.integrator.n_steps, self.integrator.step_size, self.supply.frequency
+        end = max(n * dt, (n - 1) * dt + dt)
+        for phase_name, harmonics in (("alpha", self.supply.alpha), ("beta", self.supply.beta)):
+            for h in harmonics:
+                if not math.isfinite(2.0 * math.pi * f * h.order * end + abs(h.phase)):
+                    raise ValueError(f"phase argument 2*pi*{f!r}*{h.order}*t + {h.phase!r} of harmonic "
+                                     f"{h.order} on phase {phase_name} is not finite at t = {end!r}")
 
 
 @dataclass(frozen=True)

@@ -128,6 +128,30 @@ def test_overflowing_supply_frequency_exits_1_before_the_run(tmp_path, capsys):
     assert rows[2][-1] == "ok"
 
 
+def test_supply_phase_overflowing_during_the_run_exits_1_before_the_run(tmp_path, capsys):
+    # 2*pi*f is finite, but 2*pi*f*t overflows near t = 1.43 s, where cos(inf)
+    # would stop the run with a bare traceback.
+    text = (_reference_text().replace("supply.frequency = 50.0", "supply.frequency = 2e307")
+            .replace("integrator.duration = 1.0", "integrator.duration = 2.0")
+            .replace("integrator.step_size = 1e-4", "integrator.step_size = 0.5"))
+    fast = tmp_path / "fast.cfg"
+    fast.write_text(text)
+    cause = "phase argument 2*pi*2e+307*1*t + 0.0 of harmonic 1 on phase alpha is not finite at t = 2.0"
+    out = tmp_path / "out"
+    for argv in (["validate", str(fast)], ["run", str(fast), "--output-dir", str(out)]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: supply: {cause}\n"
+    assert not out.exists()
+    argv = ["sweep", "symmetric_check", "--axis", "supply.frequency", "--values", "2e307"]
+    assert main(argv + ["--output-dir", str(out), "--fields", "final_speed_mech"]) == 0
+    with open(out / "symmetric_check_sweep.csv", newline="") as f:
+        assert list(csv.reader(f))[1][-1] == f"failed: {cause}"
+    supply, load = tpim.quadrature_supply(230.0, 2e307), tpim.LoadProfile.constant(0.0)
+    tpim.Scenario(supply, load, tpim.IntegratorConfig(step_size=0.5, duration=1.0))  # 2*pi*f*t is finite
+    with pytest.raises(ValueError, match=r"phase argument .* at t = 2\.0"):
+        tpim.Scenario(supply, load, tpim.IntegratorConfig(step_size=0.5, duration=2.0))
+
+
 def _refuse_terabytes(monkeypatch):
     # 1e-11 asks for 6.55 TiB of records, which fails only where the OS
     # refuses to overcommit; this stand-in for numpy.empty refuses it anywhere.
@@ -201,9 +225,9 @@ def _assert_no_child_left():
 
 
 @pytest.mark.parametrize("rows", [1, 1023, 1024, 2047, 2048, 2049, 10001])
-def test_trace_csv_bytes_do_not_depend_on_the_cpus(tmp_path, rated_trace, rows):
-    # One writer in process: its bytes are the reference writer's, whatever
-    # the CPUs. The row counts straddle its 1,024-row blocks.
+def test_trace_csv_blocks_match_the_reference_writer(tmp_path, rated_trace, rows):
+    # The writer formats 1,024-row blocks; the row counts straddle their
+    # boundaries, and its bytes are the reference writer's.
     trace = _first_rows(rated_trace, rows)
     write_trace_csv(trace, tmp_path / "trace.csv")
     assert (tmp_path / "trace.csv").read_bytes() == reference_trace_csv(trace)
@@ -234,7 +258,7 @@ def test_trace_csv_is_repr_of_every_value(tmp_path_factory, rated_trace, table):
     assert path.read_bytes() == reference_trace_csv(trace)
 
 
-def test_partial_trace_bytes_do_not_depend_on_the_cpus(tmp_path, capsys, monkeypatch):
+def test_late_partial_trace_matches_the_reference_writer(tmp_path, capsys, monkeypatch):
     # Bundled configs fail within a few records, so a run that fails after
     # 2,049 records stands in for a numerical failure late in a run. Its
     # partial trace comes from the same in-process writer as a full one.

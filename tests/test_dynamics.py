@@ -1,5 +1,6 @@
 """Integrators: step contracts, trace contracts, oracle agreement."""
 
+import csv
 import dataclasses
 import math
 
@@ -15,8 +16,11 @@ from tpim import (
     Scenario,
     VoltageSource,
     integrate,
+    load_config,
     summarize,
 )
+from tpim.cli import main
+from tpim.config import build_supply
 from tpim.dynamics import TRACE_CHANNELS, _step_loop, compile_derivative, compile_sources
 from tpim.machine import SPEED_CONVENTIONS
 
@@ -550,6 +554,25 @@ def test_euler_is_first_order_on_the_held_speed_orbit(table1, convention):
     errors, _, _ = _orbit_errors(table1, rated_supply(), convention, "euler", (4e-5, 2e-5, 1e-5), 0.05)
     orders = [math.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
     assert all(abs(order - 1.0) < 0.05 for order in orders), f"orders {orders}, errors {errors}"
+
+
+def test_blocked_rotor_sweep_mean_torque_matches_the_orbit(tmp_path):
+    """The torque-speed characteristic through the CLI: a sweep of the
+    blocked rotor's held speed gives the orbit's mean te on each row. The
+    runs start from zero flux, so the rows keep what is left of that start
+    transient (1.9e-7 to 8.7e-7 relative)."""
+    speeds = "100,150,155"
+    argv = ["sweep", "blocked_rotor", "--axis", "initial_state.omega_mech", "--values", speeds,
+            "--fields", "mean_torque", "--output-dir", str(tmp_path)]
+    assert main(argv) == 0
+    with open(tmp_path / "blocked_rotor_sweep.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    config = load_config("blocked_rotor")
+    for speed, row in zip(speeds.split(","), rows, strict=True):
+        assert row["status"] == "ok"
+        want = PeriodicOrbit(config.machine, build_supply(config), float(speed)).mean_torques()[0]
+        deviation = abs(float(row["mean_torque"]) - want) / abs(want)
+        assert deviation < 1e-5, f"{speed} rad/s: mean te deviates from the orbit's by {deviation:.2e}"
 
 
 # ---------------------------------------------------------------------------

@@ -13,17 +13,17 @@ optional key set away from its default. Two RK4 runs put a load step on
 either side of the one-ulp gap between a step's end time and the next
 step's start time.
 
-Its output is committed as tools/identity_digests.txt, and
-tests/test_identity.py checks the bundled configs' lines of that file. From
-the root of a checkout, this prints nothing when every output is unchanged:
+This module is the one producer of the digests. Its output is committed as
+tools/identity_digests.txt, and tests/test_identity.py runs `digests` and
+checks every line of that file against it. A change that alters an output
+on purpose writes the file again, from the root of a checkout:
 
-    python3 tools/identity_digests.py | diff tools/identity_digests.txt -
-
-A change that alters an output on purpose writes the file again.
+    python3 tools/identity_digests.py > tools/identity_digests.txt
 
 It imports tpim from `src/` of the checkout it lives in, and the seeded
-configs of `perfbench/workloads.py` (without changing them). Outputs go to a
-temporary directory that is removed afterwards.
+configs of `perfbench/workloads.py` (without changing them); importing it
+leaves sys.path as it was. `digests(work)` writes the outputs into work;
+run as a script, it uses a temporary directory that is removed afterwards.
 """
 
 from __future__ import annotations
@@ -37,11 +37,14 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+_sys_path = sys.path[:]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-
-import tpim  # noqa: E402
-from tpim.cli import main  # noqa: E402
-from workloads import PEAK, config_text, harmonic_config, sweep_torques  # noqa: E402
+try:
+    import tpim
+    from tpim.cli import main
+    from workloads import PEAK, config_text, harmonic_config, sweep_torques
+finally:
+    sys.path[:] = _sys_path
 
 BUNDLED = ("paper_s3", "symmetric_check", "blocked_rotor")
 HARMONIC_VARIANTS = (0, 7, 33)
