@@ -35,7 +35,7 @@ from .config import (
     sweepable_axes,
 )
 from .dynamics import IntegrationError, integrate
-from .machine import ParameterError, validate_parameters
+from .machine import validate_parameters
 from .output import REPORT_SPEED_TOL, write_plot_script, write_summary, write_trace_csv
 
 __all__ = ["main"]
@@ -148,7 +148,7 @@ def _out_dir(config: RunConfig) -> Path:
 
 def _cmd_run(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
-    p = validate_parameters(config.machine)
+    p = config.machine  # load_config validated it
     prefix = config.output.prefix
     try:
         trace = integrate(p, build_scenario(config))
@@ -260,7 +260,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return _cmd_validate(args)
         return _cmd_sweep(args)
-    except (ConfigError, ParameterError, OSError, MemoryError) as exc:
+    except (ConfigError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except IntegrationError as exc:

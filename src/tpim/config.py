@@ -3,10 +3,13 @@
 The format is line-based `dotted.key = value` with `#` comments. The key
 table _KEYS is the one definition of the schema: it lists every key, in
 parse and render order, with the reader of its value, and the known-key
-check, render_config and the sweep axes all come from it. Unknown keys are
+check, render_config and the sweep axes all come from it; SUPPLY_MODES is
+the one definition of the keys only one supply mode reads. Unknown keys are
 hard errors so typos never pass silently; every omitted optional key takes
 its dataclass default, and render_config writes the fully resolved form
-back out (the round-trip re-parses to an equal RunConfig).
+back out (the round-trip re-parses to an equal RunConfig). The types the
+values build check their ranges, once: validate_parameters, the supply,
+LoadProfile, IntegratorConfig and Scenario.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ __all__ = [
     "sweepable_axes",
 ]
 
-SUPPLY_MODES = ("quadrature", "harmonics")
+SUPPLY_MODES = {"quadrature": ("supply.voltage",), "harmonics": ("supply.alpha", "supply.beta")}
 
 
 class ConfigError(ValueError):
@@ -133,7 +136,7 @@ _HARMONICS = _entries("order:amplitude:phase", lambda n, a, ph: Harmonic(int(n),
 # The one definition of the schema: every key, in parse and render order, and its reader.
 _KEYS = {
     **{f"machine.{f.name}": {"float": _float, "int": _int}[f.type] for f in fields(MachineParameters)},
-    "supply.mode": _choice(SUPPLY_MODES),
+    "supply.mode": _choice(tuple(SUPPLY_MODES)),
     "supply.frequency": _float,
     "supply.voltage": _float,
     "supply.alpha": _HARMONICS,
@@ -217,19 +220,11 @@ def parse_config(text: str, name: str = "run") -> RunConfig:
         raise ConfigError(f"machine: {exc}") from None
 
     supply = SupplySpec(**_take(entries, "supply.mode", "supply.frequency"))
-    if not supply.frequency > 0.0:
-        raise ConfigError(f"supply.frequency must be positive: {supply.frequency}")
-    if supply.mode == "quadrature":
-        for forbidden in ("supply.alpha", "supply.beta"):
-            if forbidden in entries:
-                raise ConfigError(f"'{forbidden}' requires supply.mode = harmonics")
-        supply = replace(supply, **_take(entries, "supply.voltage"))
-        if not supply.voltage > 0.0:
-            raise ConfigError(f"supply.voltage must be positive: {supply.voltage}")
-    else:
-        if "supply.voltage" in entries:
-            raise ConfigError("'supply.voltage' requires supply.mode = quadrature")
-        supply = replace(supply, **_take(entries, "supply.alpha", "supply.beta"))
+    for mode, keys in SUPPLY_MODES.items():
+        for key in keys:
+            if key in entries and mode != supply.mode:
+                raise ConfigError(f"'{key}' requires supply.mode = {mode}")
+    supply = replace(supply, **_take(entries, *SUPPLY_MODES[supply.mode]))
 
     if "load.torque" in entries and "load.breakpoints" in entries:
         raise ConfigError("'load.torque' and 'load.breakpoints' are mutually exclusive")
@@ -254,7 +249,7 @@ def parse_config(text: str, name: str = "run") -> RunConfig:
         **_section(entries, ""),
         output=OutputOptions(**{"prefix": name, **_section(entries, "output")}),
     )
-    try:  # the source and the scenario check what the spec cannot, such as a finite 2*pi*f*order*t
+    try:  # the source and the scenario check the supply's values, as they do a sweep row's
         build_scenario(config)
     except ValueError as exc:
         raise ConfigError(f"supply: {exc}") from None
@@ -276,7 +271,7 @@ def _fmt(value) -> str:
 def render_config(config: RunConfig) -> str:
     """Serialize the fully resolved configuration; re-parses to an equal RunConfig."""
     s = config.supply
-    omit = {"supply.alpha", "supply.beta"} if s.mode == "quadrature" else {"supply.voltage"}
+    omit = {key for mode, keys in SUPPLY_MODES.items() if mode != s.mode for key in keys}
     omit |= {f"supply.{phase}" for phase in ("alpha", "beta") if not getattr(s, phase)}
     omit.add("load.breakpoints" if len(config.load.breakpoints) == 1 else "load.torque")
     return "".join(f"{key} = {_fmt(_value(config, key))}\n" for key in _KEYS if key not in omit)
@@ -327,13 +322,12 @@ def build_scenario(config: RunConfig) -> Scenario:
     )
 
 
-
 def sweepable_axes(config: RunConfig) -> tuple[str, ...]:
-    """Every float key and machine.pole_pairs; supply.voltage only in quadrature mode."""
+    """Every float key and machine.pole_pairs that the config's supply mode reads."""
+    other = {key for mode, keys in SUPPLY_MODES.items() if mode != config.supply.mode for key in keys}
     return tuple(
         key for key, read in _KEYS.items()
-        if (read is _float or key == "machine.pole_pairs")
-        and (key != "supply.voltage" or config.supply.mode == "quadrature")
+        if (read is _float or key == "machine.pole_pairs") and key not in other
     )
 
 

@@ -127,6 +127,9 @@ class Scenario:
     def __post_init__(self):
         if self.speed_convention not in SPEED_CONVENTIONS:
             raise ValueError(f"unknown speed convention: {self.speed_convention!r}")
+        for name, value in vars(self.initial_state).items():
+            if not math.isfinite(value):
+                raise ValueError(f"initial state must be finite: {name} = {value}")
         # The last time a step loop samples the supply, the end of its last
         # step: n * dt, or RK4's (n - 1) * dt + dt. cos of an infinite phase
         # argument raises, so it must stay finite up to there.

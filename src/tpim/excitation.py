@@ -107,7 +107,7 @@ def quadrature_supply(v_rms: float, frequency: float, amplitude_is_peak: bool = 
     phases reverses rotation.
     """
     if not v_rms > 0.0:
-        raise ValueError(f"supply voltage must be positive: {v_rms}")
+        raise ValueError(f"voltage must be positive: {v_rms}")
     peak = v_rms if amplitude_is_peak else math.sqrt(2.0) * v_rms
     return VoltageSource(
         alpha=(Harmonic(1, peak, 0.0),),

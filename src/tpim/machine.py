@@ -17,6 +17,7 @@ into _CHANNELS, the channels kernel over the recorded fluxes. Using only
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass
 
 __all__ = [
@@ -98,29 +99,25 @@ class MachineState:
 def validate_parameters(params: MachineParameters) -> MachineParameters:
     """Check every model invariant and return params itself.
 
-    Raises ParameterError naming the first violated invariant together with
-    the offending value. The model functions below assume their parameters
-    passed this check (the determinants must be positive).
+    Every float parameter must lie in (0, inf), pole_pairs be a positive
+    integer, and each axis meet the leakage condition. Raises ParameterError
+    naming the first violated invariant together with the offending value.
+    The model functions below assume their parameters passed this check
+    (the determinants must be positive).
     """
     p = params
     for kind, names in (
         ("resistance", ("r_s_alpha", "r_s_beta", "r_r_alpha", "r_r_beta")),
         ("inductance", ("l_s_alpha", "l_s_beta", "l_r_alpha", "l_r_beta", "l_m_alpha", "l_m_beta")),
+        ("turns ratio", ("turns_ratio_a",)),
+        ("inertia", ("inertia_j",)),
     ):
         for name in names:
             value = getattr(p, name)
-            if not value > 0.0:
-                raise ParameterError(f"{kind} must be positive: {name} = {value}")
-    if not p.turns_ratio_a > 0.0:
-        raise ParameterError(
-            f"turns ratio must be positive: turns_ratio_a = {p.turns_ratio_a}"
-        )
+            if not 0.0 < value < math.inf:
+                raise ParameterError(f"{kind} must be positive and finite: {name} = {value}")
     if isinstance(p.pole_pairs, bool) or not (isinstance(p.pole_pairs, int) and p.pole_pairs >= 1):
-        raise ParameterError(
-            f"pole_pairs must be a positive integer: pole_pairs = {p.pole_pairs}"
-        )
-    if not p.inertia_j > 0.0:
-        raise ParameterError(f"inertia must be positive: inertia_j = {p.inertia_j}")
+        raise ParameterError(f"pole_pairs must be a positive integer: pole_pairs = {p.pole_pairs}")
 
     for axis in ("alpha", "beta"):
         det = getattr(p, f"det_{axis}")

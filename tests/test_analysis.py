@@ -15,7 +15,7 @@ from tpim import (
     integrate,
     summarize,
 )
-from tpim.analysis import detect_steady_state
+from tpim.analysis import _periodic_tail, detect_steady_state
 
 from support import (
     T_LOAD,
@@ -75,6 +75,9 @@ def test_short_trace_is_an_error():
     trace = synthetic_trace(np.full(150, 120.0))
     with pytest.raises(TraceTooShortError):
         detect_steady_state(trace)
+    # 0.5 s of records 0.25 s apart: long enough, but a window holds one record.
+    with pytest.raises(TraceTooShortError, match="below the record spacing 0.25 s"):
+        detect_steady_state(synthetic_trace(np.full(3, 120.0), spacing=0.25))
 
 
 def test_rated_machine_speed_ripple_defeats_strict_tolerance(rated_trace):
@@ -169,6 +172,16 @@ def test_summarize_requires_steady_state(table1):
     # A tolerance no window can meet is a bad argument, not an unsettled run.
     with pytest.raises(ValueError, match="speed_tol"):
         summarize(trace, table1, speed_tol=-1.0)
+
+
+@pytest.mark.parametrize(
+    "frequency, tail", [(50.0, slice(200, 301)), (5.0, slice(100, 301)), (2.0, slice(0, 301))]
+)
+def test_periodic_tail_of_slow_supplies(frequency, tail):
+    # 0.3 s settled from the start: five 50 Hz periods fill the 0.1 s window,
+    # one 0.2 s period at 5 Hz overruns it, and no whole 0.5 s period fits at 2 Hz.
+    trace = synthetic_trace(np.full(301, 120.0), frequency=frequency)
+    assert _periodic_tail(trace, 0) == tail
 
 
 def test_rated_summary_operating_point(table1, rated_trace):

@@ -86,7 +86,7 @@ def test_invalid_record_every_override_exits_1(tmp_path, capsys, every):
     assert not (tmp_path / "short_trace.csv").exists()
 
 
-@pytest.mark.parametrize("tol", ["-1", "nan", "0", "inf"])
+@pytest.mark.parametrize("tol", ["-1", "nan", "0", "inf", "abc"])
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_invalid_speed_tol_exits_1_before_the_run(tmp_path, capsys, command, tol):
     path = _short_config(tmp_path)
@@ -534,6 +534,10 @@ def test_importing_the_cli_loads_no_orjson():
 
 def test_sweep_spec_errors_exit_1(tmp_path, capsys):
     assert main(["sweep", "paper_s3", "--axis", "load.torque", "--values", " "]) == 1
+    assert main(["sweep", "paper_s3", "--axis", "load.torque", "--values", "1,x"]) == 1
+    assert "error: --values must be comma-separated numbers: '1,x'" in capsys.readouterr().err
+    assert main(["sweep", "paper_s3", "--axis", "load.torque", "--values", "1.0", "--fields", ","]) == 1
+    assert "error: --fields must name at least one summary field" in capsys.readouterr().err
     assert main(["sweep", "paper_s3", "--axis", "machine.bogus", "--values", "1.0"]) == 1
     assert main(
         ["sweep", "paper_s3", "--axis", "load.torque", "--values", "1.0", "--fields", "bogus"]
@@ -545,6 +549,19 @@ def test_sweep_spec_errors_exit_1(tmp_path, capsys):
         assert "must be finite" in capsys.readouterr().err
     assert not (tmp_path / "paper_s3_sweep.csv").exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("how", ["flag", "key"])
+def test_run_writes_a_plot_script_that_reads_its_trace(tmp_path, capsys, how):
+    # Without matplotlib: the script is written, printed, compiles and names the CSV.
+    extra, flags = ("", ["--emit-plot-script"]) if how == "flag" else ("output.emit_plot_script = true\n", [])
+    path = _short_config(tmp_path, extra=extra)
+    assert main(["run", str(path), "--output-dir", str(tmp_path), *flags]) == 0
+    script = tmp_path / "short_plot.py"
+    assert capsys.readouterr().out.splitlines()[-1] == str(script)
+    text = script.read_text()
+    compile(text, str(script), "exec")
+    assert 'CSV = HERE / "short_trace.csv"' in text
 
 
 def test_emitted_plot_script_renders_pngs(tmp_path):

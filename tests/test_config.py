@@ -278,6 +278,55 @@ def test_integrator_errors_are_prefixed_only_by_the_integrator_check(text, messa
     assert str(info.value).startswith(message)
 
 
+HARMONICS = MINIMAL.replace("supply.voltage = 230.0", "supply.mode = harmonics")
+
+
+# Every rejection of parse_config, with the whole message. MINIMAL has 18
+# lines (the first is blank), so an appended line is line 19.
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (MINIMAL + "load.torque 2.0\n", "line 19: expected 'key = value', got 'load.torque 2.0'"),
+        (MINIMAL + "= 2.0\n", "line 19: missing key before '='"),
+        (MINIMAL + "output.prefix =\n", "line 19: empty value for 'output.prefix'"),
+        (MINIMAL + "load.torque = 2.0\n", "line 19: duplicate key 'load.torque' (first set on line 17)"),
+        (MINIMAL + "machine.interia_j = 1.0\n", "line 19: unknown key 'machine.interia_j'"),
+        (MINIMAL.replace("machine.inertia_j = 2.92e-3\n", ""), "missing required key 'machine.inertia_j'"),
+        (MINIMAL.replace("pole_pairs = 2", "pole_pairs = 2.5"),
+         "line 13: invalid integer for 'machine.pole_pairs': '2.5'"),
+        (MINIMAL.replace("= 230.0", "= twohundred"), "line 15: invalid number for 'supply.voltage': 'twohundred'"),
+        (MINIMAL.replace("frequency = 50.0", "frequency = inf"), "line 16: 'supply.frequency' must be finite, got 'inf'"),
+        (MINIMAL + "amplitude_is_peak = yes\n", "line 19: 'amplitude_is_peak' must be true or false, got 'yes'"),
+        (MINIMAL + "supply.mode = dc\n",
+         "line 19: 'supply.mode' must be one of ('quadrature', 'harmonics'), got 'dc'"),
+        (HARMONICS + "supply.alpha = 1:100.0\n",
+         "line 19: 'supply.alpha' entries must look like 'order:amplitude:phase', got '1:100.0'"),
+        (HARMONICS + "supply.alpha = 1:abc:0.0\n", "line 19: invalid number in 'supply.alpha': '1:abc:0.0'"),
+        (MINIMAL.replace("inertia_j = 2.92e-3", "inertia_j = 0.0"),
+         "machine: inertia must be positive and finite: inertia_j = 0.0"),
+        (MINIMAL + "supply.beta = 1:100.0:0.0\n", "'supply.beta' requires supply.mode = harmonics"),
+        (HARMONICS + "supply.voltage = 230.0\n", "'supply.voltage' requires supply.mode = quadrature"),
+        (MINIMAL + "load.breakpoints = 0.0:1.0\n", "'load.torque' and 'load.breakpoints' are mutually exclusive"),
+        (MINIMAL.replace("load.torque = 1.0096", "load.breakpoints = 0.1:1.0"),
+         "load: first load breakpoint must start at t = 0, got 0.1"),
+        (MINIMAL.replace("duration = 1.0", "duration = -1.0"), "integrator: duration must be finite and >= 0: -1.0"),
+        (MINIMAL.replace("frequency = 50.0", "frequency = -50.0"),
+         "supply: frequency must be finite and positive: -50.0"),
+        (MINIMAL.replace("voltage = 230.0", "voltage = 0.0"), "supply: voltage must be positive: 0.0"),
+    ],
+    ids=[
+        "no_equals", "no_key", "empty_value", "duplicate", "unknown_key", "missing_key", "invalid_integer",
+        "invalid_number", "non_finite", "invalid_bool", "invalid_choice", "malformed_entry",
+        "invalid_entry_number", "machine", "alpha_beta_need_harmonics", "voltage_needs_quadrature",
+        "torque_and_breakpoints", "load", "integrator", "frequency", "voltage",
+    ],
+)
+def test_every_rejection_names_its_cause(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("supply, load", itertools.product(SUPPLIES, LOADS))
 def test_every_key_round_trips(supply, load):
     text = every_key_config(supply, load)

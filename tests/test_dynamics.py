@@ -33,7 +33,7 @@ SILENT = VoltageSource(alpha=(), beta=(), frequency=50.0)
 
 
 # ---------------------------------------------------------------------------
-# IntegratorConfig
+# IntegratorConfig and Scenario
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -58,6 +58,25 @@ def test_integrator_config_rejects(kwargs):
 def test_step_counts():
     assert IntegratorConfig(duration=1.0, step_size=1e-4).n_steps == 10000
     assert IntegratorConfig(duration=0.0, step_size=1e-4).n_steps == 0
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(speed_convention="bogus"), "unknown speed convention: 'bogus'"),
+        # nan would fail the first step; inf at duration 0 would write a trace of inf.
+        (dict(psi_s_alpha=math.nan), "initial state must be finite: psi_s_alpha = nan"),
+        (dict(psi_r_beta=-math.inf), "initial state must be finite: psi_r_beta = -inf"),
+        (dict(omega_mech=math.inf), "initial state must be finite: omega_mech = inf"),
+    ],
+    ids=["speed_convention", "nan_flux", "minus_inf_flux", "inf_speed"],
+)
+def test_scenario_rejects_what_cannot_run(change, message):
+    if "speed_convention" not in change:
+        change = dict(initial_state=dataclasses.replace(MachineState.at_rest(), **change))
+    with pytest.raises(ValueError) as info:
+        scenario(duration=0.0, **change)
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +196,8 @@ def test_trace_grid_and_length(table1):
     spacing = np.diff(trace.t)
     assert spacing == pytest.approx(np.full(500, 1e-4), rel=1e-9)
     assert np.all(np.isfinite(np.column_stack([trace.channel(c) for c in TRACE_CHANNELS])))
+    with pytest.raises(KeyError, match="unknown trace channel: 'bogus'"):
+        trace.channel("bogus")
 
 
 def test_record_every_decimates_without_changing_the_grid(table1):

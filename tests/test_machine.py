@@ -57,6 +57,11 @@ def test_zero_inertia_rejected():
         ("pole_pairs", 0, "pole_pairs must be a positive integer"),
         ("pole_pairs", True, "pole_pairs must be a positive integer"),
         ("inertia_j", -2.0, "inertia must be positive"),
+        # inf passes "> 0": as inertia it locks the shaft, elsewhere the first step fails.
+        ("r_s_alpha", math.inf, "resistance must be positive and finite: r_s_alpha = inf"),
+        ("l_s_alpha", math.inf, "inductance must be positive and finite: l_s_alpha = inf"),
+        ("turns_ratio_a", math.inf, "turns ratio must be positive and finite: turns_ratio_a = inf"),
+        ("inertia_j", math.inf, "inertia must be positive and finite: inertia_j = inf"),
     ],
 )
 def test_invariant_violations_name_the_field(field, value, match):

@@ -1,7 +1,8 @@
-"""The README's library example and the exported names match the code."""
+"""The README's library example, the exported names and perfbench's wrapped names match the code."""
 
 import contextlib
 import importlib
+import importlib.util
 import io
 import pkgutil
 import re
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import tpim
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_readme_library_example_runs_and_exports_resolve():
@@ -27,3 +29,13 @@ def test_readme_library_example_runs_and_exports_resolve():
     for module in modules:
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
+
+
+def test_perfbench_entry_points_resolve():
+    # `perfbench/run.py --trace 1` wraps each (module, name) it lists by
+    # getattr; a name the program no longer has would crash the traced run.
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [(m, name) for m, name, _ in spans.ENTRY_POINTS if not hasattr(importlib.import_module(m), name)]
+    assert not missing
