@@ -87,27 +87,28 @@ def _speed_tol(text: str) -> float:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tpim", description="Two-phase induction motor simulator")
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--output-dir", help="override output.directory")
+    shared.add_argument(
+        "--speed-tol",
+        type=_speed_tol,
+        default=REPORT_SPEED_TOL,
+        help="steady-state speed tolerance of the summaries",
+    )
 
-    run = sub.add_parser("run", help="integrate a scenario and write trace + summary")
+    run = sub.add_parser("run", parents=[shared], help="integrate a scenario and write trace + summary")
     run.add_argument("config", help="config file path or bundled config name")
-    run.add_argument("--output-dir", help="override output.directory")
     run.add_argument("--record-every", type=int, help="override integrator.record_every")
     run.add_argument(
         "--emit-plot-script",
         action="store_true",
         help="also write a matplotlib script rendering the trace CSV",
     )
-    run.add_argument(
-        "--speed-tol",
-        type=_speed_tol,
-        default=REPORT_SPEED_TOL,
-        help="steady-state speed tolerance used by the summary report",
-    )
 
     val = sub.add_parser("validate", help="parse + validate only, echo the resolved config")
     val.add_argument("config", help="config file path or bundled config name")
 
-    sweep = sub.add_parser("sweep", help="run the config once per axis value")
+    sweep = sub.add_parser("sweep", parents=[shared], help="run the config once per axis value")
     sweep.add_argument("config", help="base config file path or bundled config name")
     sweep.add_argument("--axis", required=True, help="dotted numeric parameter path")
     sweep.add_argument("--values", required=True, help="comma-separated numbers")
@@ -115,13 +116,6 @@ def _build_parser() -> _Parser:
         "--fields",
         default=",".join(_DEFAULT_SWEEP_FIELDS),
         help="comma-separated summary fields to tabulate",
-    )
-    sweep.add_argument("--output-dir", help="override output.directory")
-    sweep.add_argument(
-        "--speed-tol",
-        type=_speed_tol,
-        default=REPORT_SPEED_TOL,
-        help="steady-state speed tolerance used for the tabulated summaries",
     )
     return parser
 

@@ -69,7 +69,7 @@ class RunConfig:
     supply: SupplySpec
     load: LoadProfile
     integrator: IntegratorConfig
-    initial_state: MachineState = field(default_factory=MachineState.at_rest)
+    initial_state: MachineState = field(default_factory=MachineState)
     speed_convention: str = "mechanical_state"
     amplitude_is_peak: bool = False
     blocked_rotor: bool = False
@@ -245,7 +245,7 @@ def parse_config(text: str, name: str = "run") -> RunConfig:
         supply=supply,
         load=load,
         integrator=integrator,
-        initial_state=replace(MachineState.at_rest(), **_section(entries, "initial_state")),
+        initial_state=MachineState(**_section(entries, "initial_state")),
         **_section(entries, ""),
         output=OutputOptions(**{"prefix": name, **_section(entries, "output")}),
     )

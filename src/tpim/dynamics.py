@@ -11,10 +11,10 @@ a step that a breakpoint falls in is split there (Hairer, Norsett and
 Wanner, Solving ODEs I, II.6), so RK4 keeps its order across a load step.
 RK4 starts each step from the previous step's end sample where the two
 times are the same float. Records go item by item into a channel-major
-buffer; after the loop, the channels kernel derives the currents and both
-torques from its rows, on arrays, from the current and torque templates the
-loops inline. Both are deterministic: identical inputs give bit-identical
-traces.
+buffer; after the loop, the channels kernel derives the currents, both
+torques and the shaft speed from its rows, on arrays, from the current and
+torque templates the loops inline. Both are deterministic: identical inputs
+give bit-identical traces.
 
 All generated code is compiled here, by one builder: the step loops, the
 channels kernel and the templates' one-point forms, compile_derivative and
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import sys
 import textwrap
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from functools import cache, partial
 
 import numpy as np
@@ -120,7 +120,7 @@ class Scenario:
     supply: VoltageSource
     load: LoadProfile
     integrator: IntegratorConfig
-    initial_state: MachineState = field(default_factory=MachineState.at_rest)
+    initial_state: MachineState = field(default_factory=MachineState)
     speed_convention: str = "mechanical_state"
     blocked_rotor: bool = False
 
@@ -275,11 +275,11 @@ def compile_sources(supply: VoltageSource):
 
 @cache
 def _channels():
-    """tpim.machine._CHANNELS as a function of the machine constants and the
-    four fluxes, returning (i_sa, i_sb, i_ra, i_rb, te, te_ec); on arrays,
-    element by element."""
-    body = _CHANNELS + "return i_sa, i_sb, i_ra, i_rb, te, te_ec\n"
-    return _kernel("channels", [_KERNEL_CONSTANTS, "psa, psb, pra, prb"], body)
+    """tpim.machine._CHANNELS as a function of the machine constants, the
+    four fluxes and the speed state, returning (i_sa, i_sb, i_ra, i_rb, te,
+    te_ec, omega_mech); on arrays, element by element."""
+    body = _CHANNELS + "return i_sa, i_sb, i_ra, i_rb, te, te_ec, omega_mech\n"
+    return _kernel("channels", [_KERNEL_CONSTANTS, "psa, psb, pra, prb, w"], body)
 
 
 @cache
@@ -330,19 +330,16 @@ def _load_pieces(load: LoadProfile, dt: float, n_steps: int):
         torque = next_torque
 
 
-def _derive_trace(p: MachineParameters, scenario: Scenario, records: np.ndarray) -> SimulationTrace:
-    """Build the trace from (t, v_sa, v_sb, 5 states) rows, deriving the rest on arrays."""
+def _derive_trace(constants: tuple, scenario: Scenario, records: np.ndarray) -> SimulationTrace:
+    """Build the trace from (t, v_sa, v_sb, 5 states) rows, deriving the rest on arrays by the kernel constants."""
     t, v_sa, v_sb, psa, psb, pra, prb, w = records
     # The load at each record time, right-continuous: the last breakpoint at or before it.
     starts, torques = map(np.array, zip(*scenario.load.breakpoints))
     tl = torques[np.searchsorted(starts, t, side="right") - 1]
-    constants = kernel_constants(p, scenario.speed_convention, scenario.blocked_rotor)
-    i_sa, i_sb, i_ra, i_rb, te, te_ec = _channels()(*constants, psa, psb, pra, prb)
-    if scenario.speed_convention == "electrical_state":
-        w = w * (1.0 / p.pole_pairs)  # recorded speed is always shaft speed
+    i_sa, i_sb, i_ra, i_rb, te, te_ec, omega_mech = _channels()(*constants, psa, psb, pra, prb, w)
     return SimulationTrace(
         t=t, v_sa=v_sa, v_sb=v_sb, i_sa=i_sa, i_sb=i_sb, i_ra=i_ra, i_rb=i_rb,
-        psi_sa=psa, psi_sb=psb, psi_ra=pra, psi_rb=prb, te=te, te_ec=te_ec, omega_mech=w, tl=tl,
+        psi_sa=psa, psi_sb=psb, psi_ra=pra, psi_rb=prb, te=te, te_ec=te_ec, omega_mech=omega_mech, tl=tl,
         step_size=scenario.integrator.step_size,
         record_every=scenario.integrator.record_every,
         supply_frequency=scenario.supply.frequency,
@@ -367,9 +364,9 @@ def integrate(p: MachineParameters, scenario: Scenario) -> SimulationTrace:
     except (MemoryError, ValueError) as exc:  # numpy's ValueError: the size overflows its index
         raise MemoryError(f"cannot allocate {n_records} records of {len(_RECORDED)} floats "
                           f"({n_records * len(_RECORDED) * 8} bytes) for {cfg.n_steps} steps") from exc
-    loop = partial(_step_loop(cfg.method, shape),
-                   *kernel_constants(p, scenario.speed_convention, scenario.blocked_rotor), records)
-    state, next_record, filled = scenario.initial_state.as_tuple(), 0, 0
+    constants = kernel_constants(p, scenario.speed_convention, scenario.blocked_rotor)
+    loop = partial(_step_loop(cfg.method, shape), *constants, records)
+    state, next_record, filled = astuple(scenario.initial_state), 0, 0
     for torque, base, step, first, last, recording in _load_pieces(scenario.load, cfg.step_size, cfg.n_steps):
         # A substep is given the record index -1, which no step reaches.
         finite, t, after, filled, state = loop(
@@ -377,8 +374,8 @@ def integrate(p: MachineParameters, scenario: Scenario) -> SimulationTrace:
             torque, *voltages,
         )
         if not finite:
-            partial_trace = _derive_trace(p, scenario, records[:, :filled])
+            partial_trace = _derive_trace(constants, scenario, records[:, :filled])
             raise IntegrationError(t, MachineState(*state), partial_trace)
         if recording:
             next_record = after
-    return _derive_trace(p, scenario, records)
+    return _derive_trace(constants, scenario, records)

@@ -14,6 +14,7 @@ times.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -55,7 +56,8 @@ class VoltageSource:
             for h in harmonics:
                 if isinstance(h.order, bool) or not (isinstance(h.order, int) and h.order >= 1):
                     raise ValueError(f"harmonic order must be a positive integer: {h.order}")
-                if not math.isfinite(_TWO_PI * self.frequency * h.order):
+                # An order past the largest float does not convert: no finite angular frequency.
+                if not (h.order <= sys.float_info.max and math.isfinite(_TWO_PI * self.frequency * h.order)):
                     raise ValueError(f"angular frequency 2*pi*{self.frequency!r}*{h.order} of harmonic "
                                      f"{h.order} on phase {phase_name} is not finite")
                 if not 0.0 <= h.amplitude < math.inf:

@@ -11,14 +11,15 @@ Currents and torque are algebraic in those states. Each equation is written
 once, as template text that tpim.dynamics compiles, with the constants it
 reads as arguments: the currents _CURRENTS and the torque _TE are rendered
 into the state derivative _RHS, which the step loops inline per stage, and
-into _CHANNELS, the channels kernel over the recorded fluxes. Using only
+into _CHANNELS, the channels kernel over the recorded states. Using only
 +, -, * and /, they give on numpy arrays, element-wise, the bits of floats.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+import sys
+from dataclasses import dataclass
 
 __all__ = [
     "SPEED_CONVENTIONS",
@@ -79,21 +80,14 @@ class MachineState:
 
     omega_mech is the shaft speed in rad/s under the default speed
     convention; under "electrical_state" the same slot holds electrical
-    speed (see _RHS).
+    speed (see _RHS). The defaults are the machine at rest.
     """
 
-    psi_s_alpha: float
-    psi_s_beta: float
-    psi_r_alpha: float
-    psi_r_beta: float
-    omega_mech: float
-
-    @classmethod
-    def at_rest(cls) -> "MachineState":
-        return cls(0.0, 0.0, 0.0, 0.0, 0.0)
-
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return astuple(self)
+    psi_s_alpha: float = 0.0
+    psi_s_beta: float = 0.0
+    psi_r_alpha: float = 0.0
+    psi_r_beta: float = 0.0
+    omega_mech: float = 0.0
 
 
 def validate_parameters(params: MachineParameters) -> MachineParameters:
@@ -118,6 +112,8 @@ def validate_parameters(params: MachineParameters) -> MachineParameters:
                 raise ParameterError(f"{kind} must be positive and finite: {name} = {value}")
     if isinstance(p.pole_pairs, bool) or not (isinstance(p.pole_pairs, int) and p.pole_pairs >= 1):
         raise ParameterError(f"pole_pairs must be a positive integer: pole_pairs = {p.pole_pairs}")
+    if p.pole_pairs > sys.float_info.max:  # the kernels read it as a float
+        raise ParameterError(f"pole_pairs must be at most {sys.float_info.max!r}: pole_pairs = {p.pole_pairs}")
 
     for axis in ("alpha", "beta"):
         det = getattr(p, f"det_{axis}")
@@ -204,11 +200,14 @@ def render_rhs(names: str) -> str:
     return _RHS.format(**dict(zip(_RHS_NAMES, names.split(), strict=True)))
 
 
-# The derived trace channels of the fluxes: the currents, te, and te_ec, the
-# torque implied by the rotor speed-voltage power w_e * (a*psi_r_beta*i_r_alpha
-# - psi_r_alpha*i_r_beta/a) per unit shaft speed. te_ec is te for a symmetric
-# machine; for an asymmetric one the divergence is reported, not hidden.
+# The derived trace channels of the recorded states: the currents; te; te_ec,
+# the torque implied by the rotor speed-voltage power w_e * (a*psi_r_beta*i_r_alpha
+# - psi_r_alpha*i_r_beta/a) per unit shaft speed; and the shaft speed omega_mech
+# of the speed state w, whichever the convention (w_scale / pole_pairs is 1.0
+# under the default one). te_ec is te for a symmetric machine; for an
+# asymmetric one the divergence is reported, not hidden.
 _CHANNELS = _CURRENTS.format(psa="psa", psb="psb", pra="pra", prb="prb") + f"""\
 te = {_TE}
 te_ec = pole_pairs * (a * prb * i_ra - pra * i_rb / a)
+omega_mech = w * (w_scale / pole_pairs)
 """

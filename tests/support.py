@@ -8,12 +8,13 @@ supply term by term, the reference for the sampler that
 tpim.dynamics.compile_sources compiles, and sample_load a load profile, the
 reference for the recorded load channel and for the torque of each load
 segment; fluxes_from_currents is the forward map that the current template
-inverts, and channels evaluates that template (with both torques) at given
-fluxes. The phasor solver here is a test-only oracle: it computes the
-periodic steady state of the same state equations at a held speed by one
-complex 4x4 solve per harmonic order, with no time stepping, so it verifies
-the integrator through an entirely different route. reference_trace_csv
-is the trace CSV by its definition, one repr per value.
+inverts, and channels evaluates the channels kernel (the currents and both
+torques; it also derives the shaft speed) at given fluxes. The phasor solver
+here is a test-only oracle: it computes the periodic steady state of the
+same state equations at a held speed by one complex 4x4 solve per harmonic
+order, with no time stepping, so it verifies the integrator through an
+entirely different route. reference_trace_csv is the trace CSV by its
+definition, one repr per value.
 """
 
 import cmath
@@ -144,7 +145,7 @@ def scenario(
         integrator=IntegratorConfig(
             method=method, step_size=dt, duration=duration, record_every=record_every
         ),
-        initial_state=initial_state or MachineState.at_rest(),
+        initial_state=initial_state or MachineState(),
         speed_convention=speed_convention,
         blocked_rotor=blocked_rotor,
     )
@@ -208,9 +209,10 @@ def textbook_torques(p, psi_r_alpha, psi_r_beta, i_s_alpha, i_s_beta, i_r_alpha,
 
 def channels(p, psi_s_alpha, psi_s_beta, psi_r_alpha, psi_r_beta):
     """(i_sa, i_sb, i_ra, i_rb, te, te_ec) of the fluxes, by the channels
-    kernel that derives the recorded trace channels."""
+    kernel that derives the recorded trace channels (at zero speed, whose
+    shaft-speed channel it drops)."""
     return _channels()(*kernel_constants(p, "mechanical_state", False),
-                       psi_s_alpha, psi_s_beta, psi_r_alpha, psi_r_beta)
+                       psi_s_alpha, psi_s_beta, psi_r_alpha, psi_r_beta, 0.0)[:6]
 
 
 def reference_derivative(p, state, v_sa, v_sb, t_load):

@@ -43,7 +43,7 @@ def test_criterion_1_rated_startup(table1):
     trace = integrate(table1, scenario())
     runtime = time.perf_counter() - t0
 
-    starts_at_rest = trace.omega_mech[0] == 0.0
+    starts_from_rest = trace.omega_mech[0] == 0.0
     accelerates = float(np.max(trace.omega_mech)) > 100.0
     # settled: consecutive 0.1 s window means agree (the instantaneous speed
     # keeps a double-supply-frequency swing, so windows, not samples)
@@ -55,7 +55,7 @@ def test_criterion_1_rated_startup(table1):
     torque_ok = abs(report.mean_torque - T_LOAD) <= 0.01 * T_LOAD
     fast_enough = runtime < 2.0
 
-    ok = starts_at_rest and accelerates and settled and below_sync and torque_ok and fast_enough
+    ok = starts_from_rest and accelerates and settled and below_sync and torque_ok and fast_enough
     _report(
         1,
         ok,
@@ -63,7 +63,7 @@ def test_criterion_1_rated_startup(table1):
         f"mean torque {report.mean_torque:.5f} N*m "
         f"({abs(report.mean_torque - T_LOAD) / T_LOAD:.2%} off), runtime {runtime:.2f} s",
     )
-    assert starts_at_rest
+    assert starts_from_rest
     assert accelerates
     assert settled, f"window means {m_prev:.4f} vs {m_last:.4f}"
     assert below_sync, f"final speed {report.final_speed_mech:.4f} not in (0, {W_SYNC:.4f})"

@@ -184,6 +184,15 @@ def test_periodic_tail_of_slow_supplies(frequency, tail):
     assert _periodic_tail(trace, 0) == tail
 
 
+def test_periodic_tail_of_one_record(table1):
+    # Records 0.15 s apart and a 0.06 s period: the one period that fits the
+    # window rounds to no record spacing, so the tail is the last record
+    # alone, and the summary's mean over it is that record's value.
+    trace = synthetic_trace(np.full(3, 120.0), spacing=0.15, frequency=1 / 0.06)
+    assert _periodic_tail(trace, 0) == slice(2, 3)
+    assert summarize(trace, table1).final_speed_mech == 120.0
+
+
 def test_rated_summary_operating_point(table1, rated_trace):
     report = summarize(rated_trace, table1, speed_tol=0.05)
     assert report.steady_state_reached

@@ -279,6 +279,8 @@ def test_integrator_errors_are_prefixed_only_by_the_integrator_check(text, messa
 
 
 HARMONICS = MINIMAL.replace("supply.voltage = 230.0", "supply.mode = harmonics")
+# An integer past the largest float, which float() cannot convert.
+HUGE = "1" + "0" * 400
 
 
 # Every rejection of parse_config, with the whole message. MINIMAL has 18
@@ -313,12 +315,14 @@ HARMONICS = MINIMAL.replace("supply.voltage = 230.0", "supply.mode = harmonics")
         (MINIMAL.replace("frequency = 50.0", "frequency = -50.0"),
          "supply: frequency must be finite and positive: -50.0"),
         (MINIMAL.replace("voltage = 230.0", "voltage = 0.0"), "supply: voltage must be positive: 0.0"),
+        (HARMONICS + f"supply.alpha = {HUGE}:1.0:0.0\n",
+         f"supply: angular frequency 2*pi*50.0*{HUGE} of harmonic {HUGE} on phase alpha is not finite"),
     ],
     ids=[
         "no_equals", "no_key", "empty_value", "duplicate", "unknown_key", "missing_key", "invalid_integer",
         "invalid_number", "non_finite", "invalid_bool", "invalid_choice", "malformed_entry",
         "invalid_entry_number", "machine", "alpha_beta_need_harmonics", "voltage_needs_quadrature",
-        "torque_and_breakpoints", "load", "integrator", "frequency", "voltage",
+        "torque_and_breakpoints", "load", "integrator", "frequency", "voltage", "order_past_float",
     ],
 )
 def test_every_rejection_names_its_cause(text, message):

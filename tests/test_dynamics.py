@@ -73,7 +73,7 @@ def test_step_counts():
 )
 def test_scenario_rejects_what_cannot_run(change, message):
     if "speed_convention" not in change:
-        change = dict(initial_state=dataclasses.replace(MachineState.at_rest(), **change))
+        change = dict(initial_state=MachineState(**change))
     with pytest.raises(ValueError) as info:
         scenario(duration=0.0, **change)
     assert str(info.value) == message
@@ -84,7 +84,7 @@ def test_scenario_rejects_what_cannot_run(change, message):
 # ---------------------------------------------------------------------------
 
 def test_zero_state_is_fixed_point_of_both_steppers(table1):
-    rest = MachineState.at_rest()
+    rest = MachineState()
     for method in ("rk4", "euler"):
         one = scenario(supply=SILENT, load_torque=0.0, method=method, dt=1e-3, duration=1e-3)
         out = state_at(integrate(table1, one), 1)
@@ -158,7 +158,7 @@ def test_generated_loop_matches_derivative_stepped_by_hand(table1, method, conve
         steps = [[(k * dt, dt, sample_load(load, k * dt))] for k in range(3)]
         if shape == "load_steps":
             steps[1] = [(dt, 3.3e-3 - dt, 0.7), (3.3e-3, 2 * dt - 3.3e-3, T_LOAD)]
-        x = start.as_tuple()
+        x = dataclasses.astuple(start)
         expected = [(*sources(0.0), sample_load(load, 0.0), *x)]
         for k, pieces in enumerate(steps):
             for piece in pieces:

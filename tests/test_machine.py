@@ -56,6 +56,9 @@ def test_zero_inertia_rejected():
         ("turns_ratio_a", 0.0, "turns ratio must be positive"),
         ("pole_pairs", 0, "pole_pairs must be a positive integer"),
         ("pole_pairs", True, "pole_pairs must be a positive integer"),
+        # The kernels read pole_pairs as a float, which cannot hold 10**400.
+        pytest.param("pole_pairs", 10**400, "pole_pairs must be at most 1.7976931348623157e[+]308: pole_pairs = 10{400}$",
+                     id="pole_pairs-past_float"),
         ("inertia_j", -2.0, "inertia must be positive"),
         # inf passes "> 0": as inertia it locks the shaft, elsewhere the first step fails.
         ("r_s_alpha", math.inf, "resistance must be positive and finite: r_s_alpha = inf"),

@@ -1,4 +1,4 @@
-"""The README's library example, the exported names and perfbench's wrapped names match the code."""
+"""The README's library example, CLI synopsis, the exported names and perfbench's wrapped names match the code."""
 
 import contextlib
 import importlib
@@ -9,6 +9,7 @@ import re
 from pathlib import Path
 
 import tpim
+from tpim.cli import _build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -39,3 +40,14 @@ def test_perfbench_entry_points_resolve():
     spec.loader.exec_module(spans)
     missing = [(m, name) for m, name, _ in spans.ENTRY_POINTS if not hasattr(importlib.import_module(m), name)]
     assert not missing
+
+
+def test_readme_cli_synopsis_matches_the_parser():
+    block = re.search(r"^## Command line\n\n```sh\n(.*?)^```", README.read_text(), re.S | re.M).group(1)
+    synopsis = {line.split()[1]: set(re.findall(r"--[a-z-]+", line)) for line in block.splitlines()}
+    subparsers = next(a for a in _build_parser()._actions if a.dest == "command").choices
+    options = {
+        name: {o for a in sub._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+        for name, sub in subparsers.items()
+    }
+    assert synopsis == options
