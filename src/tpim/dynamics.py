@@ -16,16 +16,26 @@ torques and the shaft speed from its rows, on arrays, from the current and
 torque templates the loops inline. Both are deterministic: identical inputs
 give bit-identical traces.
 
-All generated code is compiled here, by one builder: the step loops, the
-channels kernel and the templates' one-point forms, compile_derivative and
-compile_sources.
-Every name a template reads is an argument of the compiled function, but
-cos and isfinite, which it imports when called.
+All generated code is compiled here. _kernel compiles Python: the step
+loops, the channels kernel and the templates' one-point forms,
+compile_derivative and compile_sources. Every name a template reads is an
+argument of the compiled function, but cos and isfinite, which it imports
+when called. _c_kernel compiles C: each step loop is rendered once more, in
+a C frame around the same statements, compiled by cc without fused
+multiply-add and loaded with ctypes. It gives the Python loop's bits, and
+integrate runs it. The library is cached in the user's cache directory
+($XDG_CACHE_HOME/tpim, else ~/.cache/tpim), so a warm cache starts no
+process. The Python loop is the reference the tests hold the C loop to, and
+it runs, silently, where the C loop cannot be built: no cc on PATH, a
+compile or load that fails, a cache directory that is not the user's own,
+or a supply of more than 64 harmonics.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import sys
 import textwrap
 from dataclasses import astuple, dataclass, field, fields
@@ -217,9 +227,54 @@ for k in range(first + 1, last + 1):
 {store_in_loop}\
 return True, t, next_record, filled, (psa, psb, pra, prb, w)
 """
+# The same loop in C, around the same statements. records is the buffer
+# and its row length, and the voltage values come as one array; the time
+# and the state are left in out, the next record's index and the records
+# filled in counts, and the return value is whether the state stayed finite.
+_C_LOOP = """\
+int finite = 1;
+double {declared};
+{unpack}\
+{views}\
+const double half = 0.5 * dt;
+const double sixth = dt / 6.0;
+double t = base + first * dt;
+{sample}\
+if (first == next_record) {{
+    next_record += every;
+{store}\
+}}
+for (int64_t k = first + 1; k <= last; k++) {{
+{step}\
+    t = base + k * dt;
+    if (!(isfinite(psa) && isfinite(psb) && isfinite(pra) && isfinite(prb) && isfinite(w))) {{
+        finite = 0;
+        break;
+    }}
+{resample}\
+    if (k == next_record) {{
+        next_record += every;
+{store_in_loop}\
+    }}
+}}
+out[0] = t;
+out[1] = psa;
+out[2] = psb;
+out[3] = pra;
+out[4] = prb;
+out[5] = w;
+counts[0] = next_record;
+counts[1] = filled;
+return finite;
+"""
+# The loop's arguments after the machine constants, and those of them that are integers.
+_SETTINGS = "records, psa, psb, pra, prb, w, base, dt, first, last, next_record, filled, every, torque"
+_INTEGERS = {"first", "last", "next_record", "filled", "every"}
 _STATES = ("psa", "psb", "pra", "prb", "w")
-# The recorded values, in the row order of records.
+# The recorded values, in the row order of records, and the statements that store one record.
 _RECORDED = ("t", "va0", "vb0", *_STATES)
+_STORE = "".join(f"r_{v}[filled] = {v}\n" for v in _RECORDED) + "filled += 1\n"
+_indent = partial(textwrap.indent, prefix="    ")
 
 
 def _rk4_step(sample) -> str:
@@ -241,15 +296,99 @@ def _euler_step() -> str:
 
 
 def _kernel(name: str, arguments: list[str], body: str):
-    """Compile `def name(arguments): body`, the one way generated code is
+    """Compile `def name(arguments): body`, the one way generated Python is
     compiled. The body starts by importing cos and isfinite, at call time;
     every other name it reads must be one of the arguments, given as
     comma-separated groups (empty groups are dropped)."""
     body = "from math import cos, isfinite\n" + body
-    source = f"def {name}({', '.join(filter(None, arguments))}):\n" + textwrap.indent(body, "    ")
+    source = f"def {name}({', '.join(filter(None, arguments))}):\n" + _indent(body)
     scope = {}
     exec(compile(source, f"<tpim {name}>", "exec"), scope)
     return scope[name]
+
+
+# No fused multiply-add, so that each + and * of the C statements rounds as
+# Python's float operations do.
+_CC_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_CC_TIMEOUT_S = 60.0
+
+
+def _c_kernel(name: str, parameters: list[str], body: str):
+    """Compile `int name(parameters) { body }` with cc, the one way generated
+    C is compiled, and load it with ctypes; None where there is no cc on PATH,
+    the compile or the load fails, or the cache directory is not the user's
+    own. parameters are C declarations: a pointer is passed as an address,
+    an int64_t or a double as a number.
+
+    The library is cached in $XDG_CACHE_HOME/tpim (~/.cache/tpim where that
+    is unset or not an absolute path), named by the sha256 of the source,
+    the compile command and the compiler's path and mtime, so that a warm
+    cache starts no process."""
+    import ctypes
+    import shutil
+
+    source = f"#include <math.h>\n#include <stdint.h>\n\nint {name}({', '.join(parameters)})\n{{\n{_indent(body)}}}\n"
+    cc = shutil.which("cc")
+    if cc is None:
+        return None
+    cc = os.path.realpath(cc)
+    command = [cc, *_CC_FLAGS, "-x", "c", "-", "-lm"]
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):  # unset, empty or relative: the default
+        root = os.path.expanduser("~/.cache")
+    if not os.path.isabs(root):  # no home directory
+        return None
+    directory = os.path.join(root, "tpim")
+    try:
+        os.makedirs(directory, mode=0o700, exist_ok=True)
+        owner = os.stat(directory)
+        if owner.st_uid != os.getuid() or owner.st_mode & 0o022:
+            return None
+        key = "\0".join([source, *command, str(os.stat(cc).st_mtime_ns)])
+        library = os.path.join(directory, _sha256(key.encode()) + ".so")
+        if not os.path.exists(library):
+            _build(command, source, library)
+        function = getattr(ctypes.CDLL(library), name)
+    except OSError:
+        return None
+    function.argtypes = [
+        ctypes.c_void_p if "*" in p else ctypes.c_int64 if p.startswith("int64_t") else ctypes.c_double
+        for p in parameters
+    ]
+    function.restype = ctypes.c_int
+    return function
+
+
+def _sha256(data: bytes) -> str:
+    """The hex sha256 of data, by CPython's built-in module where there is
+    one: hashlib's import loads OpenSSL, 3.6 MB more memory for a run."""
+    for module in ("_sha2", "_sha256"):  # Python 3.12 on; 3.10 and 3.11
+        with contextlib.suppress(ImportError):
+            return __import__(module).sha256(data).hexdigest()
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
+
+
+def _build(command: list[str], source: str, library: str) -> None:
+    """Compile source by command into library, through a temporary file in
+    its directory: concurrent builders each replace it whole. A failed
+    compile leaves no library."""
+    import subprocess
+    import tempfile
+
+    handle, temporary = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(library))
+    os.close(handle)
+    try:
+        done = subprocess.run([*command, "-o", temporary], input=source, text=True, capture_output=True,
+                              timeout=_CC_TIMEOUT_S)
+        if done.returncode == 0:
+            os.replace(temporary, library)
+    except subprocess.TimeoutExpired:
+        pass
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temporary)
 
 
 def compile_derivative(p: MachineParameters, speed_convention: str = "mechanical_state",
@@ -282,28 +421,101 @@ def _channels():
     return _kernel("channels", [_KERNEL_CONSTANTS, "psa, psb, pra, prb, w"], body)
 
 
+def _python_branch(condition: str, then: str, otherwise: str) -> str:
+    return f"if {condition}:\n{_indent(then)}else:\n{_indent(otherwise)}"
+
+
+def _c_branch(condition: str, then: str, otherwise: str) -> str:
+    return f"if ({condition}) {{\n{_indent(then)}}} else {{\n{_indent(otherwise)}}}\n"
+
+
+def _c_statements(statements: str) -> str:
+    """Statements as C: a line that opens or closes no block ends with ;."""
+    return "".join(line + ("" if line.endswith(("{", "}")) else ";") + "\n" for line in statements.splitlines())
+
+
+def _loop_statements(method: str, shape: tuple[int, int], branch) -> tuple[str, str, str]:
+    """The statements of the loop of one method and supply shape, the same
+    for both targets: the sample at the start, one step, and the sample after
+    the step. branch(condition, then, otherwise) renders an if."""
+    sample = partial(render_sample, shape)
+    start = sample("t", "va0 vb0")
+    if method == "euler":
+        return start, _euler_step(), start
+    # The sampler is a pure function of one float: where t is the float the
+    # last stage sampled at, its sample is reused, bit for bit.
+    return start, _rk4_step(sample), branch("t == t_end", "va0 = va1\nvb0 = vb1\n", start)
+
+
+@cache
+def _python_loop(method: str, shape: tuple[int, int]):
+    """The generated loop of one method and supply shape, in Python: the
+    reference of the C loop, and the loop that runs where that cannot be
+    built. Its arguments are the machine constants, the records buffer, the
+    initial state, the call's settings, the load torque and then the voltage
+    values."""
+    start, step, resample = _loop_statements(method, shape, _python_branch)
+    body = _LOOP.format(
+        views=", ".join(f"r_{v}" for v in _RECORDED), sample=start, store=_indent(_STORE), step=_indent(step),
+        resample=_indent(resample), store_in_loop=_indent(_indent(_STORE)),
+    )
+    return _kernel("step_loop", [_KERNEL_CONSTANTS, _SETTINGS, sample_arguments(shape)], body)
+
+
+@cache
+def _c_loop(method: str, shape: tuple[int, int]):
+    """The loop of _python_loop compiled from C, with the same arguments and
+    results, or None where it cannot be built."""
+    start, step, resample = (_c_statements(s) for s in _loop_statements(method, shape, _c_branch))
+    constants, settings = _KERNEL_CONSTANTS.split(", "), _SETTINGS.split(", ")
+    voltages = list(filter(None, sample_arguments(shape).split(", ")))
+    assigned = {line.split(" = ", 1)[0].strip() for line in (start + step + resample).splitlines() if " = " in line}
+    parameters = [f"{'int64_t' if v in _INTEGERS else 'double'} {v}" for v in constants + settings[1:]]
+    parameters += ["double *records", "int64_t n_records", "const double *voltages", "double *out", "int64_t *counts"]
+    store = _c_statements(_STORE)
+    body = _C_LOOP.format(
+        declared=", ".join(sorted(assigned - set(settings))),
+        unpack="".join(f"const double {v} = voltages[{i}];\n" for i, v in enumerate(voltages)),
+        views="".join(f"double *r_{v} = records + {i} * n_records;\n" for i, v in enumerate(_RECORDED)),
+        sample=start, store=_indent(store), step=_indent(step), resample=_indent(resample),
+        store_in_loop=_indent(_indent(store)),
+    )
+    function = _c_kernel("step_loop", parameters, body)
+    if function is None:
+        return None
+    import ctypes
+
+    n = len(constants)
+
+    def step_loop(*arguments):
+        given = dict(zip(settings, arguments[n:]))
+        records, first, last, next_record, filled, every = map(
+            given.get, ("records", "first", "last", "next_record", "filled", "every"))
+        # The loop stores at next_record and every every-th step after it, up to last.
+        stores = (last - next_record) // every + 1 if first <= next_record <= last else 0
+        if not (records.dtype == np.float64 and records.flags.c_contiguous and len(records) == len(_RECORDED)
+                and 0 <= filled <= records.shape[1] - stores):
+            raise IndexError(f"{stores} records from index {filled} do not fit in a buffer of shape {records.shape}")
+        values = arguments[n + len(settings):]
+        out, counts = (ctypes.c_double * 6)(), (ctypes.c_int64 * 2)()
+        finite = function(*arguments[:n], *arguments[n + 1:n + len(settings)], records.ctypes.data, records.shape[1],
+                          (ctypes.c_double * len(values))(*values), out, counts)
+        return bool(finite), out[0], counts[0], counts[1], tuple(out[1:])
+
+    return step_loop
+
+
+# The most harmonics a C loop is built for. cc's time and memory grow faster
+# than the statements: 0.1 s for 3 harmonics, 0.6 s for 64, 3.6 s for 300,
+# and past 2 minutes and 800 MB for 5000 (gcc 12 -O2, RK4).
+_C_MAX_HARMONICS = 64
+
+
 @cache
 def _step_loop(method: str, shape: tuple[int, int]):
-    """The generated loop of one method and supply shape. Its arguments are
-    the machine constants, the records buffer, the initial state, the call's
-    settings, the load torque and then the voltage values."""
-    sample = partial(render_sample, shape)
-    indent = partial(textwrap.indent, prefix="    ")
-    start = sample("t", "va0 vb0")
-    if method == "rk4":
-        step = _rk4_step(sample)
-        # The sampler is a pure function of one float: where t is the float
-        # the last stage sampled at, its sample is reused, bit for bit.
-        resample = "if t == t_end:\n    va0, vb0 = va1, vb1\nelse:\n" + indent(start)
-    else:
-        step, resample = _euler_step(), start
-    store = "".join(f"r_{v}[filled] = {v}\n" for v in _RECORDED) + "filled += 1\n"
-    body = _LOOP.format(
-        views=", ".join(f"r_{v}" for v in _RECORDED), sample=start, store=indent(store), step=indent(step),
-        resample=indent(resample), store_in_loop=indent(indent(store)),
-    )
-    settings = "records, psa, psb, pra, prb, w, base, dt, first, last, next_record, filled, every, torque"
-    return _kernel("step_loop", [_KERNEL_CONSTANTS, settings, sample_arguments(shape)], body)
+    """The loop integrate runs for one method and supply shape: the C loop,
+    or the Python loop where that cannot be built or has too many harmonics."""
+    return (sum(shape) <= _C_MAX_HARMONICS and _c_loop(method, shape)) or _python_loop(method, shape)
 
 
 def _load_pieces(load: LoadProfile, dt: float, n_steps: int):

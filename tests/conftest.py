@@ -10,6 +10,16 @@ from tpim import integrate, validate_parameters
 from support import SYMMETRIC, TABLE1, scenario, state_at
 
 
+@pytest.fixture(scope="session", autouse=True)
+def private_compile_cache(tmp_path_factory):
+    """XDG_CACHE_HOME at a directory of this session, before any run: the C
+    step loops the tests build are cached there, never in the user's cache.
+    Child processes inherit it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        yield
+
+
 @pytest.fixture(scope="session")
 def table1():
     return validate_parameters(TABLE1)

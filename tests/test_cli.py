@@ -5,6 +5,7 @@ import io
 import math
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -21,7 +22,7 @@ from hypothesis.extra.numpy import arrays
 
 import tpim
 import tpim.output
-from tpim import TRACE_CHANNELS, integrate, load_config
+from tpim import TRACE_CHANNELS, dynamics, integrate, load_config
 from tpim.cli import main, usable_cpus
 from tpim.config import build_scenario
 from tpim.dynamics import IntegrationError
@@ -278,16 +279,24 @@ def test_late_partial_trace_matches_the_reference_writer(tmp_path, capsys, monke
 
 
 def test_run_starts_no_process(tmp_path, monkeypatch, table1):
+    # On a warm cache: the step loop's library is loaded from the cache
+    # directory, not compiled, once this process has forgotten it.
+    path = _short_config(tmp_path, duration="0.25")
+    integrate(table1, build_scenario(load_config(str(path))))
+    dynamics._step_loop.cache_clear()
+    dynamics._c_loop.cache_clear()
+
     def refuse(*args, **kwargs):
         raise AssertionError("tpim run starts no process")
 
     for name in ("fork", "posix_spawn", "posix_spawnp"):
         monkeypatch.setattr(os, name, refuse, raising=False)
     monkeypatch.setattr(subprocess, "Popen", refuse)
-    path = _short_config(tmp_path, duration="0.25")
     out = tmp_path / "out"
     assert main(["run", str(path), "--output-dir", str(out)]) == 0
     _assert_no_child_left()
+    if shutil.which("cc"):
+        assert dynamics._step_loop("rk4", (1, 1)) is dynamics._c_loop("rk4", (1, 1)) is not None
     assert sorted(item.name for item in out.iterdir()) == ["short_summary.txt", "short_trace.csv"]
     trace = integrate(table1, build_scenario(load_config(str(path))))
     assert (out / "short_trace.csv").read_bytes() == reference_trace_csv(trace)

@@ -5,7 +5,8 @@ only check them. The tool's generator runs once per module, and its {artifact:
 sha256} is compared with the committed file, both ways: a changed, missing or
 extra artifact fails and is named. The outputs are split between the tests:
 the bundled configs' `run` and `validate` outputs, the table of the seed-1
-load sweep, and every other line. A change that alters an output on purpose
+load sweep, and every other line. The generator runs once more with every
+step loop in Python, and all its lines are checked. A change that alters an output on purpose
 regenerates the file (`python3 tools/identity_digests.py >
 tools/identity_digests.txt`) in the same commit and names each changed line.
 """
@@ -15,6 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from tpim import dynamics
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -74,3 +77,10 @@ def test_load_sweep_table_matches_committed_digest(produced):
 
 def test_outputs_match_committed_digests(produced):
     assert_committed(produced, lambda a: not (is_bundled(a) or is_load_sweep(a)))
+
+
+def test_python_loop_outputs_match_committed_digests(tmp_path, monkeypatch):
+    # Every output again with the step loops in Python, the fallback where
+    # no C loop can be built and the reference of the C loops.
+    monkeypatch.setattr(dynamics, "_step_loop", dynamics._python_loop)
+    assert_committed({artifact: digest for digest, artifact in TOOL.digests(tmp_path)}, lambda a: True)

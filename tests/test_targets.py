@@ -1,0 +1,212 @@
+"""The two targets of the step loop: C, and Python, its fallback and reference.
+
+Both render the same statements, so the C loop must give the Python loop's
+bits: the records, every call's time, record index and state, and the failure
+of a run that goes non-finite. Where the C loop cannot be built (no cc on
+PATH, a compile that fails, a cache directory that is not the user's own)
+a run takes the Python loop, silently, with the same output bytes.
+"""
+
+import itertools
+import os
+import shutil
+import struct
+import subprocess
+import sys
+from dataclasses import astuple, replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from tpim import (
+    Harmonic,
+    IntegrationError,
+    LoadProfile,
+    MachineState,
+    VoltageSource,
+    dynamics,
+    integrate,
+)
+from tpim.cli import main
+from tpim.excitation import sample_binding
+from tpim.machine import SPEED_CONVENTIONS, kernel_constants
+
+from support import F_SUPPLY, SOURCE_SHAPES, T_LOAD, TABLE1, V_PEAK, rated_supply, scenario
+
+HAS_CC = shutil.which("cc") is not None
+
+SUPPLIES = {
+    "quadrature": rated_supply(),  # (1, 1)
+    "harmonics": SOURCE_SHAPES["harmonics"][0],  # (3, 3)
+    "zero_amplitude": SOURCE_SHAPES["zero_amplitude"][0],  # (2, 1)
+    "silent_phase": VoltageSource(alpha=(Harmonic(1, V_PEAK),), beta=(), frequency=F_SUPPLY),  # (1, 0)
+}
+DT = 1e-4
+# The first step k whose end (k - 1) * dt + dt is not the float k * dt.
+K = next(k for k in itertools.count(2) if (k - 1) * DT + DT != k * DT)
+LOADS = {
+    "constant": LoadProfile.constant(T_LOAD),
+    "on_the_grid_and_inside_a_step": LoadProfile(((0.0, 0.4), (12 * DT, 0.7), (0.00123, T_LOAD))),
+    "at_k_dt": LoadProfile(((0.0, 0.4), (K * DT, T_LOAD))),
+    "one_ulp_past_k_dt": LoadProfile(((0.0, 0.4), ((K - 1) * DT + DT, T_LOAD))),
+}
+# A turning start, so that every coupling term counts, also on a blocked rotor.
+START = MachineState(0.4, -0.3, 0.35, 0.2, 60.0)
+
+
+def exact(value):
+    """value with each number as its type and, for a float, its bytes, so
+    that == compares bits (-0.0 is not 0.0) and types."""
+    if isinstance(value, tuple):
+        return tuple(map(exact, value))
+    return type(value), struct.pack("<d", value) if isinstance(value, float) else value
+
+
+def outcome(p, run, step_loop, monkeypatch):
+    """integrate(p, run) with step_loop(method, shape) as its loops: the
+    bytes of every trace channel (of the partial trace on a failure), each
+    loop call's results and the failure's time and state, exactly."""
+    results = []
+
+    def spied(method, shape):
+        loop = step_loop(method, shape)
+
+        def call(*arguments):
+            results.append(loop(*arguments))
+            return results[-1]
+        return call
+
+    monkeypatch.setattr(dynamics, "_step_loop", spied)
+    try:
+        trace, failure = integrate(p, run), None
+    except IntegrationError as exc:
+        trace, failure = exc.partial_trace, (exc.time, astuple(exc.state))
+    channels = tuple(trace.channel(name).tobytes() for name in dynamics.TRACE_CHANNELS)
+    return channels, exact(tuple(results)), exact(failure)
+
+
+def target(method, shape):
+    """The loop integrate runs; where cc is on PATH, the C loop."""
+    loop = dynamics._step_loop(method, shape)
+    if HAS_CC:
+        assert loop is dynamics._c_loop(method, shape) is not None
+    return loop
+
+
+@pytest.mark.parametrize("blocked", [False, True], ids=["free", "blocked"])
+@pytest.mark.parametrize("convention", SPEED_CONVENTIONS)
+@pytest.mark.parametrize("supply", SUPPLIES)
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+def test_c_loop_gives_the_python_loops_bits(table1, monkeypatch, method, supply, convention, blocked):
+    assert K * DT < 0.005
+    loop = target(method, sample_binding(SUPPLIES[supply])[0])
+    for (name, load), every in itertools.product(LOADS.items(), (1, 3)):
+        run = replace(
+            scenario(supply=SUPPLIES[supply], method=method, dt=DT, duration=0.005, record_every=every,
+                     initial_state=START, speed_convention=convention, blocked_rotor=blocked),
+            load=load,
+        )
+        c = outcome(table1, run, lambda method, shape: loop, monkeypatch)
+        python = outcome(table1, run, dynamics._python_loop, monkeypatch)
+        assert c == python, (name, every)
+
+
+# Euler's last finite states are large enough that their channels overflow.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("split", [False, True], ids=["whole_steps", "split_step"])
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+def test_c_loop_fails_as_the_python_loop(table1, monkeypatch, method, split):
+    # dt = 0.02 goes non-finite within 1 s; a load step at 0.05 splits the
+    # step from 0.04 to 0.06 s.
+    run = scenario(method=method, dt=0.02, duration=1.0)
+    if split:
+        run = replace(run, load=LoadProfile(((0.0, T_LOAD), (0.05, 0.5))))
+    loop = target(method, (1, 1))
+    c = outcome(table1, run, lambda method, shape: loop, monkeypatch)
+    assert c == outcome(table1, run, dynamics._python_loop, monkeypatch)
+    (time_type, _), state = c[2]  # type(exc.time), and each state value's type
+    assert time_type is float
+    assert all(kind is float for kind, _ in state)
+
+
+def test_both_loops_refuse_records_past_their_buffer():
+    shape, voltages = sample_binding(rated_supply())
+    constants = kernel_constants(TABLE1, "mechanical_state", False)
+    # Steps 0 .. 3 record 4 times into room for 3.
+    arguments = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, DT, 0, 3, 0, 0, 1, T_LOAD, *voltages)
+    loops = [dynamics._python_loop("euler", shape), dynamics._c_loop("euler", shape)]
+    for loop in filter(None, loops):
+        with pytest.raises(IndexError):
+            loop(*constants, np.zeros((8, 3)), *arguments)
+    assert HAS_CC is (loops[1] is not None)
+
+
+@pytest.fixture
+def fresh_loops():
+    """The loops built anew in the test, and again after it."""
+    def clear():
+        dynamics._step_loop.cache_clear()
+        dynamics._c_loop.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+@pytest.fixture(scope="module")
+def reference_outputs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("reference")
+    assert main(["run", "paper_s3", "--output-dir", str(out)]) == 0
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+def without_cc(tmp_path, monkeypatch):
+    monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+
+
+def with_failing_cc(tmp_path, monkeypatch):
+    cc = tmp_path / "bin" / "cc"
+    cc.write_text("#!/bin/sh\necho 'cc: cannot compile' >&2\nexit 1\n")
+    cc.chmod(0o755)
+    monkeypatch.setenv("PATH", str(cc.parent))
+
+
+def with_group_writable_cache(tmp_path, monkeypatch):
+    (tmp_path / "cache" / "tpim").mkdir()
+    (tmp_path / "cache" / "tpim").chmod(0o770)
+
+
+@pytest.mark.parametrize("unusable", [without_cc, with_failing_cc, with_group_writable_cache])
+def test_run_falls_back_to_the_python_loop(tmp_path, monkeypatch, capfd, fresh_loops, reference_outputs, unusable):
+    (tmp_path / "bin").mkdir()
+    (tmp_path / "cache").mkdir()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    unusable(tmp_path, monkeypatch)
+    capfd.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", "paper_s3", "--output-dir", str(out)]) == 0
+    assert capfd.readouterr().err == ""
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == reference_outputs
+    assert dynamics._step_loop("rk4", (1, 1)) is dynamics._python_loop("rk4", (1, 1))
+    assert [path.name for path in (tmp_path / "cache").rglob("*") if path.is_file()] == []
+
+
+def test_concurrent_builders_share_one_library(tmp_path):
+    # Four builders compile the same loop into one empty cache at once; each
+    # must load a whole library, and one is left, with no temporary file.
+    # None loads OpenSSL (hashlib's _hashlib), 3.6 MB of memory, for the key.
+    if not HAS_CC:
+        pytest.skip("no cc on PATH")
+    src = str(Path(dynamics.__file__).resolve().parents[1])
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, tpim.dynamics as d; assert d._c_loop('euler', (1, 1)) is not None; "
+            "assert '_hashlib' not in sys.modules")
+    builders = [subprocess.Popen([sys.executable, "-c", code], env=env, stderr=subprocess.PIPE, text=True)
+                for _ in range(4)]
+    for builder in builders:
+        _, err = builder.communicate(timeout=120)
+        assert builder.returncode == 0, err
+    assert [path.suffix for path in (tmp_path / "tpim").iterdir()] == [".so"]
