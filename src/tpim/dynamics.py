@@ -22,13 +22,14 @@ compile_derivative and compile_sources. Every name a template reads is an
 argument of the compiled function, but cos and isfinite, which it imports
 when called. _c_kernel compiles C: each step loop is rendered once more, in
 a C frame around the same statements, compiled by cc without fused
-multiply-add and loaded with ctypes. It gives the Python loop's bits, and
-integrate runs it. The library is cached in the user's cache directory
-($XDG_CACHE_HOME/tpim, else ~/.cache/tpim), so a warm cache starts no
-process. The Python loop is the reference the tests hold the C loop to, and
-it runs, silently, where the C loop cannot be built: no cc on PATH, a
-compile or load that fails, a cache directory that is not the user's own,
-or a supply of more than 64 harmonics.
+multiply-add and loaded with ctypes, and so is tpim.output's trace
+formatter. The C loop gives the Python loop's bits, and integrate runs it.
+Each library is cached in the user's cache directory ($XDG_CACHE_HOME/tpim,
+else ~/.cache/tpim), so a warm cache starts no process. The Python loop is
+the reference the tests hold the C loop to, and it runs, silently, where
+the C loop cannot be built: no cc on PATH, a compile or load that fails, a
+cache directory that is not the user's own, or a supply of more than 64
+harmonics.
 """
 
 from __future__ import annotations
@@ -313,12 +314,14 @@ _CC_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _CC_TIMEOUT_S = 60.0
 
 
-def _c_kernel(name: str, parameters: list[str], body: str):
+def _c_kernel(name: str, parameters: list[str], body: str, definitions: str = ""):
     """Compile `int name(parameters) { body }` with cc, the one way generated
     C is compiled, and load it with ctypes; None where there is no cc on PATH,
     the compile or the load fails, or the cache directory is not the user's
     own. parameters are C declarations: a pointer is passed as an address,
-    an int64_t or a double as a number.
+    an int64_t or a double as a number. definitions (static tables and
+    helpers) go before the function; math.h, stdint.h and string.h are
+    included.
 
     The library is cached in $XDG_CACHE_HOME/tpim (~/.cache/tpim where that
     is unset or not an absolute path), named by the sha256 of the source,
@@ -327,7 +330,8 @@ def _c_kernel(name: str, parameters: list[str], body: str):
     import ctypes
     import shutil
 
-    source = f"#include <math.h>\n#include <stdint.h>\n\nint {name}({', '.join(parameters)})\n{{\n{_indent(body)}}}\n"
+    source = (f"#include <math.h>\n#include <stdint.h>\n#include <string.h>\n\n{definitions}"
+              f"int {name}({', '.join(parameters)})\n{{\n{_indent(body)}}}\n")
     cc = shutil.which("cc")
     if cc is None:
         return None

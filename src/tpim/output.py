@@ -1,14 +1,20 @@
 """File outputs: trace CSV, plain-text summary and the emitted plot script.
 
 The CSV is the single source of truth for downstream tooling: fixed header,
-fixed column order, shortest round-trip decimal text (values re-read equal
-the in-memory doubles exactly). The plot script is an emitted artifact that
-operates on the CSV; this package never imports a plotting library.
+fixed column order, each value as its repr, the shortest round-trip decimal
+text (values re-read equal the in-memory doubles exactly). A C formatter
+writes that text, Ryu's shortest digits in repr's layout. It is compiled by
+tpim.dynamics._c_kernel and cached with the step loops; where it cannot be
+built, orjson formats the values, with repr for the rows it spells
+otherwise, and the bytes are the same. The plot script is an emitted
+artifact that operates on the CSV; this package never imports a plotting
+library.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +25,7 @@ from .analysis import (
     energy_audit,
     summarize,
 )
-from .dynamics import TRACE_CHANNELS, SimulationTrace
+from .dynamics import TRACE_CHANNELS, SimulationTrace, _c_kernel
 from .machine import MachineParameters
 
 __all__ = [
@@ -33,32 +39,252 @@ __all__ = [
 CSV_HEADER = ",".join(TRACE_CHANNELS)
 
 
-# Rows serialized per write: orjson formats a whole block in C, while the
-# text held at once stays a small fraction of the file.
+# Rows formatted per write: the text held at once stays a small fraction of
+# the file.
 _CSV_BLOCK_ROWS = 1024
+# The longest repr of a double, 24 bytes as in -2.2250738585072014e-308, and
+# its separator.
+_CELL_BYTES = 25
+
+# Ryu's shortest digits (Adams, "Ryu: fast float-to-string conversion", PLDI
+# 2018; its d2d, with 128-bit products) and the layout of repr around them.
+# POW5_INV and POW5 are the tables _ryu_tables generates; the bit length of
+# 5**e and the floors of log10(2**e) and log10(5**e) are Ryu's
+# approximations, exact over the exponents of a double.
+_RYU = """\
+static uint64_t mul_shift(uint64_t m, const uint64_t *mul, int32_t j)
+{
+    const unsigned __int128 low = (unsigned __int128)m * mul[0], high = (unsigned __int128)m * mul[1];
+    return (uint64_t)(((low >> 64) + high) >> (j - 64));
+}
+
+static int32_t pow5_bits(int32_t e) { return ((e * 1217359) >> 19) + 1; }
+
+static int32_t pow5_factor(uint64_t v)
+{
+    int32_t count = 0;
+    for (; v % 5 == 0; v /= 5) count++;
+    return count;
+}
+
+/* The shortest m * 10**e10 that reads back as the finite nonzero double of
+   bits, rounded to the nearest and to even on a tie. */
+static uint64_t shortest(uint64_t bits, int32_t *e10)
+{
+    const uint64_t fraction = bits & ((1ull << 52) - 1);
+    const int32_t exponent = (int32_t)(bits >> 52 & 0x7ff);
+    const int32_t e2 = (exponent ? exponent : 1) - 1023 - 52 - 2;
+    const uint64_t mv = 4 * (exponent ? fraction | 1ull << 52 : fraction);
+    const int even = (mv & 4) == 0;
+    const uint64_t mm_shift = fraction != 0 || exponent <= 1;
+    uint64_t vr, vp, vm;
+    int vm_zeros = 0, vr_zeros = 0;
+    if (e2 >= 0) {
+        const int32_t q = ((e2 * 78913) >> 18) - (e2 > 3);
+        const int32_t j = -e2 + q + 125 + pow5_bits(q) - 1;
+        *e10 = q;
+        vr = mul_shift(mv, POW5_INV[q], j);
+        vp = mul_shift(mv + 2, POW5_INV[q], j);
+        vm = mul_shift(mv - 1 - mm_shift, POW5_INV[q], j);
+        if (q <= 21) {
+            if (mv % 5 == 0)
+                vr_zeros = pow5_factor(mv) >= q;
+            else if (even)
+                vm_zeros = pow5_factor(mv - 1 - mm_shift) >= q;
+            else
+                vp -= pow5_factor(mv + 2) >= q;
+        }
+    } else {
+        const int32_t q = ((-e2 * 732923) >> 20) - (-e2 > 1);
+        const int32_t i = -e2 - q;
+        const int32_t j = q - pow5_bits(i) + 125;
+        *e10 = q + e2;
+        vr = mul_shift(mv, POW5[i], j);
+        vp = mul_shift(mv + 2, POW5[i], j);
+        vm = mul_shift(mv - 1 - mm_shift, POW5[i], j);
+        if (q <= 1) {
+            vr_zeros = 1;
+            if (even)
+                vm_zeros = mm_shift == 1;
+            else
+                vp--;
+        } else if (q < 63) {
+            vr_zeros = (mv & ((1ull << q) - 1)) == 0;
+        }
+    }
+    int last = 0;
+    if (!vm_zeros && !vr_zeros) {  /* most values: no tie to break, two digits at a time */
+        for (; vp / 100 > vm / 100; *e10 += 2) {
+            last = vr % 100 / 10;
+            vr /= 100, vp /= 100, vm /= 100;
+        }
+        for (; vp / 10 > vm / 10; ++*e10) {
+            last = vr % 10;
+            vr /= 10, vp /= 10, vm /= 10;
+        }
+        return vr + (vr == vm || last >= 5);
+    }
+    for (; vp / 10 > vm / 10; ++*e10) {
+        vm_zeros &= vm % 10 == 0;
+        vr_zeros &= last == 0;
+        last = vr % 10;
+        vr /= 10, vp /= 10, vm /= 10;
+    }
+    for (; vm_zeros && vm % 10 == 0; ++*e10) {
+        vr_zeros &= last == 0;
+        last = vr % 10;
+        vr /= 10, vp /= 10, vm /= 10;
+    }
+    if (vr_zeros && last == 5 && vr % 2 == 0)
+        last = 4;
+    return vr + ((vr == vm && (!even || !vm_zeros)) || last >= 5);
+}
+
+/* The number of decimal digits of m > 0. */
+static int32_t digit_count(uint64_t m)
+{
+    const int32_t guess = (64 - __builtin_clzll(m)) * 1233 >> 12;  /* 1233 / 4096 < log10(2) */
+    return guess + (m >= POW10[guess]);
+}
+
+/* The decimal digits of m, ending at end. */
+static void write_digits(uint64_t m, char *end)
+{
+    for (; m >= 100; m /= 100)
+        memcpy(end -= 2, DIGIT_PAIRS + 2 * (m % 100), 2);
+    if (m >= 10)
+        memcpy(end - 2, DIGIT_PAIRS + 2 * m, 2);
+    else
+        end[-1] = '0' + m;
+}
+
+/* repr(v) at p; the end of the text. Fixed notation where 1e-4 <= |v| <
+   1e16, with .0 on an integer, else d.ddde-XX; nan whatever its sign. A
+   text of t bytes may write up to max(t, 5) bytes at p. */
+static char *format_double(double v, char *p)
+{
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    if (isnan(v))
+        return memcpy(p, "nan", 3), p + 3;
+    if (bits >> 63)
+        *p++ = '-';
+    if (isinf(v))
+        return memcpy(p, "inf", 3), p + 3;
+    if (v == 0.0)
+        return memcpy(p, "0.0", 3), p + 3;
+    int32_t e10;
+    const uint64_t m = shortest(bits, &e10);
+    const int32_t n = digit_count(m), point = n + e10;  /* |v| = 0.digits * 10**point */
+    if (point <= -4 || point > 16) {
+        write_digits(m, p + n + 1);
+        p[0] = p[1];
+        p[1] = '.';
+        p += n + (n > 1);
+        int32_t x = point > 0 ? point - 1 : 1 - point;
+        *p++ = 'e';
+        *p++ = point > 0 ? '+' : '-';
+        if (x >= 100) {
+            *p++ = '0' + x / 100;
+            x %= 100;
+        }
+        memcpy(p, DIGIT_PAIRS + 2 * x, 2);
+        return p + 2;
+    }
+    if (point <= 0) {
+        memcpy(p, "0.000", 5);
+        p += 2 - point + n;
+        write_digits(m, p);
+    } else if (point < n) {
+        write_digits(m, p + n + 1);
+        for (int32_t i = 0; i < point; i++)
+            p[i] = p[i + 1];
+        p[point] = '.';
+        p += n + 1;
+    } else {
+        write_digits(m, p + n);
+        p = (char *)memset(p + n, '0', point - n) + point - n;
+        p = (char *)memcpy(p, ".0", 2) + 2;
+    }
+    return p;
+}
+
+"""
+# rows lines of columns values, from the row-major block values, as CSV at
+# text; the bytes written.
+_FORMAT_ROWS = """\
+char *p = text;
+for (int64_t row = 0; row < rows; row++, values += columns) {
+    for (int64_t k = 0; k < columns; k++) {
+        p = format_double(values[k], p);
+        *p++ = ',';
+    }
+    p[-1] = '\\n';
+}
+return p - text;
+"""
 
 
-def write_trace_csv(trace: SimulationTrace, path) -> None:
-    """Write the trace CSV, _CSV_BLOCK_ROWS rows at a time.
+def _ryu_tables() -> str:
+    """The formatter's tables as C, from exact integers: Ryu's POW5_INV[q],
+    2**(125 + bits - 1) // 5**q + 1 where bits is the bit length of 5**q,
+    for q < 342, and POW5[i], 5**i scaled to 125 bits, for i < 326, each low
+    word first; the powers of ten below 10**20 and the two-digit pairs."""
 
-    orjson writes each double as Ryu's shortest round-trip digits, which are
-    repr's wherever 1e-4 <= |v| < 1e16 or v == 0; a row holding any other
-    value (subnormal or tiny, huge, nan, inf) is formatted by repr instead.
-    """
+    def table(name: str, values: list[int]) -> str:
+        rows = ",\n".join(f"    {{{value & (1 << 64) - 1:#x}u, {value >> 64:#x}u}}" for value in values)
+        return f"static const uint64_t {name}[{len(values)}][2] = {{\n{rows}\n}};\n"
+
+    powers = [5**q for q in range(342)]
+    inverses = [(1 << power.bit_length() - 1 + 125) // power + 1 for power in powers]
+    scaled = [power * 2**125 >> power.bit_length() for power in powers[:326]]
+    tens = ", ".join(f"{10**k}u" for k in range(20))
+    pairs = "".join(f"{k:02d}" for k in range(100))
+    return (table("POW5_INV", inverses) + table("POW5", scaled)
+            + f"static const uint64_t POW10[20] = {{{tens}}};\nstatic const char DIGIT_PAIRS[] = \"{pairs}\";\n")
+
+
+@cache
+def _c_format_rows():
+    """The C trace formatter, or None where it cannot be built."""
+    return _c_kernel(
+        "format_rows", ["const double *values", "int64_t rows", "int64_t columns", "char *text"],
+        _FORMAT_ROWS, _ryu_tables() + _RYU,
+    )
+
+
+def _orjson_rows(block: np.ndarray) -> bytes:
+    """The CSV lines of block by orjson, which writes Ryu's digits too, but
+    not repr's layout for 1e-9 <= |v| < 1e-4 (1e-05 as 1e-5), |v| >= 1e16
+    (1e+16 as 1e16), nan or inf (null): a row holding such a value is
+    formatted by repr."""
     # Imported here: at module top it adds import time and memory to every command.
     import orjson
 
+    lines = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
+    size = np.abs(block)
+    unlike_repr = ((size >= 1e-9) & (size < 1e-4)) | ~(size < 1e16)  # nan fails both
+    for row in np.flatnonzero(unlike_repr.any(axis=1)):
+        lines[row] = ",".join(map(repr, block[row].tolist())).encode()
+    return b"\n".join(lines) + b"\n"
+
+
+def write_trace_csv(trace: SimulationTrace, path) -> None:
+    """Write the trace CSV, _CSV_BLOCK_ROWS rows at a time, each value as
+    its repr: by the C formatter, or by orjson where that cannot be built."""
     channels = [trace.channel(name) for name in TRACE_CHANNELS]
+    format_rows = _c_format_rows()
+    text = np.empty(_CELL_BYTES * _CSV_BLOCK_ROWS * len(channels), np.uint8)  # the C formatter's, for every block
     with open(path, "wb") as f:
         f.write(CSV_HEADER.encode() + b"\n")
         for start in range(0, len(trace), _CSV_BLOCK_ROWS):
             block = np.column_stack([channel[start:start + _CSV_BLOCK_ROWS] for channel in channels])
-            lines = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
-            size = np.abs(block)
-            unlike_repr = ((size > 0.0) & (size < 1e-4)) | ~(size < 1e16)  # nan fails both
-            for row in np.flatnonzero(unlike_repr.any(axis=1)):
-                lines[row] = ",".join(map(repr, block[row].tolist())).encode()
-            f.write(b"\n".join(lines) + b"\n")
+            if format_rows is None:
+                f.write(_orjson_rows(block))
+            elif block.dtype != np.float64:
+                raise TypeError(f"trace channels must be float64, not {block.dtype}")
+            else:
+                f.write(memoryview(text)[:format_rows(block.ctypes.data, *block.shape, text.ctypes.data)])
 
 
 # An unsymmetrical machine carries an inherent double-supply-frequency
@@ -103,6 +329,7 @@ _PLOT_TEMPLATE = '''#!/usr/bin/env python3
 
 import csv
 from dataclasses import fields
+from functools import cache
 from pathlib import Path
 
 import matplotlib

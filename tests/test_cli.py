@@ -220,6 +220,15 @@ def _first_rows(trace, rows):
     return replace(trace, **{name: trace.channel(name)[:rows] for name in TRACE_CHANNELS})
 
 
+def _each_writer():
+    """Run the loop body with the trace writer a run takes, the C formatter
+    where it can be built, then with its fallback, orjson's; yield the name."""
+    yield "default"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tpim.output, "_c_format_rows", lambda: None)
+        yield "orjson"
+
+
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -227,20 +236,23 @@ def _assert_no_child_left():
 
 @pytest.mark.parametrize("rows", [1, 1023, 1024, 2047, 2048, 2049, 10001])
 def test_trace_csv_blocks_match_the_reference_writer(tmp_path, rated_trace, rows):
-    # The writer formats 1,024-row blocks; the row counts straddle their
-    # boundaries, and its bytes are the reference writer's.
+    # Both writers format 1,024-row blocks; the row counts straddle their
+    # boundaries, and the bytes are the reference writer's.
     trace = _first_rows(rated_trace, rows)
-    write_trace_csv(trace, tmp_path / "trace.csv")
-    assert (tmp_path / "trace.csv").read_bytes() == reference_trace_csv(trace)
-    assert [path.name for path in tmp_path.iterdir()] == ["trace.csv"]
+    for writer in _each_writer():
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == reference_trace_csv(trace), writer
+        assert [path.name for path in tmp_path.iterdir()] == ["trace.csv"]
 
 
 # Where the shortest round-trip texts of orjson and repr part ways
-# (0 < |v| < 1e-4, |v| >= 1e16, nan, inf), and their neighbours.
+# (1e-9 <= |v| < 1e-4, |v| >= 1e16, nan, inf), where repr's layout changes,
+# and their neighbours.
 _EDGE_VALUES = (
-    0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 9.999999999999999e-05,
-    1e-4, 1.0000000000000002e-4, 0.1, 1.0, 9999999999999998.0, 1e16,
-    1.0000000000000002e16, 1.7976931348623157e308, math.inf, math.nan,
+    0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 9.999999999999999e-10,
+    1e-9, 9.999999999999999e-06, 1e-5, 9.999999999999999e-05, 1e-4, 1.0000000000000002e-4,
+    0.1, 1.0, 9999999999999998.0, 1e16, 1.0000000000000002e16, 1.7976931348623157e308,
+    math.inf, math.nan,
 )
 _SIGNED_EDGES = np.resize(np.outer((1.0, -1.0), _EDGE_VALUES), (3, len(TRACE_CHANNELS)))
 _cells = st.one_of(st.sampled_from(_SIGNED_EDGES.ravel().tolist()), st.floats())
@@ -255,8 +267,42 @@ _tables = arrays(
 def test_trace_csv_is_repr_of_every_value(tmp_path_factory, rated_trace, table):
     trace = replace(rated_trace, **dict(zip(TRACE_CHANNELS, table.T)))
     path = tmp_path_factory.getbasetemp() / "property_trace.csv"
-    write_trace_csv(trace, path)
-    assert path.read_bytes() == reference_trace_csv(trace)
+    for writer in _each_writer():
+        write_trace_csv(trace, path)
+        assert path.read_bytes() == reference_trace_csv(trace), writer
+
+
+def _formatter_values() -> np.ndarray:
+    """Doubles of every exponent and digit count: random bit patterns; and,
+    of either sign, each power of ten times 1, 1.5, 5 and 9.999999999999999
+    with both neighbours, the integers below 1e5 and around 2**53, m * 10**e
+    for m < 1000, zero, infinity, the smallest subnormal and nans with a
+    payload."""
+    rng = np.random.default_rng(22)
+    steps = np.array([float(f"1e{e}") * m for e in range(-324, 309) for m in (1.0, 1.5, 5.0, 9.999999999999999)])
+    nans = np.array([0x7FF0_0000_0000_0001, 0x7FF8_DEAD_BEEF_0001], np.uint64).view(np.float64)
+    values = np.concatenate([
+        steps, np.nextafter(steps, math.inf), np.nextafter(steps, -math.inf),
+        np.arange(100_000.0), np.arange(2.0**53 - 2000, 2.0**53 + 2000),
+        [float(f"{m}e{e}") for m in range(1000) for e in range(-324, 309, 11)],
+        [0.0, math.inf, 5e-324, math.nan], nans,
+    ])
+    return np.concatenate([rng.integers(0, 2**64, 60_000, dtype=np.uint64).view(np.float64), values, -values])
+
+
+def test_c_formatter_spells_each_value_as_repr():
+    format_rows = tpim.output._c_format_rows()
+    if format_rows is None:
+        pytest.skip("no C formatter: no cc on PATH")
+    values = _formatter_values()
+    assert len(values) >= 300_000
+    text = np.empty(tpim.output._CELL_BYTES * len(values), np.uint8)
+    written = format_rows(values.ctypes.data, len(values), 1, text.ctypes.data)
+    spelled = bytes(text[:written]).decode().split("\n")
+    expected = [*map(repr, values.tolist()), ""]
+    if spelled != expected:
+        wrong = [(value, got) for value, got, want in zip(values.tolist(), spelled, expected) if got != want]
+        pytest.fail(f"{len(spelled) - 1} lines for {len(values)} values; unlike repr: {wrong[:10]}")
 
 
 def test_late_partial_trace_matches_the_reference_writer(tmp_path, capsys, monkeypatch):
@@ -271,20 +317,25 @@ def test_late_partial_trace_matches_the_reference_writer(tmp_path, capsys, monke
 
     monkeypatch.setattr("tpim.cli.integrate", integrate_then_fail)
     path = _short_config(tmp_path, duration="0.25")
-    out = tmp_path / "out"
-    assert main(["run", str(path), "--output-dir", str(out)]) == 2
-    assert "partial trace written to" in capsys.readouterr().err
-    assert [item.name for item in out.iterdir()] == ["short_partial_trace.csv"]
-    assert (out / "short_partial_trace.csv").read_bytes() == reference_trace_csv(recorded[0])
+    for writer in _each_writer():
+        recorded.clear()
+        out = tmp_path / writer
+        assert main(["run", str(path), "--output-dir", str(out)]) == 2
+        assert "partial trace written to" in capsys.readouterr().err
+        assert [item.name for item in out.iterdir()] == ["short_partial_trace.csv"]
+        assert (out / "short_partial_trace.csv").read_bytes() == reference_trace_csv(recorded[0]), writer
 
 
 def test_run_starts_no_process(tmp_path, monkeypatch, table1):
-    # On a warm cache: the step loop's library is loaded from the cache
-    # directory, not compiled, once this process has forgotten it.
+    # On a warm cache: the libraries of the step loop and the trace
+    # formatter are loaded from the cache directory, not compiled, once this
+    # process has forgotten them.
     path = _short_config(tmp_path, duration="0.25")
     integrate(table1, build_scenario(load_config(str(path))))
+    tpim.output._c_format_rows()
     dynamics._step_loop.cache_clear()
     dynamics._c_loop.cache_clear()
+    tpim.output._c_format_rows.cache_clear()
 
     def refuse(*args, **kwargs):
         raise AssertionError("tpim run starts no process")
@@ -297,6 +348,7 @@ def test_run_starts_no_process(tmp_path, monkeypatch, table1):
     _assert_no_child_left()
     if shutil.which("cc"):
         assert dynamics._step_loop("rk4", (1, 1)) is dynamics._c_loop("rk4", (1, 1)) is not None
+        assert tpim.output._c_format_rows() is not None
     assert sorted(item.name for item in out.iterdir()) == ["short_summary.txt", "short_trace.csv"]
     trace = integrate(table1, build_scenario(load_config(str(path))))
     assert (out / "short_trace.csv").read_bytes() == reference_trace_csv(trace)
@@ -536,9 +588,23 @@ def test_importing_the_cli_loads_no_process_pool():
 
 
 def test_importing_the_cli_loads_no_orjson():
-    # Only the trace writer imports orjson, so `validate`, `sweep` and the
-    # library's setup do not pay for it.
+    # Only the trace writer's fallback imports orjson, so `validate`, `sweep`
+    # and the library's setup do not pay for it.
     assert "orjson" not in _modules_after_import()
+
+
+def test_run_writes_its_trace_by_the_c_formatter_without_orjson(tmp_path):
+    # Where cc is on PATH the C formatter writes the trace and orjson is
+    # never imported; without cc, the fallback writes it by orjson.
+    path = _short_config(tmp_path)
+    src = str(Path(tpim.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); from tpim import output; from tpim.cli import main; "
+            f"assert main(['run', {str(path)!r}, '--output-dir', {str(tmp_path)!r}]) == 0; "
+            "print(output._c_format_rows() is not None, 'orjson' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == (["True", "False"] if shutil.which("cc") else ["False", "True"])
+    assert (tmp_path / "short_trace.csv").read_text().splitlines()[0] == CSV_HEADER
 
 
 def test_sweep_spec_errors_exit_1(tmp_path, capsys):
