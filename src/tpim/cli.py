@@ -84,11 +84,18 @@ def _speed_tol(text: str) -> float:
     return value
 
 
+def _directory(text: str) -> str:
+    # A config file rejects an empty output.directory too.
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tpim", description="Two-phase induction motor simulator")
     sub = parser.add_subparsers(dest="command", required=True)
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--output-dir", help="override output.directory")
+    shared.add_argument("--output-dir", type=_directory, help="override output.directory")
     shared.add_argument(
         "--speed-tol",
         type=_speed_tol,

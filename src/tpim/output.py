@@ -5,10 +5,9 @@ fixed column order, each value as its repr, the shortest round-trip decimal
 text (values re-read equal the in-memory doubles exactly). A C formatter
 writes that text, Ryu's shortest digits in repr's layout. It is compiled by
 tpim.dynamics._c_kernel and cached with the step loops; where it cannot be
-built, orjson formats the values, with repr for the rows it spells
-otherwise, and the bytes are the same. The plot script is an emitted
-artifact that operates on the CSV; this package never imports a plotting
-library.
+built, repr itself writes the values, and the bytes are the same. The plot
+script is an emitted artifact that operates on the CSV; this package never
+imports a plotting library.
 """
 
 from __future__ import annotations
@@ -253,36 +252,28 @@ def _c_format_rows():
     )
 
 
-def _orjson_rows(block: np.ndarray) -> bytes:
-    """The CSV lines of block by orjson, which writes Ryu's digits too, but
-    not repr's layout for 1e-9 <= |v| < 1e-4 (1e-05 as 1e-5), |v| >= 1e16
-    (1e+16 as 1e16), nan or inf (null): a row holding such a value is
-    formatted by repr."""
-    # Imported here: at module top it adds import time and memory to every command.
-    import orjson
-
-    lines = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
-    size = np.abs(block)
-    unlike_repr = ((size >= 1e-9) & (size < 1e-4)) | ~(size < 1e16)  # nan fails both
-    for row in np.flatnonzero(unlike_repr.any(axis=1)):
-        lines[row] = ",".join(map(repr, block[row].tolist())).encode()
-    return b"\n".join(lines) + b"\n"
+def _repr_rows(block: np.ndarray) -> bytes:
+    """The CSV lines of block, each value as its repr, the CSV's own
+    definition: the writer where the C formatter cannot be built."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in block.tolist()).encode()
 
 
 def write_trace_csv(trace: SimulationTrace, path) -> None:
     """Write the trace CSV, _CSV_BLOCK_ROWS rows at a time, each value as
-    its repr: by the C formatter, or by orjson where that cannot be built."""
+    its repr: by the C formatter, or by repr where that cannot be built."""
     channels = [trace.channel(name) for name in TRACE_CHANNELS]
+    for name, channel in zip(TRACE_CHANNELS, channels):
+        if channel.dtype != np.float64:
+            raise TypeError(f"trace channels must be float64, not {channel.dtype} ({name})")
     format_rows = _c_format_rows()
-    text = np.empty(_CELL_BYTES * _CSV_BLOCK_ROWS * len(channels), np.uint8)  # the C formatter's, for every block
+    if format_rows is not None:
+        text = np.empty(_CELL_BYTES * _CSV_BLOCK_ROWS * len(channels), np.uint8)  # for every block
     with open(path, "wb") as f:
         f.write(CSV_HEADER.encode() + b"\n")
         for start in range(0, len(trace), _CSV_BLOCK_ROWS):
             block = np.column_stack([channel[start:start + _CSV_BLOCK_ROWS] for channel in channels])
             if format_rows is None:
-                f.write(_orjson_rows(block))
-            elif block.dtype != np.float64:
-                raise TypeError(f"trace channels must be float64, not {block.dtype}")
+                f.write(_repr_rows(block))
             else:
                 f.write(memoryview(text)[:format_rows(block.ctypes.data, *block.shape, text.ctypes.data)])
 
@@ -325,11 +316,9 @@ def write_summary(
 
 
 _PLOT_TEMPLATE = '''#!/usr/bin/env python3
-"""Render the standard channel plots from {csv_name} (written next to it)."""
+"""Render the standard channel plots from the trace CSV next to this script."""
 
 import csv
-from dataclasses import fields
-from functools import cache
 from pathlib import Path
 
 import matplotlib
@@ -338,7 +327,8 @@ matplotlib.use("Agg")
 import matplotlib.pyplot as plt
 
 HERE = Path(__file__).resolve().parent
-CSV = HERE / "{csv_name}"
+CSV = HERE / {csv_name!r}
+PREFIX = {prefix!r}
 
 PANELS = [
     ("supply_voltage", ["v_sa", "v_sb"], "supply voltage [V]"),
@@ -366,7 +356,7 @@ for stem, names, ylabel in PANELS:
     ax.grid(True)
     ax.legend()
     fig.tight_layout()
-    out = HERE / f"{prefix}_{{stem}}.png"
+    out = HERE / f"{{PREFIX}}_{{stem}}.png"
     fig.savefig(out, dpi=150)
     plt.close(fig)
     print(out)
@@ -374,4 +364,5 @@ for stem, names, ylabel in PANELS:
 
 
 def write_plot_script(path, csv_name: str, prefix: str) -> None:
-    Path(path).write_text(_PLOT_TEMPLATE.format(csv_name=csv_name, prefix=prefix))
+    # The names are embedded as literals, so any name gives a valid script.
+    Path(path).write_text(_PLOT_TEMPLATE.format(csv_name=csv_name, prefix=prefix), encoding="utf-8")

@@ -1,5 +1,6 @@
 """CLI contract: files written, schemas, exit codes."""
 
+import ast
 import csv
 import io
 import math
@@ -97,6 +98,19 @@ def test_invalid_speed_tol_exits_1_before_the_run(tmp_path, capsys, command, tol
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: argument --speed-tol:")
     assert list(tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_empty_output_dir_exits_1_before_the_run(tmp_path, capsys, command):
+    # An empty --output-dir is no directory; it must not fall back to
+    # output.directory unnoticed.
+    path = _short_config(tmp_path, extra=f"output.directory = {tmp_path / 'configured'}\n")
+    argv = [command, str(path), "--output-dir", ""]
+    if command == "sweep":
+        argv += ["--axis", "load.torque", "--values", "0.5"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: argument --output-dir: must not be empty\n"
+    assert not (tmp_path / "configured").exists()
 
 
 def test_zero_duration_run(tmp_path):
@@ -222,11 +236,11 @@ def _first_rows(trace, rows):
 
 def _each_writer():
     """Run the loop body with the trace writer a run takes, the C formatter
-    where it can be built, then with its fallback, orjson's; yield the name."""
+    where it can be built, then with its fallback, repr's; yield the name."""
     yield "default"
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tpim.output, "_c_format_rows", lambda: None)
-        yield "orjson"
+        yield "repr"
 
 
 def _assert_no_child_left():
@@ -245,9 +259,19 @@ def test_trace_csv_blocks_match_the_reference_writer(tmp_path, rated_trace, rows
         assert [path.name for path in tmp_path.iterdir()] == ["trace.csv"]
 
 
-# Where the shortest round-trip texts of orjson and repr part ways
-# (1e-9 <= |v| < 1e-4, |v| >= 1e16, nan, inf), where repr's layout changes,
-# and their neighbours.
+def test_trace_csv_rejects_a_float32_trace_before_writing(tmp_path, rated_trace):
+    # Both writers refuse it alike: the C formatter reads doubles, and repr
+    # would spell the widened doubles (1e-4 as 9.999999747378752e-05).
+    trace = replace(rated_trace, te=rated_trace.te.astype(np.float32))
+    for writer in _each_writer():
+        with pytest.raises(TypeError, match="float64"):
+            write_trace_csv(trace, tmp_path / "trace.csv")
+        assert list(tmp_path.iterdir()) == [], writer
+
+
+# Where repr's layout changes and their neighbours: fixed notation for
+# 1e-4 <= |v| < 1e16, an exponent outside it, padded to two digits (1e-05,
+# 1e-09) or not (9.999999999999999e-10, 1e-300), subnormals, nan and inf.
 _EDGE_VALUES = (
     0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 9.999999999999999e-10,
     1e-9, 9.999999999999999e-06, 1e-5, 9.999999999999999e-05, 1e-4, 1.0000000000000002e-4,
@@ -587,23 +611,17 @@ def test_importing_the_cli_loads_no_process_pool():
     assert not {"concurrent.futures", "multiprocessing"} & loaded
 
 
-def test_importing_the_cli_loads_no_orjson():
-    # Only the trace writer's fallback imports orjson, so `validate`, `sweep`
-    # and the library's setup do not pay for it.
-    assert "orjson" not in _modules_after_import()
-
-
-def test_run_writes_its_trace_by_the_c_formatter_without_orjson(tmp_path):
-    # Where cc is on PATH the C formatter writes the trace and orjson is
-    # never imported; without cc, the fallback writes it by orjson.
+def test_run_writes_its_trace_by_the_c_formatter(tmp_path):
+    # Where cc is on PATH the C formatter writes the trace; without cc,
+    # the fallback writes it by repr.
     path = _short_config(tmp_path)
     src = str(Path(tpim.__file__).resolve().parent.parent)
     code = (f"import sys; sys.path.insert(0, {src!r}); from tpim import output; from tpim.cli import main; "
             f"assert main(['run', {str(path)!r}, '--output-dir', {str(tmp_path)!r}]) == 0; "
-            "print(output._c_format_rows() is not None, 'orjson' in sys.modules)")
+            "print(output._c_format_rows() is not None)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1].split() == (["True", "False"] if shutil.which("cc") else ["False", "True"])
+    assert proc.stdout.splitlines()[-1] == str(shutil.which("cc") is not None)
     assert (tmp_path / "short_trace.csv").read_text().splitlines()[0] == CSV_HEADER
 
 
@@ -626,17 +644,27 @@ def test_sweep_spec_errors_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("how", ["flag", "key"])
+def _plot_script_names(text: str) -> tuple[str, str]:
+    """The CSV file name and the PNG prefix an emitted plot script holds."""
+    constants = {node.targets[0].id: node.value for node in ast.parse(text).body if isinstance(node, ast.Assign)}
+    return ast.literal_eval(constants["CSV"].right), ast.literal_eval(constants["PREFIX"])
+
+
+@pytest.mark.parametrize("how", ["flag", "key", "prefix"])
 def test_run_writes_a_plot_script_that_reads_its_trace(tmp_path, capsys, how):
-    # Without matplotlib: the script is written, printed, compiles and names the CSV.
-    extra, flags = ("", ["--emit-plot-script"]) if how == "flag" else ("output.emit_plot_script = true\n", [])
+    # Without matplotlib: the script is written, printed, compiles and names
+    # the CSV and the PNG prefix, also a prefix that breaks a string literal,
+    # an f-string or a \N escape pasted raw.
+    prefix = r"""a"b{x}\N'c""" if how == "prefix" else "short"
+    extra = {"flag": "", "key": "output.emit_plot_script = true\n", "prefix": f"output.prefix = {prefix}\n"}[how]
+    flags = [] if how == "key" else ["--emit-plot-script"]
     path = _short_config(tmp_path, extra=extra)
     assert main(["run", str(path), "--output-dir", str(tmp_path), *flags]) == 0
-    script = tmp_path / "short_plot.py"
+    script = tmp_path / f"{prefix}_plot.py"
     assert capsys.readouterr().out.splitlines()[-1] == str(script)
     text = script.read_text()
     compile(text, str(script), "exec")
-    assert 'CSV = HERE / "short_trace.csv"' in text
+    assert _plot_script_names(text) == (f"{prefix}_trace.csv", prefix)
 
 
 def test_emitted_plot_script_renders_pngs(tmp_path):

@@ -6,7 +6,7 @@ sha256} is compared with the committed file, both ways: a changed, missing or
 extra artifact fails and is named. The outputs are split between the tests:
 the bundled configs' `run` and `validate` outputs, the table of the seed-1
 load sweep, and every other line. The generator runs once more with every
-C target off (every step loop in Python, the trace CSV by orjson), and all
+C target off (every step loop in Python, the trace CSV by repr), and all
 its lines are checked. A change that alters an output on purpose
 regenerates the file (`python3 tools/identity_digests.py >
 tools/identity_digests.txt`) in the same commit and names each changed line.
@@ -82,8 +82,8 @@ def test_outputs_match_committed_digests(produced):
 
 def test_python_loop_outputs_match_committed_digests(tmp_path, monkeypatch):
     # Every output again with every C target off, as where no cc is on PATH:
-    # the step loops in Python, their reference, and the trace CSV by
-    # orjson, the fallback writer.
+    # the step loops in Python, their reference, and the trace CSV by repr,
+    # the fallback writer.
     monkeypatch.setattr(dynamics, "_step_loop", dynamics._python_loop)
     monkeypatch.setattr(output, "_c_format_rows", lambda: None)
     assert_committed({artifact: digest for digest, artifact in TOOL.digests(tmp_path)}, lambda a: True)

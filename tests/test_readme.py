@@ -1,4 +1,4 @@
-"""The README's library example, CLI synopsis, the exported names and perfbench's wrapped names match the code."""
+"""The README's library example, CLI synopsis and install dependencies, the exported names and perfbench's wrapped names match the code."""
 
 import contextlib
 import importlib
@@ -51,3 +51,10 @@ def test_readme_cli_synopsis_matches_the_parser():
         for name, sub in subparsers.items()
     }
     assert synopsis == options
+
+
+def test_readme_names_the_install_dependencies():
+    # A regex, not tomllib: tomllib needs Python 3.11 and tpim supports 3.10.
+    listed = re.search(r"^dependencies = \[(.*?)\]", (ROOT / "pyproject.toml").read_text(), re.S | re.M).group(1)
+    sentence = re.search(r"^tpim needs (.*?)[;.]\s", README.read_text(), re.S | re.M).group(1)
+    assert set(re.findall(r"`([^`]+)`", sentence)) == set(re.findall(r'"([A-Za-z0-9_.-]+)', listed))

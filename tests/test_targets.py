@@ -4,8 +4,8 @@ Both render the same statements, so the C loop must give the Python loop's
 bits: the records, every call's time, record index and state, and the failure
 of a run that goes non-finite. Where the C loop cannot be built (no cc on
 PATH, a compile that fails, a cache directory that is not the user's own)
-a run takes the Python loop and the orjson trace writer, silently, with the
-same output bytes.
+a run takes the Python loop and writes the trace CSV by repr, silently, with
+the same output bytes.
 """
 
 import itertools
@@ -33,7 +33,7 @@ from tpim import (
 from tpim.cli import main
 from tpim.excitation import sample_binding
 from tpim.machine import SPEED_CONVENTIONS, kernel_constants
-from tpim.output import _orjson_rows as orjson_rows
+from tpim.output import _repr_rows as repr_rows
 
 from support import F_SUPPLY, SOURCE_SHAPES, T_LOAD, TABLE1, V_PEAK, rated_supply, scenario
 
@@ -189,15 +189,15 @@ def test_run_falls_back_to_the_python_loop(tmp_path, monkeypatch, capfd, fresh_l
     (tmp_path / "cache").mkdir()
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     unusable(tmp_path, monkeypatch)
-    orjson_blocks = []
-    monkeypatch.setattr(output, "_orjson_rows", lambda block: orjson_blocks.append(block) or orjson_rows(block))
+    repr_blocks = []
+    monkeypatch.setattr(output, "_repr_rows", lambda block: repr_blocks.append(block) or repr_rows(block))
     capfd.readouterr()
     out = tmp_path / "out"
     assert main(["run", "paper_s3", "--output-dir", str(out)]) == 0
     assert capfd.readouterr().err == ""
     assert {path.name: path.read_bytes() for path in out.iterdir()} == reference_outputs
     assert dynamics._step_loop("rk4", (1, 1)) is dynamics._python_loop("rk4", (1, 1))
-    assert output._c_format_rows() is None and sum(map(len, orjson_blocks)) == 10001
+    assert output._c_format_rows() is None and sum(map(len, repr_blocks)) == 10001
     assert [path.name for path in (tmp_path / "cache").rglob("*") if path.is_file()] == []
 
 
