@@ -206,7 +206,9 @@ def parse_config(text: str, name: str = "run") -> RunConfig:
     """Parse and fully validate one configuration document.
 
     `name` seeds the default output prefix (the stem of the file the text
-    came from). Raises ConfigError with a line number where one applies.
+    came from); a name the format cannot hold, so that the rendered config
+    would not re-parse to itself, is an error unless output.prefix is set.
+    Raises ConfigError with a line number where one applies.
     """
     entries = _scan_lines(text)
     for key, (_, line) in entries.items():
@@ -240,6 +242,11 @@ def parse_config(text: str, name: str = "run") -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"integrator: {exc}") from None
 
+    output = OutputOptions(**{"prefix": name, **_section(entries, "output")})
+    # A value read from a line has no '#', no line break and no whitespace at either end.
+    if "#" in output.prefix or output.prefix.strip() != output.prefix or len(output.prefix.splitlines()) != 1:
+        raise ConfigError(f"output.prefix: the default, the file name {name!r}, cannot be written as a value "
+                          "(a '#', a line break or whitespace at either end); set output.prefix")
     config = RunConfig(
         machine=machine,
         supply=supply,
@@ -247,7 +254,7 @@ def parse_config(text: str, name: str = "run") -> RunConfig:
         integrator=integrator,
         initial_state=MachineState(**_section(entries, "initial_state")),
         **_section(entries, ""),
-        output=OutputOptions(**{"prefix": name, **_section(entries, "output")}),
+        output=output,
     )
     try:  # the source and the scenario check the supply's values, as they do a sweep row's
         build_scenario(config)
@@ -291,17 +298,24 @@ def bundled_config_names() -> tuple[str, ...]:
 
 
 def load_config(name_or_path: str) -> RunConfig:
-    """Load a config file by path, or a bundled config by bare name."""
+    """Load a UTF-8 config file by path, or a bundled config by bare name."""
     path = Path(name_or_path)
     if path.is_file():
-        return parse_config(path.read_text(), name=path.stem)
+        return parse_config(_read_text(path), name=path.stem)
     resource = resources.files("tpim").joinpath("configs", f"{name_or_path}.cfg")
     if resource.is_file():
-        return parse_config(resource.read_text(), name=name_or_path)
+        return parse_config(_read_text(resource), name=name_or_path)
     raise ConfigError(
         f"config not found: {name_or_path!r} is neither a file nor one of "
         f"the bundled configs {bundled_config_names()}"
     )
+
+
+def _read_text(file) -> str:
+    try:
+        return file.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{str(file)!r} is not UTF-8 text: {exc.reason} at byte offset {exc.start}") from None
 
 
 def build_supply(config: RunConfig) -> VoltageSource:

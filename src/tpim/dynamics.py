@@ -10,25 +10,26 @@ constants of one loop call. Each load segment is stepped at its torque, and
 a step that a breakpoint falls in is split there (Hairer, Norsett and
 Wanner, Solving ODEs I, II.6), so RK4 keeps its order across a load step.
 RK4 starts each step from the previous step's end sample where the two
-times are the same float. Records go item by item into a channel-major
-buffer; after the loop, the channels kernel derives the currents, both
-torques and the shaft speed from its rows, on arrays, from the current and
-torque templates the loops inline. Both are deterministic: identical inputs
-give bit-identical traces.
+times are the same float. At each record the loop derives the currents,
+both torques and the shaft speed from the state, by the current and torque
+templates it inlines per stage, and stores the record whole into a
+channel-major buffer whose rows are the trace's channels. Both are
+deterministic: identical inputs give bit-identical traces.
 
 All generated code is compiled here. _kernel compiles Python: the step
-loops, the channels kernel and the templates' one-point forms,
-compile_derivative and compile_sources. Every name a template reads is an
-argument of the compiled function, but cos and isfinite, which it imports
-when called. _c_kernel compiles C: each step loop is rendered once more, in
-a C frame around the same statements, compiled by cc without fused
-multiply-add and loaded with ctypes, and so is tpim.output's trace
+loops and the templates' one-point forms, compile_derivative and
+compile_sources. Every name a template reads is an argument of the
+compiled function, but cos and isfinite, which it imports when called.
+_c_kernel compiles C: each step loop is rendered once more, in a C frame
+around the same statements, compiled by cc without fused multiply-add or
+excess precision and loaded with ctypes, and so is tpim.output's trace
 formatter. The C loop gives the Python loop's bits, and integrate runs it.
 Each library is cached in the user's cache directory ($XDG_CACHE_HOME/tpim,
 else ~/.cache/tpim), so a warm cache starts no process. The Python loop is
 the reference the tests hold the C loop to, and it runs, silently, where
-the C loop cannot be built: no cc on PATH, a compile or load that fails, a
-cache directory that is not the user's own, or a supply of more than 64
+the C loop cannot be built: no cc on PATH, a compile or load that fails
+(a compiler whose doubles carry excess precision fails it), a cache
+directory that is not the user's own, or a supply of more than 64
 harmonics.
 """
 
@@ -157,8 +158,8 @@ class Scenario:
 class SimulationTrace:
     """Uniformly spaced records of every plotted/audited channel.
 
-    Flux channels are the integrated states; currents and both torque
-    channels are recomputed algebraically from the recorded state. The
+    Flux channels are the integrated states; the step loop derives the
+    currents and both torque channels algebraically from each record's. The
     omega_mech channel is always shaft speed, whichever speed convention
     drove the integration. The channels are the fields from t to tl, in the
     CSV's fixed column order.
@@ -202,11 +203,11 @@ TRACE_CHANNELS = tuple(f.name for f in fields(SimulationTrace)[:15])
 # The step loop around one method's step: steps first + 1 .. last of length
 # dt from the time base, at one load torque. A step reads the state psa..w
 # and the voltages sampled at its start (va0, vb0), and leaves the next state
-# in the same names. The next record, at the start or after a step, is stored
-# item by item through one memoryview per row of records, the channel-major
-# buffer that _derive_trace reads. The loop returns at the end or at the
-# first non-finite state: whether it was finite, the time, the next record's
-# index, the records filled and the state.
+# in the same names. The next record, at the start or after a step, is derived
+# and stored item by item through one memoryview per row of records, the
+# channel-major buffer that _derive_trace wraps. The loop returns at the end
+# or at the first non-finite state: whether it was finite, the time, the next
+# record's index, the records filled and the state.
 _LOOP = """\
 half = 0.5 * dt
 sixth = dt / 6.0
@@ -272,9 +273,10 @@ return finite;
 _SETTINGS = "records, psa, psb, pra, prb, w, base, dt, first, last, next_record, filled, every, torque"
 _INTEGERS = {"first", "last", "next_record", "filled", "every"}
 _STATES = ("psa", "psb", "pra", "prb", "w")
-# The recorded values, in the row order of records, and the statements that store one record.
-_RECORDED = ("t", "va0", "vb0", *_STATES)
-_STORE = "".join(f"r_{v}[filled] = {v}\n" for v in _RECORDED) + "filled += 1\n"
+# The recorded values, in the row order of records and the trace's column
+# order, and the statements that derive and store one record.
+_RECORDED = ("t", "va0", "vb0", "i_sa", "i_sb", "i_ra", "i_rb", *_STATES[:4], "te", "te_ec", "omega_mech")
+_STORE = _CHANNELS + "".join(f"r_{v}[filled] = {v}\n" for v in _RECORDED) + "filled += 1\n"
 _indent = partial(textwrap.indent, prefix="    ")
 
 
@@ -311,6 +313,8 @@ def _kernel(name: str, arguments: list[str], body: str):
 # No fused multiply-add, so that each + and * of the C statements rounds as
 # Python's float operations do.
 _CC_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# Nor excess precision (x87 arithmetic, FLT_EVAL_METHOD 2): such a compile fails.
+_FP_GUARD = "#if FLT_EVAL_METHOD != 0\n#error \"tpim needs each double operation rounded to double\"\n#endif\n"
 _CC_TIMEOUT_S = 60.0
 
 
@@ -320,8 +324,8 @@ def _c_kernel(name: str, parameters: list[str], body: str, definitions: str = ""
     the compile or the load fails, or the cache directory is not the user's
     own. parameters are C declarations: a pointer is passed as an address,
     an int64_t or a double as a number. definitions (static tables and
-    helpers) go before the function; math.h, stdint.h and string.h are
-    included.
+    helpers) go before the function; float.h, math.h, stdint.h and string.h
+    are included, and a FLT_EVAL_METHOD other than 0 stops the compile.
 
     The library is cached in $XDG_CACHE_HOME/tpim (~/.cache/tpim where that
     is unset or not an absolute path), named by the sha256 of the source,
@@ -330,8 +334,8 @@ def _c_kernel(name: str, parameters: list[str], body: str, definitions: str = ""
     import ctypes
     import shutil
 
-    source = (f"#include <math.h>\n#include <stdint.h>\n#include <string.h>\n\n{definitions}"
-              f"int {name}({', '.join(parameters)})\n{{\n{_indent(body)}}}\n")
+    source = (f"#include <float.h>\n#include <math.h>\n#include <stdint.h>\n#include <string.h>\n{_FP_GUARD}\n"
+              f"{definitions}int {name}({', '.join(parameters)})\n{{\n{_indent(body)}}}\n")
     cc = shutil.which("cc")
     if cc is None:
         return None
@@ -416,15 +420,6 @@ def compile_sources(supply: VoltageSource):
     return partial(_kernel("sources", [sample_arguments(shape), "t"], body), *values)
 
 
-@cache
-def _channels():
-    """tpim.machine._CHANNELS as a function of the machine constants, the
-    four fluxes and the speed state, returning (i_sa, i_sb, i_ra, i_rb, te,
-    te_ec, omega_mech); on arrays, element by element."""
-    body = _CHANNELS + "return i_sa, i_sb, i_ra, i_rb, te, te_ec, omega_mech\n"
-    return _kernel("channels", [_KERNEL_CONSTANTS, "psa, psb, pra, prb, w"], body)
-
-
 def _python_branch(condition: str, then: str, otherwise: str) -> str:
     return f"if {condition}:\n{_indent(then)}else:\n{_indent(otherwise)}"
 
@@ -470,15 +465,16 @@ def _python_loop(method: str, shape: tuple[int, int]):
 def _c_loop(method: str, shape: tuple[int, int]):
     """The loop of _python_loop compiled from C, with the same arguments and
     results, or None where it cannot be built."""
-    start, step, resample = (_c_statements(s) for s in _loop_statements(method, shape, _c_branch))
+    start, step, resample, store = (_c_statements(s) for s in (*_loop_statements(method, shape, _c_branch), _STORE))
     constants, settings = _KERNEL_CONSTANTS.split(", "), _SETTINGS.split(", ")
     voltages = list(filter(None, sample_arguments(shape).split(", ")))
-    assigned = {line.split(" = ", 1)[0].strip() for line in (start + step + resample).splitlines() if " = " in line}
+    # The names the statements assign, which the loop declares; the store's r_...[filled] are not names.
+    assigned = {line.split(" = ", 1)[0].strip() for line in (start + step + resample + store).splitlines()
+                if " = " in line}
     parameters = [f"{'int64_t' if v in _INTEGERS else 'double'} {v}" for v in constants + settings[1:]]
     parameters += ["double *records", "int64_t n_records", "const double *voltages", "double *out", "int64_t *counts"]
-    store = _c_statements(_STORE)
     body = _C_LOOP.format(
-        declared=", ".join(sorted(assigned - set(settings))),
+        declared=", ".join(sorted(name for name in assigned - set(settings) if name.isidentifier())),
         unpack="".join(f"const double {v} = voltages[{i}];\n" for i, v in enumerate(voltages)),
         views="".join(f"double *r_{v} = records + {i} * n_records;\n" for i, v in enumerate(_RECORDED)),
         sample=start, store=_indent(store), step=_indent(step), resample=_indent(resample),
@@ -546,20 +542,14 @@ def _load_pieces(load: LoadProfile, dt: float, n_steps: int):
         torque = next_torque
 
 
-def _derive_trace(constants: tuple, scenario: Scenario, records: np.ndarray) -> SimulationTrace:
-    """Build the trace from (t, v_sa, v_sb, 5 states) rows, deriving the rest on arrays by the kernel constants."""
-    t, v_sa, v_sb, psa, psb, pra, prb, w = records
-    # The load at each record time, right-continuous: the last breakpoint at or before it.
+def _derive_trace(scenario: Scenario, records: np.ndarray) -> SimulationTrace:
+    """The trace whose channels are the rows of records, and the load channel tl."""
+    # The load at each record time, right-continuous: the last breakpoint at or
+    # before it. A record on a breakpoint was stored by the segment before it.
     starts, torques = map(np.array, zip(*scenario.load.breakpoints))
-    tl = torques[np.searchsorted(starts, t, side="right") - 1]
-    i_sa, i_sb, i_ra, i_rb, te, te_ec, omega_mech = _channels()(*constants, psa, psb, pra, prb, w)
-    return SimulationTrace(
-        t=t, v_sa=v_sa, v_sb=v_sb, i_sa=i_sa, i_sb=i_sb, i_ra=i_ra, i_rb=i_rb,
-        psi_sa=psa, psi_sb=psb, psi_ra=pra, psi_rb=prb, te=te, te_ec=te_ec, omega_mech=omega_mech, tl=tl,
-        step_size=scenario.integrator.step_size,
-        record_every=scenario.integrator.record_every,
-        supply_frequency=scenario.supply.frequency,
-    )
+    tl = torques[np.searchsorted(starts, records[0], side="right") - 1]
+    cfg = scenario.integrator
+    return SimulationTrace(*records, tl, cfg.step_size, cfg.record_every, scenario.supply.frequency)
 
 
 def integrate(p: MachineParameters, scenario: Scenario) -> SimulationTrace:
@@ -573,7 +563,7 @@ def integrate(p: MachineParameters, scenario: Scenario) -> SimulationTrace:
     """
     cfg = scenario.integrator
     shape, voltages = sample_binding(scenario.supply)
-    # One column per record: the time, the voltages sampled there and the states.
+    # One column per record: every trace channel but tl.
     n_records = cfg.n_steps // cfg.record_every + 1
     try:
         records = np.empty((len(_RECORDED), n_records))
@@ -590,8 +580,8 @@ def integrate(p: MachineParameters, scenario: Scenario) -> SimulationTrace:
             torque, *voltages,
         )
         if not finite:
-            partial_trace = _derive_trace(constants, scenario, records[:, :filled])
+            partial_trace = _derive_trace(scenario, records[:, :filled])
             raise IntegrationError(t, MachineState(*state), partial_trace)
         if recording:
             next_record = after
-    return _derive_trace(constants, scenario, records)
+    return _derive_trace(scenario, records)

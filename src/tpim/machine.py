@@ -11,8 +11,8 @@ Currents and torque are algebraic in those states. Each equation is written
 once, as template text that tpim.dynamics compiles, with the constants it
 reads as arguments: the currents _CURRENTS and the torque _TE are rendered
 into the state derivative _RHS, which the step loops inline per stage, and
-into _CHANNELS, the channels kernel over the recorded states. Using only
-+, -, * and /, they give on numpy arrays, element-wise, the bits of floats.
+into _CHANNELS, which they inline at each record. Using only +, -, * and /,
+they give in C compiled without fused multiply-add the bits of Python floats.
 """
 
 from __future__ import annotations

@@ -8,13 +8,14 @@ supply term by term, the reference for the sampler that
 tpim.dynamics.compile_sources compiles, and sample_load a load profile, the
 reference for the recorded load channel and for the torque of each load
 segment; fluxes_from_currents is the forward map that the current template
-inverts, and channels evaluates the channels kernel (the currents and both
-torques; it also derives the shaft speed) at given fluxes. The phasor solver
-here is a test-only oracle: it computes the periodic steady state of the
-same state equations at a held speed by one complex 4x4 solve per harmonic
-order, with no time stepping, so it verifies the integrator through an
-entirely different route. reference_trace_csv is the trace CSV by its
-definition, one repr per value.
+inverts, and channels renders tpim.machine._CHANNELS, the statements by
+which the step loops derive each record's currents, torques and shaft
+speed, at one point of given fluxes. The phasor solver here is a test-only
+oracle: it computes the periodic steady state of the same state equations
+at a held speed by one complex 4x4 solve per harmonic order, with no time
+stepping, so it verifies the integrator through an entirely different
+route. reference_trace_csv is the trace CSV by its definition, one repr
+per value.
 """
 
 import cmath
@@ -34,8 +35,8 @@ from tpim import (
     VoltageSource,
     quadrature_supply,
 )
-from tpim.dynamics import TRACE_CHANNELS, _channels
-from tpim.machine import kernel_constants
+from tpim.dynamics import TRACE_CHANNELS, _kernel
+from tpim.machine import _CHANNELS, _KERNEL_CONSTANTS, kernel_constants
 from tpim.output import CSV_HEADER
 
 # Benchmark machine: 230 V rms, 50 Hz, 4 pole, referred rotor per axis.
@@ -207,12 +208,16 @@ def textbook_torques(p, psi_r_alpha, psi_r_beta, i_s_alpha, i_s_beta, i_r_alpha,
     return te, p.pole_pairs * (a * psi_r_beta * i_r_alpha - psi_r_alpha * i_r_beta / a)
 
 
+_channels = _kernel("channels", [_KERNEL_CONSTANTS, "psa, psb, pra, prb, w"],
+                    _CHANNELS + "return i_sa, i_sb, i_ra, i_rb, te, te_ec\n")
+
+
 def channels(p, psi_s_alpha, psi_s_beta, psi_r_alpha, psi_r_beta):
-    """(i_sa, i_sb, i_ra, i_rb, te, te_ec) of the fluxes, by the channels
-    kernel that derives the recorded trace channels (at zero speed, whose
-    shaft-speed channel it drops)."""
-    return _channels()(*kernel_constants(p, "mechanical_state", False),
-                       psi_s_alpha, psi_s_beta, psi_r_alpha, psi_r_beta, 0.0)[:6]
+    """(i_sa, i_sb, i_ra, i_rb, te, te_ec) of the fluxes, by the statements
+    that derive the recorded trace channels (at zero speed, whose shaft-speed
+    channel it drops)."""
+    return _channels(*kernel_constants(p, "mechanical_state", False),
+                     psi_s_alpha, psi_s_beta, psi_r_alpha, psi_r_beta, 0.0)
 
 
 def reference_derivative(p, state, v_sa, v_sb, t_load):

@@ -113,6 +113,39 @@ def test_empty_output_dir_exits_1_before_the_run(tmp_path, capsys, command):
     assert not (tmp_path / "configured").exists()
 
 
+def _argv(command, path, out):
+    """command on the config at path, writing to out."""
+    return [command, str(path), *{"validate": [], "run": ["--output-dir", str(out)],
+                                  "sweep": ["--output-dir", str(out), "--axis", "load.torque", "--values", "0.5"]}[command]]
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+def test_config_that_is_not_utf8_exits_1(tmp_path, capsys, command):
+    text = _short_config(tmp_path).read_bytes() + b"# \xff\n"
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(text)
+    assert main(_argv(command, path, tmp_path / "out")) == 1
+    offset = text.index(b"\xff")
+    assert capsys.readouterr() == ("", f"error: {str(path)!r} is not UTF-8 text: invalid start byte at byte offset "
+                                       f"{offset}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("stem", ["a#b", " ab", "ab "])
+@pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+def test_stem_that_a_config_cannot_hold_needs_a_prefix(tmp_path, capsys, command, stem):
+    # The default output.prefix is the stem, and validate echoes it: a '#' or
+    # whitespace at either end would not re-parse to the same prefix.
+    path = _short_config(tmp_path, name=stem)
+    assert main(_argv(command, path, tmp_path / "out")) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: output.prefix:") and err.count("\n") == 1
+    assert f"{stem!r}" in err and "set output.prefix" in err
+    assert not (tmp_path / "out").exists()
+    path.write_text(path.read_text() + "output.prefix = ab\n")
+    assert main(_argv(command, path, tmp_path / "out")) == 0
+
+
 def test_zero_duration_run(tmp_path):
     path = _short_config(tmp_path, name="zero", duration="0.0")
     assert main(["run", str(path), "--output-dir", str(tmp_path)]) == 0
@@ -191,7 +224,7 @@ def test_records_that_cannot_be_allocated_exit_1(tmp_path, capsys, monkeypatch, 
     assert main(["run", str(tiny), "--output-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cannot allocate") and err.count("\n") == 1
-    assert f"{records} records of 8 floats ({records * 64} bytes)" in err
+    assert f"{records} records of 14 floats ({records * 112} bytes)" in err
     assert list(tmp_path.glob("*.csv")) == []
 
 

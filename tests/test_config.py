@@ -225,6 +225,15 @@ def test_config_file_loading(tmp_path):
     assert config.output.prefix == "mine"
 
 
+@pytest.mark.parametrize("name", ["a#b", " ab", "ab ", "a\nb", "a\u2028b", ""])
+def test_default_prefix_must_be_a_value_the_format_holds(name):
+    with pytest.raises(ConfigError, match=r"^output\.prefix: .*; set output\.prefix$"):
+        parse_config(MINIMAL, name=name)
+    config = parse_config(MINIMAL + "output.prefix = ab\n", name=name)
+    assert config.output.prefix == "ab"
+    assert parse_config(render_config(config), name=name) == config
+
+
 def test_set_axis_value_machine_and_load():
     base = load_config("paper_s3")
     swept = set_axis_value(base, "machine.turns_ratio_a", 1.0)

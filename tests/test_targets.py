@@ -2,10 +2,11 @@
 
 Both render the same statements, so the C loop must give the Python loop's
 bits: the records, every call's time, record index and state, and the failure
-of a run that goes non-finite. Where the C loop cannot be built (no cc on
-PATH, a compile that fails, a cache directory that is not the user's own)
-a run takes the Python loop and writes the trace CSV by repr, silently, with
-the same output bytes.
+of a run that goes non-finite, on fixed scenarios and on random ones. Where
+the C loop cannot be built (no cc on PATH, a compile that fails, a compiler
+that evaluates doubles in excess precision, a cache directory that is not the
+user's own) a run takes the Python loop and writes the trace CSV by repr,
+silently, with the same output bytes.
 """
 
 import itertools
@@ -19,16 +20,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpim import (
     Harmonic,
     IntegrationError,
     LoadProfile,
+    MachineParameters,
     MachineState,
     VoltageSource,
     dynamics,
     integrate,
     output,
+    validate_parameters,
 )
 from tpim.cli import main
 from tpim.excitation import sample_binding
@@ -134,6 +139,52 @@ def test_c_loop_fails_as_the_python_loop(table1, monkeypatch, method, split):
     assert all(kind is float for kind, _ in state)
 
 
+_POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@st.composite
+def _machines(draw):
+    """A valid machine: each self inductance is its axis's magnetizing
+    inductance times 1 + leakage, a leakage from 0.001 to 10, so that the
+    leakage condition holds."""
+    values = {name: draw(_POSITIVE) for name in ("r_s_alpha", "r_s_beta", "r_r_alpha", "r_r_beta", "turns_ratio_a",
+                                                 "inertia_j")}
+    for axis in ("alpha", "beta"):
+        values[f"l_m_{axis}"] = l_m = draw(_POSITIVE)
+        for winding in ("s", "r"):
+            values[f"l_{winding}_{axis}"] = l_m * (1.0 + draw(st.floats(min_value=1e-3, max_value=10.0)))
+    return validate_parameters(MachineParameters(**values, pole_pairs=draw(st.integers(1, 8))))
+
+
+@st.composite
+def _runs(draw):
+    """A scenario of any method, supply of SUPPLIES, speed convention and
+    rotor, step, length, decimation, start and load, whose breakpoints fall
+    on grid times k * dt, on (k - 1) * dt + dt, or anywhere up to a step
+    past the end."""
+    dt, n = draw(st.floats(min_value=1e-6, max_value=1e-2)), draw(st.integers(0, 300))
+    grid = st.integers(1, n + 1)
+    starts = draw(st.lists(st.one_of(grid.map(lambda k: k * dt), grid.map(lambda k: (k - 1) * dt + dt),
+                                     st.floats(min_value=0.0, max_value=(n + 1) * dt, exclude_min=True)),
+                           max_size=3, unique=True))
+    torques = st.floats(min_value=-50.0, max_value=50.0)
+    run = scenario(
+        supply=SUPPLIES[draw(st.sampled_from(sorted(SUPPLIES)))], method=draw(st.sampled_from(["rk4", "euler"])),
+        dt=dt, duration=n * dt, record_every=draw(st.integers(1, 5)),
+        initial_state=MachineState(*draw(st.tuples(*[st.floats(-5.0, 5.0)] * 4, st.floats(-500.0, 500.0)))),
+        speed_convention=draw(st.sampled_from(SPEED_CONVENTIONS)), blocked_rotor=draw(st.booleans()),
+    )
+    return replace(run, load=LoadProfile(tuple((start, draw(torques)) for start in [0.0, *sorted(starts)])))
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no cc on PATH")
+@settings(max_examples=100, deadline=None, database=None)
+@given(p=_machines(), run=_runs())
+def test_c_loop_gives_the_python_loops_bits_on_random_runs(p, run):
+    with pytest.MonkeyPatch.context() as patch:
+        assert outcome(p, run, dynamics._c_loop, patch) == outcome(p, run, dynamics._python_loop, patch)
+
+
 def test_both_loops_refuse_records_past_their_buffer():
     shape, voltages = sample_binding(rated_supply())
     constants = kernel_constants(TABLE1, "mechanical_state", False)
@@ -142,7 +193,7 @@ def test_both_loops_refuse_records_past_their_buffer():
     loops = [dynamics._python_loop("euler", shape), dynamics._c_loop("euler", shape)]
     for loop in filter(None, loops):
         with pytest.raises(IndexError):
-            loop(*constants, np.zeros((8, 3)), *arguments)
+            loop(*constants, np.zeros((len(dynamics._RECORDED), 3)), *arguments)
     assert HAS_CC is (loops[1] is not None)
 
 
@@ -183,7 +234,17 @@ def with_group_writable_cache(tmp_path, monkeypatch):
     (tmp_path / "cache" / "tpim").chmod(0o770)
 
 
-@pytest.mark.parametrize("unusable", [without_cc, with_failing_cc, with_group_writable_cache])
+def with_x87_math(tmp_path, monkeypatch):
+    # x87 arithmetic keeps doubles in 80 bits (FLT_EVAL_METHOD 2), which the
+    # guard in every generated C source refuses to compile.
+    probe = subprocess.run(["cc", "-mfpmath=387", "-x", "c", "-E", "-"], input="#include <float.h>\nFLT_EVAL_METHOD\n",
+                           capture_output=True, text=True) if HAS_CC else None
+    if not (probe and probe.returncode == 0 and probe.stdout.split()[-1:] == ["2"]):
+        pytest.skip("cc -mfpmath=387 does not evaluate doubles in excess precision")
+    monkeypatch.setattr(dynamics, "_CC_FLAGS", (*dynamics._CC_FLAGS, "-mfpmath=387"))
+
+
+@pytest.mark.parametrize("unusable", [without_cc, with_failing_cc, with_group_writable_cache, with_x87_math])
 def test_run_falls_back_to_the_python_loop(tmp_path, monkeypatch, capfd, fresh_loops, reference_outputs, unusable):
     (tmp_path / "bin").mkdir()
     (tmp_path / "cache").mkdir()
