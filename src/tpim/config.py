@@ -298,7 +298,8 @@ def bundled_config_names() -> tuple[str, ...]:
 
 
 def load_config(name_or_path: str) -> RunConfig:
-    """Load a UTF-8 config file by path, or a bundled config by bare name."""
+    """Load a UTF-8 config file by path, or a bundled config by bare name; a
+    leading byte-order mark is dropped."""
     path = Path(name_or_path)
     if path.is_file():
         return parse_config(_read_text(path), name=path.stem)
@@ -313,7 +314,7 @@ def load_config(name_or_path: str) -> RunConfig:
 
 def _read_text(file) -> str:
     try:
-        return file.read_text(encoding="utf-8")
+        return file.read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{str(file)!r} is not UTF-8 text: {exc.reason} at byte offset {exc.start}") from None
 

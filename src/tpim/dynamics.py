@@ -119,6 +119,8 @@ class IntegratorConfig:
         every = self.record_every
         if isinstance(every, bool) or not (isinstance(every, int) and every >= 1):
             raise ValueError(f"record_every must be a positive integer: {every}")
+        if every > sys.maxsize:
+            raise ValueError(f"record_every {every} is more than an index can hold ({sys.maxsize})")
 
     @property
     def n_steps(self) -> int:
@@ -203,15 +205,18 @@ TRACE_CHANNELS = tuple(f.name for f in fields(SimulationTrace)[:15])
 # The step loop around one method's step: steps first + 1 .. last of length
 # dt from the time base, at one load torque. A step reads the state psa..w
 # and the voltages sampled at its start (va0, vb0), and leaves the next state
-# in the same names. The next record, at the start or after a step, is derived
-# and stored item by item through one memoryview per row of records, the
-# channel-major buffer that _derive_trace wraps. The loop returns at the end
-# or at the first non-finite state: whether it was finite, the time, the next
-# record's index, the records filled and the state.
+# in the same names. Every every-th step from step 0 records, so the record
+# after filled ones is at step filled * every (none for a negative filled).
+# It is derived and stored, at the start or after a step, item by item
+# through one memoryview per row of records, the channel-major buffer that
+# _derive_trace wraps, which raises IndexError past its end. The loop returns
+# at the end or at the first non-finite state: whether it was finite, the
+# time, the records filled and the state.
 _LOOP = """\
 half = 0.5 * dt
 sixth = dt / 6.0
 {views} = map(memoryview, records)
+next_record = filled * every
 t = base + first * dt
 {sample}\
 if first == next_record:
@@ -222,17 +227,20 @@ for k in range(first + 1, last + 1):
 {step}\
     t = base + k * dt
     if not (isfinite(psa) and isfinite(psb) and isfinite(pra) and isfinite(prb) and isfinite(w)):
-        return False, t, next_record, filled, (psa, psb, pra, prb, w)
+        return False, t, filled, (psa, psb, pra, prb, w)
 {resample}\
     if k == next_record:
         next_record += every
 {store_in_loop}\
-return True, t, next_record, filled, (psa, psb, pra, prb, w)
+return True, t, filled, (psa, psb, pra, prb, w)
 """
-# The same loop in C, around the same statements. records is the buffer
-# and its row length, and the voltage values come as one array; the time
-# and the state are left in out, the next record's index and the records
-# filled in counts, and the return value is whether the state stayed finite.
+# The same loop in C, around the same statements. records is the buffer and
+# its row length, and the voltage values come as one array; the time and the
+# state are left in out and the records filled in stored. It returns whether
+# the state stayed finite, or -1, with the record's index in stored, where a
+# store finds the buffer full. The start record is stored before the loop, as
+# in Python: with one store in the loop, behind a test of k on every step,
+# gcc 12 vectorizes the Euler step across pairs of states, 23% slower.
 _C_LOOP = """\
 int finite = 1;
 double {declared};
@@ -240,6 +248,7 @@ double {declared};
 {views}\
 const double half = 0.5 * dt;
 const double sixth = dt / 6.0;
+int64_t next_record = filled * every;
 double t = base + first * dt;
 {sample}\
 if (first == next_record) {{
@@ -265,13 +274,12 @@ out[2] = psb;
 out[3] = pra;
 out[4] = prb;
 out[5] = w;
-counts[0] = next_record;
-counts[1] = filled;
+*stored = filled;
 return finite;
 """
 # The loop's arguments after the machine constants, and those of them that are integers.
-_SETTINGS = "records, psa, psb, pra, prb, w, base, dt, first, last, next_record, filled, every, torque"
-_INTEGERS = {"first", "last", "next_record", "filled", "every"}
+_SETTINGS = "records, psa, psb, pra, prb, w, base, dt, first, last, filled, every, torque"
+_INTEGERS = {"first", "last", "filled", "every"}
 _STATES = ("psa", "psb", "pra", "prb", "w")
 # The recorded values, in the row order of records and the trace's column
 # order, and the statements that derive and store one record.
@@ -451,8 +459,10 @@ def _python_loop(method: str, shape: tuple[int, int]):
     """The generated loop of one method and supply shape, in Python: the
     reference of the C loop, and the loop that runs where that cannot be
     built. Its arguments are the machine constants, the records buffer, the
-    initial state, the call's settings, the load torque and then the voltage
-    values."""
+    initial state, the step indices first .. last, the records already
+    filled (-1 stores none), every, the load torque and then the voltages. It
+    returns (finite, t, filled, state); a record past the buffer's end raises
+    IndexError where it is stored, with the records before it stored."""
     start, step, resample = _loop_statements(method, shape, _python_branch)
     body = _LOOP.format(
         views=", ".join(f"r_{v}" for v in _RECORDED), sample=start, store=_indent(_STORE), step=_indent(step),
@@ -463,16 +473,18 @@ def _python_loop(method: str, shape: tuple[int, int]):
 
 @cache
 def _c_loop(method: str, shape: tuple[int, int]):
-    """The loop of _python_loop compiled from C, with the same arguments and
-    results, or None where it cannot be built."""
+    """The loop of _python_loop compiled from C, with the same arguments,
+    results and IndexError, or None where it cannot be built."""
     start, step, resample, store = (_c_statements(s) for s in (*_loop_statements(method, shape, _c_branch), _STORE))
+    # A record past the buffer's end is refused where it is stored, as Python's memoryviews refuse it.
+    store = "if (!(0 <= filled && filled < n_records)) {\n    *stored = filled;\n    return -1;\n}\n" + store
     constants, settings = _KERNEL_CONSTANTS.split(", "), _SETTINGS.split(", ")
     voltages = list(filter(None, sample_arguments(shape).split(", ")))
     # The names the statements assign, which the loop declares; the store's r_...[filled] are not names.
     assigned = {line.split(" = ", 1)[0].strip() for line in (start + step + resample + store).splitlines()
                 if " = " in line}
     parameters = [f"{'int64_t' if v in _INTEGERS else 'double'} {v}" for v in constants + settings[1:]]
-    parameters += ["double *records", "int64_t n_records", "const double *voltages", "double *out", "int64_t *counts"]
+    parameters += ["double *records", "int64_t n_records", "const double *voltages", "double *out", "int64_t *stored"]
     body = _C_LOOP.format(
         declared=", ".join(sorted(name for name in assigned - set(settings) if name.isidentifier())),
         unpack="".join(f"const double {v} = voltages[{i}];\n" for i, v in enumerate(voltages)),
@@ -488,19 +500,17 @@ def _c_loop(method: str, shape: tuple[int, int]):
     n = len(constants)
 
     def step_loop(*arguments):
-        given = dict(zip(settings, arguments[n:]))
-        records, first, last, next_record, filled, every = map(
-            given.get, ("records", "first", "last", "next_record", "filled", "every"))
-        # The loop stores at next_record and every every-th step after it, up to last.
-        stores = (last - next_record) // every + 1 if first <= next_record <= last else 0
-        if not (records.dtype == np.float64 and records.flags.c_contiguous and len(records) == len(_RECORDED)
-                and 0 <= filled <= records.shape[1] - stores):
-            raise IndexError(f"{stores} records from index {filled} do not fit in a buffer of shape {records.shape}")
+        # The C loop trusts the layout; the bound of each record it checks itself.
+        records = arguments[n]
+        if not (records.dtype == np.float64 and records.flags.c_contiguous and len(records) == len(_RECORDED)):
+            raise IndexError(f"records of {records.dtype} and shape {records.shape} are not the loop's layout")
         values = arguments[n + len(settings):]
-        out, counts = (ctypes.c_double * 6)(), (ctypes.c_int64 * 2)()
+        out, stored = (ctypes.c_double * 6)(), (ctypes.c_int64 * 1)()
         finite = function(*arguments[:n], *arguments[n + 1:n + len(settings)], records.ctypes.data, records.shape[1],
-                          (ctypes.c_double * len(values))(*values), out, counts)
-        return bool(finite), out[0], counts[0], counts[1], tuple(out[1:])
+                          (ctypes.c_double * len(values))(*values), out, stored)
+        if finite < 0:
+            raise IndexError(f"record {stored[0]} does not fit in a buffer of shape {records.shape}")
+        return bool(finite), out[0], stored[0], tuple(out[1:])
 
     return step_loop
 
@@ -572,16 +582,12 @@ def integrate(p: MachineParameters, scenario: Scenario) -> SimulationTrace:
                           f"({n_records * len(_RECORDED) * 8} bytes) for {cfg.n_steps} steps") from exc
     constants = kernel_constants(p, scenario.speed_convention, scenario.blocked_rotor)
     loop = partial(_step_loop(cfg.method, shape), *constants, records)
-    state, next_record, filled = astuple(scenario.initial_state), 0, 0
+    state, filled = astuple(scenario.initial_state), 0
     for torque, base, step, first, last, recording in _load_pieces(scenario.load, cfg.step_size, cfg.n_steps):
-        # A substep is given the record index -1, which no step reaches.
-        finite, t, after, filled, state = loop(
-            *state, base, step, first, last, next_record if recording else -1, filled, cfg.record_every,
-            torque, *voltages,
-        )
+        # A substep is given -1 records filled, so it stores none.
+        finite, t, stored, state = loop(*state, base, step, first, last, filled if recording else -1,
+                                        cfg.record_every, torque, *voltages)
+        filled = stored if recording else filled
         if not finite:
-            partial_trace = _derive_trace(scenario, records[:, :filled])
-            raise IntegrationError(t, MachineState(*state), partial_trace)
-        if recording:
-            next_record = after
+            raise IntegrationError(t, MachineState(*state), _derive_trace(scenario, records[:, :filled]))
     return _derive_trace(scenario, records)

@@ -79,7 +79,7 @@ def test_record_every_override(tmp_path):
     assert len(lines) - 1 == 101
 
 
-@pytest.mark.parametrize("every", ["0", "-1"])
+@pytest.mark.parametrize("every", ["0", "-1", str(2**64 + 1)])
 def test_invalid_record_every_override_exits_1(tmp_path, capsys, every):
     path = _short_config(tmp_path)
     assert main(["run", str(path), "--output-dir", str(tmp_path), "--record-every", every]) == 1

@@ -1,6 +1,8 @@
 """Config parsing, validation, rendering and sweep axis application."""
 
 import itertools
+import sys
+from importlib import resources
 
 import pytest
 
@@ -225,6 +227,17 @@ def test_config_file_loading(tmp_path):
     assert config.output.prefix == "mine"
 
 
+def test_leading_byte_order_mark_is_dropped(tmp_path):
+    # As some editors save UTF-8; a byte offset still counts from the file's start.
+    text = resources.files("tpim").joinpath("configs", "paper_s3.cfg").read_bytes()
+    path = tmp_path / "paper_s3.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + text)
+    assert load_config(str(path)) == load_config("paper_s3")
+    path.write_bytes(b"\xef\xbb\xbf# \xff\n")
+    with pytest.raises(ConfigError, match=r"is not UTF-8 text: invalid start byte at byte offset 5$"):
+        load_config(str(path))
+
+
 @pytest.mark.parametrize("name", ["a#b", " ab", "ab ", "a\nb", "a\u2028b", ""])
 def test_default_prefix_must_be_a_value_the_format_holds(name):
     with pytest.raises(ConfigError, match=r"^output\.prefix: .*; set output\.prefix$"):
@@ -276,8 +289,10 @@ def test_amplitude_is_peak_changes_supply_amplitude():
          "line 19: 'integrator.method' must be one of ('rk4', 'euler'), got 'rk5'"),
         (MINIMAL.replace("duration = 1.0", "duration = 1.00005"),
          "integrator: duration 1.00005 is not a whole number"),
+        (MINIMAL + f"integrator.record_every = {sys.maxsize + 1}\n",
+         f"integrator: record_every {sys.maxsize + 1} is more than an index can hold ({sys.maxsize})"),
     ],
-    ids=["invalid_number", "missing", "invalid_choice", "not_whole_steps"],
+    ids=["invalid_number", "missing", "invalid_choice", "not_whole_steps", "record_every_past_an_index"],
 )
 def test_integrator_errors_are_prefixed_only_by_the_integrator_check(text, message):
     # A key that does not read reports its line like every other section;

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -49,6 +50,7 @@ SILENT = VoltageSource(alpha=(), beta=(), frequency=50.0)
         dict(step_size=1e-4, duration=1.00005),
         dict(record_every=True),  # a bool is no record count
         dict(step_size=1e-300, duration=1.0),  # more steps than an index can hold
+        dict(record_every=sys.maxsize + 1),  # more than an index can hold
     ],
 )
 def test_integrator_config_rejects(kwargs):

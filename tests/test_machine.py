@@ -1,7 +1,7 @@
 """Machine model: validation, flux/current maps, torque, state derivative.
 
-The current and torque maps are tested through the channels kernel that
-derives the recorded trace channels (support.channels), at given fluxes.
+The current and torque maps are tested through the loop's record
+statements, rendered at one point by support.channels, at given fluxes.
 """
 
 import dataclasses
@@ -114,7 +114,8 @@ def _currents(p, *fluxes):
 
 
 def _torques(p, *currents):
-    """(te, te_ec) of the channels kernel at the fluxes of the currents."""
+    """(te, te_ec) of the loop's record statements, rendered at one point by
+    support.channels, at the fluxes of the currents."""
     return channels(p, *fluxes_from_currents(p, *currents))[4:]
 
 
@@ -298,9 +299,9 @@ def test_compiled_derivative_matches_reference(table1):
 
 
 def test_derivative_and_channels_share_one_definition(table1):
-    # The step loop and the channels kernel render the same current and
-    # torque templates, so the derivative is made, bit for bit, of the
-    # kernel's currents and te.
+    # The step and the loop's record statements, rendered at one point by
+    # support.channels, render the same current and torque templates, so the
+    # derivative is made, bit for bit, of their currents and te.
     rng = np.random.default_rng(17)
     p = table1
     for convention in ("mechanical_state", "electrical_state"):

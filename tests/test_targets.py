@@ -1,12 +1,12 @@
 """The two targets of the step loop: C, and Python, its fallback and reference.
 
 Both render the same statements, so the C loop must give the Python loop's
-bits: the records, every call's time, record index and state, and the failure
+bits: the records, every call's time, records filled and state, and the failure
 of a run that goes non-finite, on fixed scenarios and on random ones. Where
-the C loop cannot be built (no cc on PATH, a compile that fails, a compiler
-that evaluates doubles in excess precision, a cache directory that is not the
-user's own) a run takes the Python loop and writes the trace CSV by repr,
-silently, with the same output bytes.
+the C loop cannot be built (no cc on PATH, a compile that fails or runs past
+its timeout, a compiler that evaluates doubles in excess precision, a cache
+directory that is not the user's own) a run takes the Python loop and writes
+the trace CSV by repr, silently, with the same output bytes.
 """
 
 import itertools
@@ -120,9 +120,6 @@ def test_c_loop_gives_the_python_loops_bits(table1, monkeypatch, method, supply,
         assert c == python, (name, every)
 
 
-# Euler's last finite states are large enough that their channels overflow.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("split", [False, True], ids=["whole_steps", "split_step"])
 @pytest.mark.parametrize("method", ["rk4", "euler"])
 def test_c_loop_fails_as_the_python_loop(table1, monkeypatch, method, split):
@@ -188,13 +185,18 @@ def test_c_loop_gives_the_python_loops_bits_on_random_runs(p, run):
 def test_both_loops_refuse_records_past_their_buffer():
     shape, voltages = sample_binding(rated_supply())
     constants = kernel_constants(TABLE1, "mechanical_state", False)
-    # Steps 0 .. 3 record 4 times into room for 3.
-    arguments = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, DT, 0, 3, 0, 0, 1, T_LOAD, *voltages)
+    # Steps 0 .. 3 record 4 times into room for 3: both store 3 records, then
+    # refuse the 4th, and leave the same buffer.
+    arguments = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, DT, 0, 3, 0, 1, T_LOAD, *voltages)
     loops = [dynamics._python_loop("euler", shape), dynamics._c_loop("euler", shape)]
+    buffers = []
     for loop in filter(None, loops):
+        buffers.append(np.zeros((len(dynamics._RECORDED), 3)))
         with pytest.raises(IndexError):
-            loop(*constants, np.zeros((len(dynamics._RECORDED), 3)), *arguments)
+            loop(*constants, buffers[-1], *arguments)
     assert HAS_CC is (loops[1] is not None)
+    assert np.all(buffers[0][0] == [0.0, DT, 2 * DT]) and buffers[0][1].all()
+    assert all(buffer.tobytes() == buffers[0].tobytes() for buffer in buffers)
 
 
 @pytest.fixture
@@ -244,7 +246,20 @@ def with_x87_math(tmp_path, monkeypatch):
     monkeypatch.setattr(dynamics, "_CC_FLAGS", (*dynamics._CC_FLAGS, "-mfpmath=387"))
 
 
-@pytest.mark.parametrize("unusable", [without_cc, with_failing_cc, with_group_writable_cache, with_x87_math])
+def with_hanging_cc(tmp_path, monkeypatch):
+    # A compile past the timeout is killed, and leaves no library.
+    sleep = shutil.which("sleep")
+    if sleep is None:
+        pytest.skip("no sleep on PATH")
+    cc = tmp_path / "bin" / "cc"
+    cc.write_text(f"#!/bin/sh\nexec {sleep} 30\n")
+    cc.chmod(0o755)
+    monkeypatch.setenv("PATH", str(cc.parent))
+    monkeypatch.setattr(dynamics, "_CC_TIMEOUT_S", 0.3)
+
+
+@pytest.mark.parametrize("unusable", [without_cc, with_failing_cc, with_group_writable_cache, with_x87_math,
+                                      with_hanging_cc])
 def test_run_falls_back_to_the_python_loop(tmp_path, monkeypatch, capfd, fresh_loops, reference_outputs, unusable):
     (tmp_path / "bin").mkdir()
     (tmp_path / "cache").mkdir()
@@ -260,6 +275,8 @@ def test_run_falls_back_to_the_python_loop(tmp_path, monkeypatch, capfd, fresh_l
     assert dynamics._step_loop("rk4", (1, 1)) is dynamics._python_loop("rk4", (1, 1))
     assert output._c_format_rows() is None and sum(map(len, repr_blocks)) == 10001
     assert [path.name for path in (tmp_path / "cache").rglob("*") if path.is_file()] == []
+    with pytest.raises(ChildProcessError):  # no compile left running or unreaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_concurrent_builders_share_one_library(tmp_path):
