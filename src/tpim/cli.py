@@ -21,7 +21,7 @@ import os
 import sys
 from contextlib import ExitStack
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from .analysis import SteadyStateNotReachedError, SummaryReport, summarize
@@ -91,6 +91,7 @@ def _directory(text: str) -> str:
     return text
 
 
+@cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tpim", description="Two-phase induction motor simulator")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -207,11 +207,12 @@ TRACE_CHANNELS = tuple(f.name for f in fields(SimulationTrace)[:15])
 # and the voltages sampled at its start (va0, vb0), and leaves the next state
 # in the same names. Every every-th step from step 0 records, so the record
 # after filled ones is at step filled * every (none for a negative filled).
-# It is derived and stored, at the start or after a step, item by item
-# through one memoryview per row of records, the channel-major buffer that
-# _derive_trace wraps, which raises IndexError past its end. The loop returns
-# at the end or at the first non-finite state: whether it was finite, the
-# time, the records filled and the state.
+# k runs from first to last and steps only past first, so that every record,
+# the start's too, is derived and stored at one site: item by item through
+# one memoryview per row of records, the channel-major buffer that
+# _derive_trace wraps, which raises IndexError past its end. The loop
+# returns at the end or at the first non-finite state: whether it was finite,
+# the time, the records filled and the state.
 _LOOP = """\
 half = 0.5 * dt
 sixth = dt / 6.0
@@ -219,28 +220,24 @@ sixth = dt / 6.0
 next_record = filled * every
 t = base + first * dt
 {sample}\
-if first == next_record:
-    next_record += every
-{store}\
-for k in range(first + 1, last + 1):
-    # Step k starts at t = base + (k - 1) * dt, where the voltages were last sampled.
+for k in range(first, last + 1):
+    if k > first:
+        # Step k starts at t = base + (k - 1) * dt, where the voltages were last sampled.
 {step}\
-    t = base + k * dt
-    if not (isfinite(psa) and isfinite(psb) and isfinite(pra) and isfinite(prb) and isfinite(w)):
-        return False, t, filled, (psa, psb, pra, prb, w)
+        t = base + k * dt
+        if not (isfinite(psa) and isfinite(psb) and isfinite(pra) and isfinite(prb) and isfinite(w)):
+            return False, t, filled, (psa, psb, pra, prb, w)
 {resample}\
     if k == next_record:
         next_record += every
-{store_in_loop}\
+{store}\
 return True, t, filled, (psa, psb, pra, prb, w)
 """
 # The same loop in C, around the same statements. records is the buffer and
 # its row length, and the voltage values come as one array; the time and the
 # state are left in out and the records filled in stored. It returns whether
 # the state stayed finite, or -1, with the record's index in stored, where a
-# store finds the buffer full. The start record is stored before the loop, as
-# in Python: with one store in the loop, behind a test of k on every step,
-# gcc 12 vectorizes the Euler step across pairs of states, 23% slower.
+# store finds the buffer full.
 _C_LOOP = """\
 int finite = 1;
 double {declared};
@@ -251,21 +248,19 @@ const double sixth = dt / 6.0;
 int64_t next_record = filled * every;
 double t = base + first * dt;
 {sample}\
-if (first == next_record) {{
-    next_record += every;
-{store}\
-}}
-for (int64_t k = first + 1; k <= last; k++) {{
+for (int64_t k = first; k <= last; k++) {{
+    if (k > first) {{
 {step}\
-    t = base + k * dt;
-    if (!(isfinite(psa) && isfinite(psb) && isfinite(pra) && isfinite(prb) && isfinite(w))) {{
-        finite = 0;
-        break;
-    }}
+        t = base + k * dt;
+        if (!(isfinite(psa) && isfinite(psb) && isfinite(pra) && isfinite(prb) && isfinite(w))) {{
+            finite = 0;
+            break;
+        }}
 {resample}\
+    }}
     if (k == next_record) {{
         next_record += every;
-{store_in_loop}\
+{store}\
     }}
 }}
 out[0] = t;
@@ -319,8 +314,11 @@ def _kernel(name: str, arguments: list[str], body: str):
 
 
 # No fused multiply-add, so that each + and * of the C statements rounds as
-# Python's float operations do.
-_CC_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# Python's float operations do. No SLP vectorization, so that the loops stay
+# scalar whatever the frame's layout: with it, gcc 12 packed the Euler step's
+# states in pairs once the store sat behind a test of k on every step, and
+# the Euler loop ran 23% slower.
+_CC_FLAGS = ("-O2", "-ffp-contract=off", "-fno-tree-slp-vectorize", "-fPIC", "-shared")
 # Nor excess precision (x87 arithmetic, FLT_EVAL_METHOD 2): such a compile fails.
 _FP_GUARD = "#if FLT_EVAL_METHOD != 0\n#error \"tpim needs each double operation rounded to double\"\n#endif\n"
 _CC_TIMEOUT_S = 60.0
@@ -465,8 +463,8 @@ def _python_loop(method: str, shape: tuple[int, int]):
     IndexError where it is stored, with the records before it stored."""
     start, step, resample = _loop_statements(method, shape, _python_branch)
     body = _LOOP.format(
-        views=", ".join(f"r_{v}" for v in _RECORDED), sample=start, store=_indent(_STORE), step=_indent(step),
-        resample=_indent(resample), store_in_loop=_indent(_indent(_STORE)),
+        views=", ".join(f"r_{v}" for v in _RECORDED), sample=start, step=_indent(_indent(step)),
+        resample=_indent(_indent(resample)), store=_indent(_indent(_STORE)),
     )
     return _kernel("step_loop", [_KERNEL_CONSTANTS, _SETTINGS, sample_arguments(shape)], body)
 
@@ -489,8 +487,7 @@ def _c_loop(method: str, shape: tuple[int, int]):
         declared=", ".join(sorted(name for name in assigned - set(settings) if name.isidentifier())),
         unpack="".join(f"const double {v} = voltages[{i}];\n" for i, v in enumerate(voltages)),
         views="".join(f"double *r_{v} = records + {i} * n_records;\n" for i, v in enumerate(_RECORDED)),
-        sample=start, store=_indent(store), step=_indent(step), resample=_indent(resample),
-        store_in_loop=_indent(_indent(store)),
+        sample=start, step=_indent(_indent(step)), resample=_indent(_indent(resample)), store=_indent(_indent(store)),
     )
     function = _c_kernel("step_loop", parameters, body)
     if function is None:

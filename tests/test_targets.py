@@ -197,6 +197,14 @@ def test_both_loops_refuse_records_past_their_buffer():
     assert HAS_CC is (loops[1] is not None)
     assert np.all(buffers[0][0] == [0.0, DT, 2 * DT]) and buffers[0][1].all()
     assert all(buffer.tobytes() == buffers[0].tobytes() for buffer in buffers)
+    # A call that starts with the buffer full refuses its start record, before
+    # any step, and stores nothing.
+    arguments = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, DT, 3, 5, 3, 1, T_LOAD, *voltages)
+    for loop in filter(None, loops):
+        buffer = np.zeros((len(dynamics._RECORDED), 3))
+        with pytest.raises(IndexError):
+            loop(*constants, buffer, *arguments)
+        assert buffer.tobytes() == bytes(buffer.nbytes)
 
 
 @pytest.fixture
@@ -211,6 +219,25 @@ def fresh_loops():
     clear()
     yield
     clear()
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no cc on PATH")
+@pytest.mark.parametrize("xdg_cache_home", [None, "cache"], ids=["unset", "relative"])
+def test_c_loop_is_cached_under_the_home_directory_by_default(tmp_path, monkeypatch, fresh_loops, xdg_cache_home):
+    # Unset or relative, XDG_CACHE_HOME gives way to ~/.cache, and nothing is
+    # cached under the working directory.
+    home, work = tmp_path / "home", tmp_path / "work"
+    home.mkdir()
+    work.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.chdir(work)
+    if xdg_cache_home is None:
+        monkeypatch.delenv("XDG_CACHE_HOME")
+    else:
+        monkeypatch.setenv("XDG_CACHE_HOME", xdg_cache_home)
+    assert dynamics._c_loop("euler", (1, 1)) is not None
+    assert [path.suffix for path in (home / ".cache" / "tpim").iterdir()] == [".so"]
+    assert list(work.iterdir()) == []
 
 
 @pytest.fixture(scope="module")
