@@ -152,15 +152,16 @@ def _cmd_run(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     p = config.machine  # load_config validated it
     prefix = config.output.prefix
+    scenario = build_scenario(config)
+    directory = _out_dir(config)  # before the run, so that a directory that cannot be made costs no run
     try:
-        trace = integrate(p, build_scenario(config))
+        trace = integrate(p, scenario)
     except IntegrationError as exc:
-        partial_path = _out_dir(config) / f"{prefix}_partial_trace.csv"
+        partial_path = directory / f"{prefix}_partial_trace.csv"
         write_trace_csv(exc.partial_trace, partial_path)
         print(f"partial trace written to {partial_path}", file=sys.stderr)
         raise
 
-    directory = _out_dir(config)
     csv_path = directory / f"{prefix}_trace.csv"
     summary_path = directory / f"{prefix}_summary.txt"
     write_trace_csv(trace, csv_path)

@@ -214,8 +214,6 @@ TRACE_CHANNELS = tuple(f.name for f in fields(SimulationTrace)[:15])
 # returns at the end or at the first non-finite state: whether it was finite,
 # the time, the records filled and the state.
 _LOOP = """\
-half = 0.5 * dt
-sixth = dt / 6.0
 {views} = map(memoryview, records)
 next_record = filled * every
 t = base + first * dt
@@ -225,26 +223,23 @@ for k in range(first, last + 1):
         # Step k starts at t = base + (k - 1) * dt, where the voltages were last sampled.
 {step}\
         t = base + k * dt
-        if not (isfinite(psa) and isfinite(psb) and isfinite(pra) and isfinite(prb) and isfinite(w)):
-            return False, t, filled, (psa, psb, pra, prb, w)
+        if not ({finite}):
+            return False, t, filled, ({state})
 {resample}\
     if k == next_record:
         next_record += every
 {store}\
-return True, t, filled, (psa, psb, pra, prb, w)
+return True, t, filled, ({state})
 """
-# The same loop in C, around the same statements. records is the buffer and
-# its row length, and the voltage values come as one array; the time and the
-# state are left in out and the records filled in stored. It returns whether
-# the state stayed finite, or -1, with the record's index in stored, where a
-# store finds the buffer full.
+# The same loop in C, around the same statements and with the same
+# parameters, but records is the buffer's address and its row length. After
+# them, out receives the time and the state, and stored the records filled.
+# It returns whether the state stayed finite, or -1, with the record's index
+# in stored, where a store finds the buffer full.
 _C_LOOP = """\
 int finite = 1;
 double {declared};
-{unpack}\
 {views}\
-const double half = 0.5 * dt;
-const double sixth = dt / 6.0;
 int64_t next_record = filled * every;
 double t = base + first * dt;
 {sample}\
@@ -252,7 +247,7 @@ for (int64_t k = first; k <= last; k++) {{
     if (k > first) {{
 {step}\
         t = base + k * dt;
-        if (!(isfinite(psa) && isfinite(psb) && isfinite(pra) && isfinite(prb) && isfinite(w))) {{
+        if (!({finite})) {{
             finite = 0;
             break;
         }}
@@ -263,19 +258,14 @@ for (int64_t k = first; k <= last; k++) {{
 {store}\
     }}
 }}
-out[0] = t;
-out[1] = psa;
-out[2] = psb;
-out[3] = pra;
-out[4] = prb;
-out[5] = w;
+{out}\
 *stored = filled;
 return finite;
 """
-# The loop's arguments after the machine constants, and those of them that are integers.
-_SETTINGS = "records, psa, psb, pra, prb, w, base, dt, first, last, filled, every, torque"
+# The loop's arguments between the machine constants and the voltages, and the integers among them.
+_STATES = _RHS_NAMES[:5]
+_SETTINGS = [*_STATES, "base", "dt", "first", "last", "filled", "every", "torque"]
 _INTEGERS = {"first", "last", "filled", "every"}
-_STATES = ("psa", "psb", "pra", "prb", "w")
 # The recorded values, in the row order of records and the trace's column
 # order, and the statements that derive and store one record.
 _RECORDED = ("t", "va0", "vb0", "i_sa", "i_sb", "i_ra", "i_rb", *_STATES[:4], "te", "te_ec", "omega_mech")
@@ -304,10 +294,9 @@ def _euler_step() -> str:
 def _kernel(name: str, arguments: list[str], body: str):
     """Compile `def name(arguments): body`, the one way generated Python is
     compiled. The body starts by importing cos and isfinite, at call time;
-    every other name it reads must be one of the arguments, given as
-    comma-separated groups (empty groups are dropped)."""
+    every other name it reads must be one of the arguments, a list of names."""
     body = "from math import cos, isfinite\n" + body
-    source = f"def {name}({', '.join(filter(None, arguments))}):\n" + _indent(body)
+    source = f"def {name}({', '.join(arguments)}):\n" + _indent(body)
     scope = {}
     exec(compile(source, f"<tpim {name}>", "exec"), scope)
     return scope[name]
@@ -414,7 +403,7 @@ def compile_derivative(p: MachineParameters, speed_convention: str = "mechanical
     same bits as they do."""
     constants = kernel_constants(p, speed_convention, blocked_rotor)
     body = render_rhs(" ".join(_RHS_NAMES)) + "return d_psa, d_psb, d_pra, d_prb, d_w\n"
-    return partial(_kernel("deriv", [_KERNEL_CONSTANTS, ", ".join(_RHS_NAMES[:8])], body), *constants)
+    return partial(_kernel("deriv", [*_KERNEL_CONSTANTS, *_RHS_NAMES[:8]], body), *constants)
 
 
 def compile_sources(supply: VoltageSource):
@@ -423,7 +412,7 @@ def compile_sources(supply: VoltageSource):
     loops compute."""
     shape, values = sample_binding(supply)
     body = render_sample(shape, "t", "v_sa v_sb") + "return v_sa, v_sb\n"
-    return partial(_kernel("sources", [sample_arguments(shape), "t"], body), *values)
+    return partial(_kernel("sources", [*sample_arguments(shape), "t"], body), *values)
 
 
 def _python_branch(condition: str, then: str, otherwise: str) -> str:
@@ -441,32 +430,40 @@ def _c_statements(statements: str) -> str:
 
 def _loop_statements(method: str, shape: tuple[int, int], branch) -> tuple[str, str, str]:
     """The statements of the loop of one method and supply shape, the same
-    for both targets: the sample at the start, one step, and the sample after
-    the step. branch(condition, then, otherwise) renders an if."""
+    for both targets: those before the loop (the sample at the start, and
+    RK4's half and sixth of dt), one step, and the sample after the step.
+    branch(condition, then, otherwise) renders an if."""
     sample = partial(render_sample, shape)
     start = sample("t", "va0 vb0")
     if method == "euler":
         return start, _euler_step(), start
     # The sampler is a pure function of one float: where t is the float the
     # last stage sampled at, its sample is reused, bit for bit.
-    return start, _rk4_step(sample), branch("t == t_end", "va0 = va1\nvb0 = vb1\n", start)
+    resample = branch("t == t_end", "va0 = va1\nvb0 = vb1\n", start)
+    return "half = 0.5 * dt\nsixth = dt / 6.0\n" + start, _rk4_step(sample), resample
+
+
+def _loop_arguments(shape: tuple[int, int]) -> list[str]:
+    """The arguments of the loop of a supply shape, in either target."""
+    return [*_KERNEL_CONSTANTS, *_SETTINGS, *sample_arguments(shape), "records"]
 
 
 @cache
 def _python_loop(method: str, shape: tuple[int, int]):
     """The generated loop of one method and supply shape, in Python: the
     reference of the C loop, and the loop that runs where that cannot be
-    built. Its arguments are the machine constants, the records buffer, the
-    initial state, the step indices first .. last, the records already
-    filled (-1 stores none), every, the load torque and then the voltages. It
+    built. Its arguments are the machine constants, the initial state, the
+    step indices first .. last, the records already filled (-1 stores none),
+    every, the load torque, the voltages and then the records buffer. It
     returns (finite, t, filled, state); a record past the buffer's end raises
     IndexError where it is stored, with the records before it stored."""
     start, step, resample = _loop_statements(method, shape, _python_branch)
     body = _LOOP.format(
         views=", ".join(f"r_{v}" for v in _RECORDED), sample=start, step=_indent(_indent(step)),
         resample=_indent(_indent(resample)), store=_indent(_indent(_STORE)),
+        finite=" and ".join(f"isfinite({s})" for s in _STATES), state=", ".join(_STATES),
     )
-    return _kernel("step_loop", [_KERNEL_CONSTANTS, _SETTINGS, sample_arguments(shape)], body)
+    return _kernel("step_loop", _loop_arguments(shape), body)
 
 
 @cache
@@ -476,35 +473,30 @@ def _c_loop(method: str, shape: tuple[int, int]):
     start, step, resample, store = (_c_statements(s) for s in (*_loop_statements(method, shape, _c_branch), _STORE))
     # A record past the buffer's end is refused where it is stored, as Python's memoryviews refuse it.
     store = "if (!(0 <= filled && filled < n_records)) {\n    *stored = filled;\n    return -1;\n}\n" + store
-    constants, settings = _KERNEL_CONSTANTS.split(", "), _SETTINGS.split(", ")
-    voltages = list(filter(None, sample_arguments(shape).split(", ")))
     # The names the statements assign, which the loop declares; the store's r_...[filled] are not names.
     assigned = {line.split(" = ", 1)[0].strip() for line in (start + step + resample + store).splitlines()
                 if " = " in line}
-    parameters = [f"{'int64_t' if v in _INTEGERS else 'double'} {v}" for v in constants + settings[1:]]
-    parameters += ["double *records", "int64_t n_records", "const double *voltages", "double *out", "int64_t *stored"]
+    parameters = [f"{'int64_t' if v in _INTEGERS else 'double'} {v}" for v in _loop_arguments(shape)[:-1]]
+    parameters += ["double *records", "int64_t n_records", "double *out", "int64_t *stored"]
     body = _C_LOOP.format(
-        declared=", ".join(sorted(name for name in assigned - set(settings) if name.isidentifier())),
-        unpack="".join(f"const double {v} = voltages[{i}];\n" for i, v in enumerate(voltages)),
+        declared=", ".join(sorted(name for name in assigned - set(_SETTINGS) if name.isidentifier())),
         views="".join(f"double *r_{v} = records + {i} * n_records;\n" for i, v in enumerate(_RECORDED)),
         sample=start, step=_indent(_indent(step)), resample=_indent(_indent(resample)), store=_indent(_indent(store)),
+        finite=" && ".join(f"isfinite({s})" for s in _STATES),
+        out="".join(f"out[{i}] = {v};\n" for i, v in enumerate(["t", *_STATES])),
     )
     function = _c_kernel("step_loop", parameters, body)
     if function is None:
         return None
     import ctypes
 
-    n = len(constants)
-
     def step_loop(*arguments):
         # The C loop trusts the layout; the bound of each record it checks itself.
-        records = arguments[n]
+        records = arguments[-1]
         if not (records.dtype == np.float64 and records.flags.c_contiguous and len(records) == len(_RECORDED)):
             raise IndexError(f"records of {records.dtype} and shape {records.shape} are not the loop's layout")
-        values = arguments[n + len(settings):]
         out, stored = (ctypes.c_double * 6)(), (ctypes.c_int64 * 1)()
-        finite = function(*arguments[:n], *arguments[n + 1:n + len(settings)], records.ctypes.data, records.shape[1],
-                          (ctypes.c_double * len(values))(*values), out, stored)
+        finite = function(*arguments[:-1], records.ctypes.data, records.shape[1], out, stored)
         if finite < 0:
             raise IndexError(f"record {stored[0]} does not fit in a buffer of shape {records.shape}")
         return bool(finite), out[0], stored[0], tuple(out[1:])
@@ -578,12 +570,12 @@ def integrate(p: MachineParameters, scenario: Scenario) -> SimulationTrace:
         raise MemoryError(f"cannot allocate {n_records} records of {len(_RECORDED)} floats "
                           f"({n_records * len(_RECORDED) * 8} bytes) for {cfg.n_steps} steps") from exc
     constants = kernel_constants(p, scenario.speed_convention, scenario.blocked_rotor)
-    loop = partial(_step_loop(cfg.method, shape), *constants, records)
+    loop = partial(_step_loop(cfg.method, shape), *constants)
     state, filled = astuple(scenario.initial_state), 0
     for torque, base, step, first, last, recording in _load_pieces(scenario.load, cfg.step_size, cfg.n_steps):
         # A substep is given -1 records filled, so it stores none.
         finite, t, stored, state = loop(*state, base, step, first, last, filled if recording else -1,
-                                        cfg.record_every, torque, *voltages)
+                                        cfg.record_every, torque, *voltages, records)
         filled = stored if recording else filled
         if not finite:
             raise IntegrationError(t, MachineState(*state), _derive_trace(scenario, records[:, :filled]))

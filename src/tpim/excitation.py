@@ -124,9 +124,9 @@ def quadrature_supply(v_rms: float, frequency: float, amplitude_is_peak: bool = 
 _TERM = "amp_{p}{i} * cos(w_{p}{i} * {time} + ph_{p}{i})"
 
 
-def sample_arguments(shape: tuple[int, int]) -> str:
-    """The names render_sample reads, in the order of sample_binding's values."""
-    return ", ".join(f"w_{p}{i}, amp_{p}{i}, ph_{p}{i}" for p, n in zip("ab", shape) for i in range(n))
+def sample_arguments(shape: tuple[int, int]) -> list[str]:
+    """The names render_sample reads, a list in the order of sample_binding's values."""
+    return [f"{x}_{p}{i}" for p, n in zip("ab", shape) for i in range(n) for x in ("w", "amp", "ph")]
 
 
 def sample_binding(supply: VoltageSource) -> tuple[tuple[int, int], tuple]:

@@ -135,8 +135,7 @@ def validate_parameters(params: MachineParameters) -> MachineParameters:
 # since int * float converts the int first and -r * i is (-r) * i. w_scale
 # turns the speed state into electrical speed.
 _KERNEL_CONSTANTS = (
-    "r_sa, r_sb, neg_r_ra, neg_r_rb, l_sa, l_sb, l_ra, l_rb, l_ma, l_mb, det_a, det_b, a, "
-    "pole_pairs, inv_j, w_scale"
+    "r_sa r_sb neg_r_ra neg_r_rb l_sa l_sb l_ra l_rb l_ma l_mb det_a det_b a pole_pairs inv_j w_scale".split()
 )
 
 

@@ -208,7 +208,7 @@ def textbook_torques(p, psi_r_alpha, psi_r_beta, i_s_alpha, i_s_beta, i_r_alpha,
     return te, p.pole_pairs * (a * psi_r_beta * i_r_alpha - psi_r_alpha * i_r_beta / a)
 
 
-_channels = _kernel("channels", [_KERNEL_CONSTANTS, "psa, psb, pra, prb, w"],
+_channels = _kernel("channels", [*_KERNEL_CONSTANTS, "psa", "psb", "pra", "prb", "w"],
                     _CHANNELS + "return i_sa, i_sb, i_ra, i_rb, te, te_ec\n")
 
 

@@ -113,6 +113,18 @@ def test_empty_output_dir_exits_1_before_the_run(tmp_path, capsys, command):
     assert not (tmp_path / "configured").exists()
 
 
+def test_output_dir_that_cannot_be_made_exits_1_before_the_run(tmp_path, capsys, monkeypatch):
+    def no_run(*args):
+        raise AssertionError("integrate ran before the output directory was made")
+
+    monkeypatch.setattr(tpim.cli, "integrate", no_run)
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    assert main(["run", str(_short_config(tmp_path)), "--output-dir", str(regular / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def _argv(command, path, out):
     """command on the config at path, writing to out."""
     return [command, str(path), *{"validate": [], "run": ["--output-dir", str(out)],

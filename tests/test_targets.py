@@ -10,6 +10,7 @@ the trace CSV by repr, silently, with the same output bytes.
 """
 
 import itertools
+import math
 import os
 import shutil
 import struct
@@ -49,6 +50,7 @@ SUPPLIES = {
     "harmonics": SOURCE_SHAPES["harmonics"][0],  # (3, 3)
     "zero_amplitude": SOURCE_SHAPES["zero_amplitude"][0],  # (2, 1)
     "silent_phase": VoltageSource(alpha=(Harmonic(1, V_PEAK),), beta=(), frequency=F_SUPPLY),  # (1, 0)
+    "silent": VoltageSource(alpha=(), beta=(), frequency=F_SUPPLY),  # (0, 0): a C loop of no harmonic parameters
 }
 DT = 1e-4
 # The first step k whose end (k - 1) * dt + dt is not the float k * dt.
@@ -118,6 +120,25 @@ def test_c_loop_gives_the_python_loops_bits(table1, monkeypatch, method, supply,
         c = outcome(table1, run, lambda method, shape: loop, monkeypatch)
         python = outcome(table1, run, dynamics._python_loop, monkeypatch)
         assert c == python, (name, every)
+
+
+def test_largest_c_loop_gives_the_python_loops_bits(table1, monkeypatch):
+    # The most harmonics _step_loop compiles C for, each three parameters of
+    # the loop; one harmonic more takes the Python loop.
+    def supply(shape):
+        alpha, beta = ([Harmonic(k, V_PEAK / k, 0.1 * k + shift) for k in range(1, n + 1)]
+                       for n, shift in zip(shape, (0.0, -0.5 * math.pi)))
+        return VoltageSource(alpha=tuple(alpha), beta=tuple(beta), frequency=F_SUPPLY)
+
+    assert 32 + 32 == dynamics._C_MAX_HARMONICS
+    assert dynamics._step_loop("rk4", (32, 33)) is dynamics._python_loop("rk4", (32, 33))
+    if not HAS_CC:
+        pytest.skip("no cc on PATH")
+    run = scenario(supply=supply((32, 32)), method="rk4", dt=DT, duration=0.01)
+    assert sample_binding(run.supply)[0] == (32, 32)
+    loop = target("rk4", (32, 32))
+    assert outcome(table1, run, lambda method, shape: loop, monkeypatch) == outcome(
+        table1, run, dynamics._python_loop, monkeypatch)
 
 
 @pytest.mark.parametrize("split", [False, True], ids=["whole_steps", "split_step"])
@@ -193,7 +214,7 @@ def test_both_loops_refuse_records_past_their_buffer():
     for loop in filter(None, loops):
         buffers.append(np.zeros((len(dynamics._RECORDED), 3)))
         with pytest.raises(IndexError):
-            loop(*constants, buffers[-1], *arguments)
+            loop(*constants, *arguments, buffers[-1])
     assert HAS_CC is (loops[1] is not None)
     assert np.all(buffers[0][0] == [0.0, DT, 2 * DT]) and buffers[0][1].all()
     assert all(buffer.tobytes() == buffers[0].tobytes() for buffer in buffers)
@@ -203,7 +224,7 @@ def test_both_loops_refuse_records_past_their_buffer():
     for loop in filter(None, loops):
         buffer = np.zeros((len(dynamics._RECORDED), 3))
         with pytest.raises(IndexError):
-            loop(*constants, buffer, *arguments)
+            loop(*constants, *arguments, buffer)
         assert buffer.tobytes() == bytes(buffer.nbytes)
 
 

@@ -3,15 +3,15 @@
 Identical lines mean identical traces, CSV bytes, summaries and `tpim
 validate` output, and the exit code of each command is part of its artifact
 name. Between them the runs cover every generated step loop, rk4 and euler
-for each kind of supply shape: one harmonic per phase or several, and zero
-amplitudes. They also cover each value that the run settings give the
-loop's constants: each speed convention, and free and blocked rotor. Both
-methods run a constant and a stepped load, with breakpoints on the step grid
-and inside a step, which splits there. The `validate` outputs cover every
-branch of the rendered config: both supply modes, both load forms and every
-optional key set away from its default. Two RK4 runs put a load step on
-either side of the one-ulp gap between a step's end time and the next
-step's start time.
+for each kind of supply shape: one harmonic per phase or several, one phase
+only, and zero amplitudes. They also cover each value that the run
+settings give the loop's constants: each speed convention, and free and
+blocked rotor. Both methods run a constant and a stepped load, with
+breakpoints on the step grid and inside a step, which splits there. The
+`validate` outputs cover every branch of the rendered config: both supply
+modes, a phase with no harmonics, both load forms and every optional key
+set away from its default. Two RK4 runs put a load step on either side of
+the one-ulp gap between a step's end time and the next step's start time.
 
 This module is the one producer of the digests. Its output is committed as
 tools/identity_digests.txt, and tests/test_identity.py runs `digests` and
@@ -116,6 +116,8 @@ def digests(work: Path):
         ),
         "zero_amplitude_harmonic": config_text(**harmonics(f"1:{PEAK!r}:0.0, 3:0.0:0.0", "1:0.0:0.0")),
         "zero_amplitude_single_harmonic": config_text(**harmonics("1:0.0:0.0", f"1:{PEAK!r}:{-q!r}")),
+        # The paper's single-phase running mode, on the main winding, from near speed.
+        "one_phase_supply": config_text(**harmonics(None, f"1:{PEAK!r}:{-q!r}"), initial_state__omega_mech="150.0"),
         "euler_harmonics": config_text(
             **harmonics(three, three_beta, "0.0:0.4, 0.02:0.7, 0.0350003:0.9", "0.05"), **euler
         ),
@@ -159,6 +161,7 @@ def digests(work: Path):
     variant = HARMONIC_VARIANTS[0]
     validated = {name: name for name in BUNDLED}
     validated[f"harmonic variant {variant}"] = str(work / f"harmonic_{variant}.cfg")
+    validated["one_phase_supply"] = str(work / "one_phase_supply.cfg")  # a phase with no harmonics
     for name, text in {
         "every_key_quadrature": config_text(**every_key),
         "every_key_harmonics": config_text(
