@@ -12,8 +12,8 @@ Wanner, Solving ODEs I, II.6), so RK4 keeps its order across a load step.
 RK4 starts each step from the previous step's end sample where the two
 times are the same float. At each record the loop derives the currents,
 both torques and the shaft speed from the state, by the current and torque
-templates it inlines per stage, and stores the record whole into a
-channel-major buffer whose rows are the trace's channels. Both are
+templates it inlines per stage, and stores the record whole into the
+trace's channel-major buffer, all its rows but tl's. Both are
 deterministic: identical inputs give bit-identical traces.
 
 All generated code is compiled here. _kernel compiles Python: the step
@@ -28,9 +28,8 @@ Each library is cached in the user's cache directory ($XDG_CACHE_HOME/tpim,
 else ~/.cache/tpim), so a warm cache starts no process. The Python loop is
 the reference the tests hold the C loop to, and it runs, silently, where
 the C loop cannot be built: no cc on PATH, a compile or load that fails
-(a compiler whose doubles carry excess precision fails it), a cache
-directory that is not the user's own, or a supply of more than 64
-harmonics.
+(as under excess precision or fast math), a cache directory that is not
+the user's own, or a supply of more than 64 harmonics.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ import math
 import os
 import sys
 import textwrap
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field
 from functools import cache, partial
 
 import numpy as np
@@ -156,38 +155,32 @@ class Scenario:
                                      f"{h.order} on phase {phase_name} is not finite at t = {end!r}")
 
 
+TRACE_CHANNELS = ("t", "v_sa", "v_sb", "i_sa", "i_sb", "i_ra", "i_rb",
+                  "psi_sa", "psi_sb", "psi_ra", "psi_rb", "te", "te_ec", "omega_mech", "tl")
+
+
 @dataclass(frozen=True)
 class SimulationTrace:
-    """Uniformly spaced records of every plotted/audited channel.
+    """Uniformly spaced records of every plotted/audited channel: records
+    is a C-contiguous float64 array of a row per channel, in TRACE_CHANNELS
+    order (the CSV's columns), and a column per record. Each row reads as
+    trace.te or trace.channel("te"). The omega_mech channel is always shaft
+    speed, whichever speed convention drove the integration."""
 
-    Flux channels are the integrated states; the step loop derives the
-    currents and both torque channels algebraically from each record's. The
-    omega_mech channel is always shaft speed, whichever speed convention
-    drove the integration. The channels are the fields from t to tl, in the
-    CSV's fixed column order.
-    """
-
-    t: np.ndarray
-    v_sa: np.ndarray
-    v_sb: np.ndarray
-    i_sa: np.ndarray
-    i_sb: np.ndarray
-    i_ra: np.ndarray
-    i_rb: np.ndarray
-    psi_sa: np.ndarray
-    psi_sb: np.ndarray
-    psi_ra: np.ndarray
-    psi_rb: np.ndarray
-    te: np.ndarray
-    te_ec: np.ndarray
-    omega_mech: np.ndarray
-    tl: np.ndarray
+    records: np.ndarray
     step_size: float
     record_every: int
     supply_frequency: float
 
+    def __post_init__(self):
+        records = np.ascontiguousarray(self.records)
+        if records.dtype != np.float64 or records.ndim != 2 or len(records) != len(TRACE_CHANNELS):
+            raise TypeError(f"trace records must be float64 of shape ({len(TRACE_CHANNELS)}, records), "
+                            f"not {records.dtype} of shape {records.shape}")
+        object.__setattr__(self, "records", records)
+
     def __len__(self) -> int:
-        return len(self.t)
+        return self.records.shape[1]
 
     @property
     def record_spacing(self) -> float:
@@ -196,10 +189,11 @@ class SimulationTrace:
     def channel(self, name: str) -> np.ndarray:
         if name not in TRACE_CHANNELS:
             raise KeyError(f"unknown trace channel: {name!r}")
-        return getattr(self, name)
+        return self.records[TRACE_CHANNELS.index(name)]
 
 
-TRACE_CHANNELS = tuple(f.name for f in fields(SimulationTrace)[:15])
+for _row, _name in enumerate(TRACE_CHANNELS):
+    setattr(SimulationTrace, _name, property(lambda trace, row=_row: trace.records[row], doc=f"The {_name} channel."))
 
 
 # The step loop around one method's step: steps first + 1 .. last of length
@@ -308,8 +302,11 @@ def _kernel(name: str, arguments: list[str], body: str):
 # states in pairs once the store sat behind a test of k on every step, and
 # the Euler loop ran 23% slower.
 _CC_FLAGS = ("-O2", "-ffp-contract=off", "-fno-tree-slp-vectorize", "-fPIC", "-shared")
-# Nor excess precision (x87 arithmetic, FLT_EVAL_METHOD 2): such a compile fails.
-_FP_GUARD = "#if FLT_EVAL_METHOD != 0\n#error \"tpim needs each double operation rounded to double\"\n#endif\n"
+# Nor excess precision (x87, FLT_EVAL_METHOD 2), nor fast or finite-only
+# math, which folds isfinite away (gcc sets __GCC_IEC_559 below 2 under any
+# unsafe math option): such a compile fails.
+_FP_GUARD = ("#if FLT_EVAL_METHOD != 0 || defined(__FAST_MATH__) || __FINITE_MATH_ONLY__"
+             " || (defined(__GCC_IEC_559) && __GCC_IEC_559 < 2)\n#error \"tpim needs IEEE doubles\"\n#endif\n")
 _CC_TIMEOUT_S = 60.0
 
 
@@ -320,7 +317,8 @@ def _c_kernel(name: str, parameters: list[str], body: str, definitions: str = ""
     own. parameters are C declarations: a pointer is passed as an address,
     an int64_t or a double as a number. definitions (static tables and
     helpers) go before the function; float.h, math.h, stdint.h and string.h
-    are included, and a FLT_EVAL_METHOD other than 0 stops the compile.
+    are included, and _FP_GUARD stops the compile under excess precision or
+    fast or finite-only math.
 
     The library is cached in $XDG_CACHE_HOME/tpim (~/.cache/tpim where that
     is unset or not an absolute path), named by the sha256 of the source,
@@ -542,13 +540,16 @@ def _load_pieces(load: LoadProfile, dt: float, n_steps: int):
 
 
 def _derive_trace(scenario: Scenario, records: np.ndarray) -> SimulationTrace:
-    """The trace whose channels are the rows of records, and the load channel tl."""
-    # The load at each record time, right-continuous: the last breakpoint at or
-    # before it. A record on a breakpoint was stored by the segment before it.
-    starts, torques = map(np.array, zip(*scenario.load.breakpoints))
-    tl = torques[np.searchsorted(starts, records[0], side="right") - 1]
+    """The trace of records, once their last row, tl, is written."""
+    # The load at each record time, right-continuous: each torque from the
+    # first record at or after its breakpoint to the first at or after the
+    # next. A record on a breakpoint was stored by the segment before it.
+    starts, torques = zip(*scenario.load.breakpoints)
+    bounds = [*np.searchsorted(records[0], starts).tolist(), records.shape[1]]
+    for torque, first, end in zip(torques, bounds, bounds[1:]):
+        records[-1, first:end] = torque
     cfg = scenario.integrator
-    return SimulationTrace(*records, tl, cfg.step_size, cfg.record_every, scenario.supply.frequency)
+    return SimulationTrace(records, cfg.step_size, cfg.record_every, scenario.supply.frequency)
 
 
 def integrate(p: MachineParameters, scenario: Scenario) -> SimulationTrace:
@@ -562,20 +563,20 @@ def integrate(p: MachineParameters, scenario: Scenario) -> SimulationTrace:
     """
     cfg = scenario.integrator
     shape, voltages = sample_binding(scenario.supply)
-    # One column per record: every trace channel but tl.
-    n_records = cfg.n_steps // cfg.record_every + 1
+    # One column per record; the loop fills every row but tl's.
+    n_records, rows = cfg.n_steps // cfg.record_every + 1, len(TRACE_CHANNELS)
     try:
-        records = np.empty((len(_RECORDED), n_records))
+        records = np.empty((rows, n_records))
     except (MemoryError, ValueError) as exc:  # numpy's ValueError: the size overflows its index
-        raise MemoryError(f"cannot allocate {n_records} records of {len(_RECORDED)} floats "
-                          f"({n_records * len(_RECORDED) * 8} bytes) for {cfg.n_steps} steps") from exc
+        raise MemoryError(f"cannot allocate {n_records} records of {rows} floats "
+                          f"({n_records * rows * 8} bytes) for {cfg.n_steps} steps") from exc
     constants = kernel_constants(p, scenario.speed_convention, scenario.blocked_rotor)
     loop = partial(_step_loop(cfg.method, shape), *constants)
     state, filled = astuple(scenario.initial_state), 0
     for torque, base, step, first, last, recording in _load_pieces(scenario.load, cfg.step_size, cfg.n_steps):
         # A substep is given -1 records filled, so it stores none.
         finite, t, stored, state = loop(*state, base, step, first, last, filled if recording else -1,
-                                        cfg.record_every, torque, *voltages, records)
+                                        cfg.record_every, torque, *voltages, records[:len(_RECORDED)])
         filled = stored if recording else filled
         if not finite:
             raise IntegrationError(t, MachineState(*state), _derive_trace(scenario, records[:, :filled]))

@@ -2,7 +2,8 @@
 
 The CSV is the single source of truth for downstream tooling: fixed header,
 fixed column order, each value as its repr, the shortest round-trip decimal
-text (values re-read equal the in-memory doubles exactly). A C formatter
+text (values re-read equal the in-memory doubles exactly): the columns of
+the trace's records, whose layout SimulationTrace checks. A C formatter
 writes that text, Ryu's shortest digits in repr's layout. It is compiled by
 tpim.dynamics._c_kernel and cached with the step loops; where it cannot be
 built, repr itself writes the values, and the bytes are the same. The plot
@@ -260,18 +261,15 @@ def _repr_rows(block: np.ndarray) -> bytes:
 
 def write_trace_csv(trace: SimulationTrace, path) -> None:
     """Write the trace CSV, _CSV_BLOCK_ROWS rows at a time, each value as
-    its repr: by the C formatter, or by repr where that cannot be built."""
-    channels = [trace.channel(name) for name in TRACE_CHANNELS]
-    for name, channel in zip(TRACE_CHANNELS, channels):
-        if channel.dtype != np.float64:
-            raise TypeError(f"trace channels must be float64, not {channel.dtype} ({name})")
+    its repr: by the C formatter, or by repr where that cannot be built,
+    from a row-major copy of the records' columns."""
     format_rows = _c_format_rows()
     if format_rows is not None:
-        text = np.empty(_CELL_BYTES * _CSV_BLOCK_ROWS * len(channels), np.uint8)  # for every block
+        text = np.empty(_CELL_BYTES * _CSV_BLOCK_ROWS * len(TRACE_CHANNELS), np.uint8)  # for every block
     with open(path, "wb") as f:
         f.write(CSV_HEADER.encode() + b"\n")
         for start in range(0, len(trace), _CSV_BLOCK_ROWS):
-            block = np.column_stack([channel[start:start + _CSV_BLOCK_ROWS] for channel in channels])
+            block = np.ascontiguousarray(trace.records[:, start:start + _CSV_BLOCK_ROWS].T)
             if format_rows is None:
                 f.write(_repr_rows(block))
             else:

@@ -35,7 +35,7 @@ from tpim import (
     VoltageSource,
     quadrature_supply,
 )
-from tpim.dynamics import TRACE_CHANNELS, _kernel
+from tpim.dynamics import _kernel
 from tpim.machine import _CHANNELS, _KERNEL_CONSTANTS, kernel_constants
 from tpim.output import CSV_HEADER
 
@@ -120,8 +120,7 @@ def state_at(trace, idx):
 def reference_trace_csv(trace) -> bytes:
     """The trace CSV's bytes: the header, then each record's values joined
     by commas, each the repr of the double (its shortest round-trip text)."""
-    rows = zip(*(trace.channel(name).tolist() for name in TRACE_CHANNELS))
-    lines = [CSV_HEADER, *(",".join(map(repr, row)) for row in rows)]
+    lines = [CSV_HEADER, *(",".join(map(repr, row)) for row in trace.records.T.tolist())]
     return "".join(line + "\n" for line in lines).encode()
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tpim import (
+    TRACE_CHANNELS,
     Harmonic,
     SimulationTrace,
     SteadyStateNotReachedError,
@@ -29,29 +30,10 @@ from support import (
 
 
 def synthetic_trace(omega, spacing=1e-3, frequency=50.0):
-    omega = np.asarray(omega, dtype=float)
-    n = len(omega)
-    zeros = np.zeros(n)
-    return SimulationTrace(
-        t=np.arange(n) * spacing,
-        v_sa=zeros.copy(),
-        v_sb=zeros.copy(),
-        i_sa=zeros.copy(),
-        i_sb=zeros.copy(),
-        i_ra=zeros.copy(),
-        i_rb=zeros.copy(),
-        psi_sa=zeros.copy(),
-        psi_sb=zeros.copy(),
-        psi_ra=zeros.copy(),
-        psi_rb=zeros.copy(),
-        te=zeros.copy(),
-        te_ec=zeros.copy(),
-        omega_mech=omega,
-        tl=zeros.copy(),
-        step_size=spacing,
-        record_every=1,
-        supply_frequency=frequency,
-    )
+    records = np.zeros((len(TRACE_CHANNELS), len(omega)))
+    records[TRACE_CHANNELS.index("t")] = np.arange(len(omega)) * spacing
+    records[TRACE_CHANNELS.index("omega_mech")] = omega
+    return SimulationTrace(records, step_size=spacing, record_every=1, supply_frequency=frequency)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import io
 import math
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -236,7 +237,7 @@ def test_records_that_cannot_be_allocated_exit_1(tmp_path, capsys, monkeypatch, 
     assert main(["run", str(tiny), "--output-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cannot allocate") and err.count("\n") == 1
-    assert f"{records} records of 14 floats ({records * 112} bytes)" in err
+    assert f"{records} records of 15 floats ({records * 120} bytes)" in err
     assert list(tmp_path.glob("*.csv")) == []
 
 
@@ -276,7 +277,7 @@ def test_numerical_failure_leaves_the_partial_trace(tmp_path, capsys):
 
 
 def _first_rows(trace, rows):
-    return replace(trace, **{name: trace.channel(name)[:rows] for name in TRACE_CHANNELS})
+    return replace(trace, records=trace.records[:, :rows])
 
 
 def _each_writer():
@@ -305,13 +306,15 @@ def test_trace_csv_blocks_match_the_reference_writer(tmp_path, rated_trace, rows
 
 
 def test_trace_csv_rejects_a_float32_trace_before_writing(tmp_path, rated_trace):
-    # Both writers refuse it alike: the C formatter reads doubles, and repr
-    # would spell the widened doubles (1e-4 as 9.999999747378752e-05).
-    trace = replace(rated_trace, te=rated_trace.te.astype(np.float32))
-    for writer in _each_writer():
-        with pytest.raises(TypeError, match="float64"):
-            write_trace_csv(trace, tmp_path / "trace.csv")
-        assert list(tmp_path.iterdir()) == [], writer
+    # The C formatter reads doubles, and repr would spell the widened doubles
+    # (1e-4 as 9.999999747378752e-05). A trace refuses records of any dtype
+    # or shape but the writers' where it is made, naming both.
+    records = rated_trace.records
+    for wrong in (records.astype(np.float32), records[0], records[:14]):
+        layout = re.escape(f"not {wrong.dtype} of shape {wrong.shape}")
+        with pytest.raises(TypeError, match=f"float64 of shape \\(15, records\\), {layout}"):
+            write_trace_csv(replace(rated_trace, records=wrong), tmp_path / "trace.csv")
+    assert list(tmp_path.iterdir()) == []
 
 
 # Where repr's layout changes and their neighbours: fixed notation for
@@ -334,7 +337,7 @@ _tables = arrays(
 @example(table=_SIGNED_EDGES)
 @given(table=_tables)
 def test_trace_csv_is_repr_of_every_value(tmp_path_factory, rated_trace, table):
-    trace = replace(rated_trace, **dict(zip(TRACE_CHANNELS, table.T)))
+    trace = replace(rated_trace, records=table.T)
     path = tmp_path_factory.getbasetemp() / "property_trace.csv"
     for writer in _each_writer():
         write_trace_csv(trace, path)

@@ -201,6 +201,10 @@ def test_trace_grid_and_length(table1):
     assert np.all(np.isfinite(np.column_stack([trace.channel(c) for c in TRACE_CHANNELS])))
     with pytest.raises(KeyError, match="unknown trace channel: 'bogus'"):
         trace.channel("bogus")
+    # Each channel is a view of its row of the records, by either name.
+    for name in TRACE_CHANNELS:
+        row = trace.records[TRACE_CHANNELS.index(name)].__array_interface__
+        assert getattr(trace, name).__array_interface__ == trace.channel(name).__array_interface__ == row, name
 
 
 def test_record_every_decimates_without_changing_the_grid(table1):
@@ -295,6 +299,7 @@ def test_nonfinite_state_raises_with_partial_trace(table1):
     assert exc.time == pytest.approx(0.06)
     assert len(exc.partial_trace) == 3  # records at 0, 0.02, 0.04
     assert exc.partial_trace.t[-1] == pytest.approx(0.04)
+    assert exc.partial_trace.records.flags.c_contiguous  # made of the slice records[:, :3]
     assert "non-finite" in str(exc)
     # The partial trace is derived exactly as a run that stops before the failure.
     complete = integrate(table1, scenario(dt=0.02, duration=0.04))

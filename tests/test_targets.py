@@ -17,6 +17,7 @@ import struct
 import subprocess
 import sys
 from dataclasses import astuple, replace
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +76,7 @@ def exact(value):
 
 def outcome(p, run, step_loop, monkeypatch):
     """integrate(p, run) with step_loop(method, shape) as its loops: the
-    bytes of every trace channel (of the partial trace on a failure), each
+    bytes of the trace's records (of the partial trace on a failure), each
     loop call's results and the failure's time and state, exactly."""
     results = []
 
@@ -92,8 +93,7 @@ def outcome(p, run, step_loop, monkeypatch):
         trace, failure = integrate(p, run), None
     except IntegrationError as exc:
         trace, failure = exc.partial_trace, (exc.time, astuple(exc.state))
-    channels = tuple(trace.channel(name).tobytes() for name in dynamics.TRACE_CHANNELS)
-    return channels, exact(tuple(results)), exact(failure)
+    return trace.records.tobytes(), exact(tuple(results)), exact(failure)
 
 
 def target(method, shape):
@@ -294,6 +294,12 @@ def with_x87_math(tmp_path, monkeypatch):
     monkeypatch.setattr(dynamics, "_CC_FLAGS", (*dynamics._CC_FLAGS, "-mfpmath=387"))
 
 
+def with_fast_math(tmp_path, monkeypatch):
+    # -ffast-math implies -ffinite-math-only, so a loop built under it folds
+    # its isfinite test away and runs on past a failure; the guard refuses it.
+    monkeypatch.setattr(dynamics, "_CC_FLAGS", (*dynamics._CC_FLAGS, "-ffast-math"))
+
+
 def with_hanging_cc(tmp_path, monkeypatch):
     # A compile past the timeout is killed, and leaves no library.
     sleep = shutil.which("sleep")
@@ -307,7 +313,7 @@ def with_hanging_cc(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("unusable", [without_cc, with_failing_cc, with_group_writable_cache, with_x87_math,
-                                      with_hanging_cc])
+                                      with_fast_math, with_hanging_cc])
 def test_run_falls_back_to_the_python_loop(tmp_path, monkeypatch, capfd, fresh_loops, reference_outputs, unusable):
     (tmp_path / "bin").mkdir()
     (tmp_path / "cache").mkdir()
@@ -322,6 +328,12 @@ def test_run_falls_back_to_the_python_loop(tmp_path, monkeypatch, capfd, fresh_l
     assert {path.name: path.read_bytes() for path in out.iterdir()} == reference_outputs
     assert dynamics._step_loop("rk4", (1, 1)) is dynamics._python_loop("rk4", (1, 1))
     assert output._c_format_rows() is None and sum(map(len, repr_blocks)) == 10001
+    # The state goes non-finite at t = 0.06 s at dt = 0.02, and the run says so.
+    blow = tmp_path / "blow.cfg"
+    blow.write_text(resources.files("tpim").joinpath("configs", "paper_s3.cfg").read_text()
+                    .replace("step_size = 1e-4", "step_size = 0.02"))
+    assert main(["run", str(blow), "--output-dir", str(out)]) == 2
+    assert len((out / "blow_partial_trace.csv").read_text().splitlines()) == 4  # the header, t = 0, 0.02, 0.04
     assert [path.name for path in (tmp_path / "cache").rglob("*") if path.is_file()] == []
     with pytest.raises(ChildProcessError):  # no compile left running or unreaped
         os.waitpid(-1, os.WNOHANG)
