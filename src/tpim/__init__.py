@@ -10,12 +10,7 @@ rest is imported from tpim.config, tpim.analysis, tpim.machine,
 tpim.excitation and tpim.output.
 """
 
-from .analysis import (
-    SteadyStateNotReachedError,
-    TraceTooShortError,
-    energy_audit,
-    summarize,
-)
+from .analysis import SteadyStateNotReachedError, energy_audit, summarize
 from .config import ConfigError, build_scenario, load_config
 from .dynamics import (
     TRACE_CHANNELS,
@@ -43,7 +38,6 @@ __all__ = [
     "SimulationTrace",
     "SteadyStateNotReachedError",
     "TRACE_CHANNELS",
-    "TraceTooShortError",
     "VoltageSource",
     "build_scenario",
     "energy_audit",

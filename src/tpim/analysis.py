@@ -14,7 +14,6 @@ from .machine import MachineParameters
 
 __all__ = [
     "TORQUE_CHANNELS",
-    "TraceTooShortError",
     "SteadyStateNotReachedError",
     "SummaryReport",
     "EnergyReport",
@@ -30,12 +29,9 @@ __all__ = [
 TORQUE_CHANNELS = ("te", "te_ec")
 
 
-class TraceTooShortError(ValueError):
-    """The trace does not span enough time for the requested analysis."""
-
-
 class SteadyStateNotReachedError(RuntimeError):
-    """No window of the trace satisfied the steady-state tolerance."""
+    """The trace has no steady state to report: it is too short for
+    detection, or no window of it met the tolerance. The message says which."""
 
 
 @dataclass(frozen=True)
@@ -50,7 +46,6 @@ class SummaryReport:
     samples swing around it).
     """
 
-    steady_state_reached: bool
     settle_time: float
     final_speed_mech: float
     slip: float
@@ -83,27 +78,28 @@ class EnergyReport:
 _WINDOW = 0.1
 
 
-def detect_steady_state(trace: SimulationTrace, speed_tol: float = 1e-3) -> tuple[bool, float]:
+def detect_steady_state(trace: SimulationTrace, speed_tol: float = 1e-3) -> float:
     """Earliest time where speed stays within speed_tol of its window mean.
 
     Steady state is declared at the first record t where
-    max - min of omega over [t, t + 0.1 s] < speed_tol * |mean omega|.
-    Returns (reached, settle_time); settle_time is nan when not reached.
-    Raises ValueError unless speed_tol is finite and > 0: no window passes
-    below that, and with inf every window with a nonzero mean passes.
-    Raises TraceTooShortError unless the trace spans at least two windows.
+    max - min of omega over [t, t + 0.1 s] < speed_tol * |mean omega|;
+    returns that settle time. Raises SteadyStateNotReachedError when the
+    trace spans less than two windows, a window holds one record, or no
+    window passes. Raises ValueError unless speed_tol is finite and > 0:
+    no window passes below that, and with inf every window with a nonzero
+    mean passes.
     """
     if not 0.0 < speed_tol < math.inf:
         raise ValueError(f"speed_tol must be a finite number > 0: {speed_tol!r}")
     spacing = trace.record_spacing
     span = (len(trace) - 1) * spacing
     if span < 2.0 * _WINDOW:
-        raise TraceTooShortError(
+        raise SteadyStateNotReachedError(
             f"trace spans {span:.6g} s, steady-state detection needs >= {2.0 * _WINDOW:.6g} s"
         )
     length = int(round(_WINDOW / spacing)) + 1
     if length < 2:
-        raise TraceTooShortError(
+        raise SteadyStateNotReachedError(
             f"window {_WINDOW} s is below the record spacing {spacing} s"
         )
     hi, lo = _sliding_extrema(trace.omega_mech, length)
@@ -119,9 +115,9 @@ def detect_steady_state(trace: SimulationTrace, speed_tol: float = 1e-3) -> tupl
         block = slice(candidates[i], candidates[i] + 64)
         hit = spread[block] < speed_tol * np.abs(windows[block].mean(axis=1))
         if hit.any():
-            return True, float(trace.t[block.start + int(np.argmax(hit))])
+            return float(trace.t[block.start + int(np.argmax(hit))])
         i = int(np.searchsorted(candidates, block.stop))
-    return False, math.nan
+    raise SteadyStateNotReachedError(f"speed never settled within {speed_tol:g} of its window mean")
 
 
 def _sliding_extrema(x: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -170,16 +166,11 @@ def summarize(
 ) -> SummaryReport:
     """Steady-state report of one trace.
 
-    Raises TraceTooShortError / SteadyStateNotReachedError when detection
-    is impossible or fails; callers that must survive either (the CLI
-    summary writer) catch them. A speed_tol that detect_steady_state
-    rejects raises ValueError.
+    Raises detect_steady_state's errors: SteadyStateNotReachedError when
+    the trace has no steady state, which the CLI summary writer catches,
+    and ValueError for a speed_tol it rejects.
     """
-    reached, settle_time = detect_steady_state(trace, speed_tol)
-    if not reached:
-        raise SteadyStateNotReachedError(
-            f"speed never settled within {speed_tol:g} of its window mean"
-        )
+    settle_time = detect_steady_state(trace, speed_tol)
     start_idx = int(np.searchsorted(trace.t, settle_time))
     tail = _periodic_tail(trace, start_idx)
     t = trace.t[tail]
@@ -190,7 +181,6 @@ def summarize(
     w_sync = 2.0 * math.pi * trace.supply_frequency / p.pole_pairs
     final_speed = _trapezoid_mean(trace.omega_mech[tail], t)
     return SummaryReport(
-        steady_state_reached=True,
         settle_time=settle_time,
         final_speed_mech=final_speed,
         slip=(w_sync - final_speed) / w_sync,

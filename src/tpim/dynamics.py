@@ -162,10 +162,11 @@ TRACE_CHANNELS = ("t", "v_sa", "v_sb", "i_sa", "i_sb", "i_ra", "i_rb",
 @dataclass(frozen=True)
 class SimulationTrace:
     """Uniformly spaced records of every plotted/audited channel: records
-    is a C-contiguous float64 array of a row per channel, in TRACE_CHANNELS
-    order (the CSV's columns), and a column per record. Each row reads as
-    trace.te or trace.channel("te"). The omega_mech channel is always shaft
-    speed, whichever speed convention drove the integration."""
+    is a read-only, C-contiguous float64 array of a row per channel, in
+    TRACE_CHANNELS order (the CSV's columns), and a column per record; a
+    view, so the array the trace was built from stays writable. Each row
+    reads as trace.te or trace.channel("te"). The omega_mech channel is
+    always shaft speed, whichever speed convention drove the integration."""
 
     records: np.ndarray
     step_size: float
@@ -173,10 +174,11 @@ class SimulationTrace:
     supply_frequency: float
 
     def __post_init__(self):
-        records = np.ascontiguousarray(self.records)
+        records = np.ascontiguousarray(self.records).view()
         if records.dtype != np.float64 or records.ndim != 2 or len(records) != len(TRACE_CHANNELS):
             raise TypeError(f"trace records must be float64 of shape ({len(TRACE_CHANNELS)}, records), "
                             f"not {records.dtype} of shape {records.shape}")
+        records.flags.writeable = False
         object.__setattr__(self, "records", records)
 
     def __len__(self) -> int:

@@ -19,12 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    SteadyStateNotReachedError,
-    TraceTooShortError,
-    energy_audit,
-    summarize,
-)
+from .analysis import SteadyStateNotReachedError, energy_audit, summarize
 from .dynamics import TRACE_CHANNELS, SimulationTrace, _c_kernel
 from .machine import MachineParameters
 
@@ -283,9 +278,10 @@ REPORT_SPEED_TOL = 0.05
 
 
 def _report_lines(report, prefix: str = "") -> list[str]:
-    """`name: repr(value)` for each field of a report but the first, which
-    says what the report is (steady_state_reached, torque_channel)."""
-    return [f"{prefix}{f.name}: {getattr(report, f.name)!r}" for f in fields(report)[1:]]
+    """`name: repr(value)` for each field of a report but torque_channel,
+    which an audit block's key prefix names."""
+    return [f"{prefix}{f.name}: {getattr(report, f.name)!r}"
+            for f in fields(report) if f.name != "torque_channel"]
 
 
 def write_summary(
@@ -296,13 +292,16 @@ def write_summary(
 ) -> None:
     """Write the key: value report of the steady-state summary plus both energy audits.
 
-    A run whose speed never settles (or is too short to judge) still gets
-    its audits; the summary block then only records why it is missing.
+    The summary block opens with `steady_state_reached: true` and the
+    report's fields. A run with no steady state (SteadyStateNotReachedError:
+    too short to judge, or never settled) still gets its audits; its
+    summary block reads `steady_state_reached: false` and the error's
+    message.
     """
     lines = [f"steady_state_tolerance: {speed_tol!r}"]
     try:
         report = summarize(trace, p, speed_tol=speed_tol)
-    except (TraceTooShortError, SteadyStateNotReachedError) as exc:
+    except SteadyStateNotReachedError as exc:
         lines.append("steady_state_reached: false")
         lines.append(f"steady_state_note: {exc}")
     else:

@@ -15,12 +15,17 @@ oracle: it computes the periodic steady state of the same state equations
 at a held speed by one complex 4x4 solve per harmonic order, with no time
 stepping, so it verifies the integrator through an entirely different
 route. reference_trace_csv is the trace CSV by its definition, one repr
-per value.
+per value. shoot finds the periodic steady state of a free rotor, the
+fixed point of one supply period of the step loop, by Newton's method
+through integrate alone; summary_bounds says how far a summary may lie
+from it.
 """
 
 import cmath
+import dataclasses
 import math
 from bisect import bisect_right
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -32,7 +37,9 @@ from tpim import (
     MachineParameters,
     MachineState,
     Scenario,
+    SimulationTrace,
     VoltageSource,
+    integrate,
     quadrature_supply,
 )
 from tpim.dynamics import _kernel
@@ -337,3 +344,69 @@ def phasor_equilibrium_speed(p, t_load, lo=100.0, hi=170.0, supply=None):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+class Orbit(NamedTuple):
+    """A periodic steady state of the discrete step loop."""
+
+    state: np.ndarray  # the fixed point of one supply period, STATE_CHANNELS order
+    multipliers: np.ndarray  # the Floquet multipliers, eigenvalues of the period map's Jacobian
+    trace: SimulationTrace  # one period from state, recorded at every step
+
+    def mean(self, name):
+        """The trapezoid mean of a channel over the period."""
+        t = self.trace.t
+        return float(np.trapezoid(self.trace.channel(name), t) / (t[-1] - t[0]))
+
+
+def _one_period(p, scenario, x, record_every=0):
+    """One supply period of the scenario's step loop from the state x,
+    recorded every record_every steps, or at its ends for 0."""
+    dt = scenario.integrator.step_size
+    n = round(1.0 / (scenario.supply.frequency * dt))
+    assert math.isclose(n * dt * scenario.supply.frequency, 1.0), "a period must be whole steps"
+    integrator = dataclasses.replace(scenario.integrator, duration=n * dt, record_every=record_every or n)
+    return integrate(p, dataclasses.replace(scenario, integrator=integrator, initial_state=MachineState(*x)))
+
+
+def shoot(p, scenario, x0, rtol=1e-12, max_iter=10):
+    """The periodic steady state of a free rotor under the scenario's
+    T-periodic supply and constant load, by the shooting method of Aprille
+    and Trick ("Steady-state analysis of nonlinear circuits with periodic
+    inputs", Proc. IEEE 60(1), 1972): Newton's method on Phi_T(x) - x from
+    x0 (STATE_CHANNELS order), where Phi_T is one supply period of the
+    scenario's discrete step loop and its Jacobian a forward difference.
+    Stops when every |Phi_T(x) - x| is within rtol of max(|x|, 1)."""
+    assert len(scenario.load.breakpoints) == 1 and not scenario.blocked_rotor
+    assert scenario.speed_convention == "mechanical_state"  # the state's speed is omega_mech
+    x = np.array(x0, dtype=float)
+    for _ in range(max_iter):
+        end = state_at(_one_period(p, scenario, x), -1)
+        scale = np.maximum(np.abs(x), 1.0)
+        h = 1e-7 * scale
+        jacobian = np.column_stack(
+            [(state_at(_one_period(p, scenario, x + step), -1) - end) / h_j for step, h_j in zip(np.diag(h), h)]
+        )
+        if np.all(np.abs(end - x) <= rtol * scale):
+            return Orbit(x, np.linalg.eigvals(jacobian), _one_period(p, scenario, x, record_every=1))
+        x = x - np.linalg.solve(jacobian - np.eye(len(x)), end - x)
+    raise AssertionError(f"shooting did not converge in {max_iter} Newton steps: |Phi_T(x) - x| = {abs(end - x)}")
+
+
+def summary_bounds(p, orbit, settle_time, t_end, speed_tol, window=0.1):
+    """How far a summary of a run ending at t_end may lie from the orbit:
+    (speed, torque) bounds on |final_speed_mech - orbit mean| and
+    |mean_torque - orbit mean|.
+
+    The detector accepted the speed at settle_time as steady to speed_tol
+    of its mean, so its departure from the orbit then is at most
+    speed_tol * |speed|. The slowest Floquet mode shrinks a departure by
+    |mu| per supply period, up to the start of the summary's window (whole
+    periods, window long). Over the window the mean torque is the load
+    plus J * (speed at its end - speed at its start) / window; on the
+    orbit the two speeds are equal, so the summary's mean torque departs
+    from the orbit's by at most 2 * J * the speed bound / window.
+    """
+    periods = (t_end - window - settle_time) * orbit.trace.supply_frequency
+    speed = speed_tol * abs(orbit.mean("omega_mech")) * max(abs(orbit.multipliers)) ** periods
+    return speed, 2.0 * p.inertia_j * speed / window

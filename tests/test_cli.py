@@ -24,13 +24,13 @@ from hypothesis.extra.numpy import arrays
 
 import tpim
 import tpim.output
-from tpim import TRACE_CHANNELS, dynamics, integrate, load_config
+from tpim import TRACE_CHANNELS, LoadProfile, dynamics, integrate, load_config, validate_parameters
 from tpim.cli import main, usable_cpus
 from tpim.config import build_scenario
 from tpim.dynamics import IntegrationError
-from tpim.output import CSV_HEADER, write_trace_csv
+from tpim.output import CSV_HEADER, REPORT_SPEED_TOL, write_trace_csv
 
-from support import reference_trace_csv
+from support import reference_trace_csv, shoot, state_at, summary_bounds
 
 
 def _reference_text():
@@ -53,6 +53,19 @@ def test_run_writes_trace_and_summary(tmp_path):
     summary = (tmp_path / "short_summary.txt").read_text()
     assert "audit_te_ec.residual:" in summary
     assert "audit_te.residual:" in summary
+
+
+@pytest.mark.parametrize("duration, speed_tol, note", [
+    ("0.05", "0.05", "trace spans 0.05 s, steady-state detection needs >= 0.2 s"),
+    ("1.0", "0.001", "speed never settled within 0.001 of its window mean"),
+])
+def test_summary_without_a_steady_state_says_why_and_keeps_its_audits(tmp_path, duration, speed_tol, note):
+    path = _short_config(tmp_path, duration=duration)
+    assert main(["run", str(path), "--output-dir", str(tmp_path), "--speed-tol", speed_tol]) == 0
+    lines = (tmp_path / "short_summary.txt").read_text().splitlines()
+    assert lines[:3] == [f"steady_state_tolerance: {float(speed_tol)!r}", "steady_state_reached: false",
+                         f"steady_state_note: {note}"]
+    assert lines[3].startswith("audit_te_ec.stator_input_energy: ")
 
 
 def test_csv_header_is_stable():
@@ -508,6 +521,27 @@ def test_sweep_over_load_torque(tmp_path):
     assert speeds[0] > speeds[1] > speeds[2], f"speeds not decreasing with load: {speeds}"
 
 
+def test_sweep_rows_match_their_free_rotor_orbits(tmp_path):
+    # Each row's summary against the orbit of its torque, shot from the
+    # rated run's end, within what its settle time allows (summary_bounds).
+    torques = (0.5, 1.0, 1.5)
+    fields = "settle_time,final_speed_mech,mean_torque"
+    argv = ["sweep", "paper_s3", "--axis", "load.torque", "--values", ",".join(map(repr, torques)), "--fields", fields]
+    assert main(argv + ["--output-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "paper_s3_sweep.csv", newline="") as f:
+        rows = list(csv.reader(f))[1:]
+    config = load_config("paper_s3")
+    p, rated = validate_parameters(config.machine), build_scenario(config)
+    start = state_at(integrate(p, rated), -1)
+    for torque, row in zip(torques, rows, strict=True):
+        assert row[0] == repr(torque) and row[-1] == "ok", row
+        settle_time, speed, mean_torque = map(float, row[1:4])
+        orbit = shoot(p, replace(rated, load=LoadProfile.constant(torque)), start)
+        speed_bound, torque_bound = summary_bounds(p, orbit, settle_time, config.integrator.duration, REPORT_SPEED_TOL)
+        assert abs(speed - orbit.mean("omega_mech")) <= speed_bound, torque
+        assert abs(mean_torque - orbit.mean("te")) <= torque_bound, torque
+
+
 def test_sweep_over_turns_ratio(tmp_path):
     assert (
         main(
@@ -683,6 +717,13 @@ def test_sweep_spec_errors_exit_1(tmp_path, capsys):
     assert main(
         ["sweep", "paper_s3", "--axis", "load.torque", "--values", "1.0", "--fields", "bogus"]
     ) == 1
+    # steady_state_reached is a summary-file line, not a report field: a
+    # tabulated row is always a report, so it could only read True.
+    argv = ["sweep", "paper_s3", "--axis", "load.torque", "--values", "0.5,1.0", "--output-dir", str(tmp_path)]
+    assert main(argv + ["--fields", "steady_state_reached,settle_time"]) == 1
+    assert ("error: unknown summary field 'steady_state_reached'; choose from ('settle_time', "
+            "'final_speed_mech', 'slip', 'mean_torque', 'torque_ripple_pp', 'stator_current_rms_alpha', "
+            "'stator_current_rms_beta')") in capsys.readouterr().err
     # Non-finite values are rejected before any row runs or the table is written.
     for axis, values in (("supply.frequency", "inf,50"), ("initial_state.omega_mech", "nan")):
         argv = ["sweep", "paper_s3", "--axis", axis, "--values", values]

@@ -207,6 +207,19 @@ def test_trace_grid_and_length(table1):
         assert getattr(trace, name).__array_interface__ == trace.channel(name).__array_interface__ == row, name
 
 
+def test_trace_cannot_be_rewritten_through_its_channels(table1):
+    trace = integrate(table1, scenario(duration=0.01))
+    before = trace.records.copy()
+    for array in (trace.te, trace.channel("te"), trace.records):
+        with pytest.raises(ValueError, match="read-only"):
+            array[:] = 0.0
+    assert np.array_equal(trace.records, before)
+    # The trace holds a read-only view: the array it was built from stays writable.
+    records = before.copy()
+    dataclasses.replace(trace, records=records)
+    assert records.flags.writeable
+
+
 def test_record_every_decimates_without_changing_the_grid(table1):
     full = integrate(table1, scenario(duration=0.02))
     thin = integrate(table1, scenario(duration=0.02, record_every=5))

@@ -1,5 +1,7 @@
-"""The README's library example, CLI synopsis and install dependencies, the exported names and perfbench's wrapped names match the code."""
+"""The README's library example, CLI synopsis and install dependencies, the exported names and perfbench's wrapped
+names match the code, and every source file parses at the declared Python floor."""
 
+import ast
 import contextlib
 import importlib
 import importlib.util
@@ -21,7 +23,7 @@ def test_readme_library_example_runs_and_exports_resolve():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(blocks[0], str(README), "exec"), {})
-    assert "SummaryReport(steady_state_reached=True" in out.getvalue()
+    assert "SummaryReport(settle_time=" in out.getvalue()
     assert "EnergyReport(torque_channel='te_ec'" in out.getvalue()
 
     modules = [tpim] + [
@@ -58,3 +60,14 @@ def test_readme_names_the_install_dependencies():
     listed = re.search(r"^dependencies = \[(.*?)\]", (ROOT / "pyproject.toml").read_text(), re.S | re.M).group(1)
     sentence = re.search(r"^tpim needs (.*?)[;.]\s", README.read_text(), re.S | re.M).group(1)
     assert set(re.findall(r"`([^`]+)`", sentence)) == set(re.findall(r'"([A-Za-z0-9_.-]+)', listed))
+
+
+def test_every_source_parses_at_the_declared_python_floor():
+    # The suite runs on one interpreter; this catches syntax newer than the
+    # floor pyproject.toml declares (except* in 3.11, def f[T] in 3.12).
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text(), re.M)
+    version = (int(floor.group(1)), int(floor.group(2)))
+    paths = [path for top in ("src", "tests", "tools", "perfbench") for path in sorted((ROOT / top).rglob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(), str(path), feature_version=version)
