@@ -158,8 +158,11 @@ def _cmd_run(args) -> int:
         trace = integrate(p, scenario)
     except IntegrationError as exc:
         partial_path = directory / f"{prefix}_partial_trace.csv"
-        write_trace_csv(exc.partial_trace, partial_path)
-        print(f"partial trace written to {partial_path}", file=sys.stderr)
+        try:  # the failure stays the error, with its exit code
+            write_trace_csv(exc.partial_trace, partial_path)
+            print(f"partial trace written to {partial_path}", file=sys.stderr)
+        except OSError as error:
+            print(f"error: partial trace not written: {error}", file=sys.stderr)
         raise
 
     csv_path = directory / f"{prefix}_trace.csv"
@@ -183,8 +186,7 @@ def _cmd_validate(args) -> int:
 
 def _parse_sweep(args) -> tuple[RunConfig, tuple[float, ...], tuple[str, ...]]:
     """The base config, axis values and summary fields of a sweep command line."""
-    base = load_config(args.config)
-    base = _apply_overrides(base, args)
+    base = _apply_overrides(load_config(args.config), args)
     try:
         values = tuple(float(v) for v in args.values.split(",") if v.strip())
     except ValueError:

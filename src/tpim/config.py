@@ -15,6 +15,7 @@ LoadProfile, IntegratorConfig and Scenario.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
@@ -202,6 +203,14 @@ def _section(entries: dict[str, tuple[str, int]], section: str) -> dict:
     return _take(entries, *(key for key in _KEYS if key.rpartition(".")[0] == section))
 
 
+def _checked(section: str, build, *args, **kwargs):
+    """build(*args, **kwargs), a ValueError it raises prefixed by section; the args' own errors are not."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from None
+
+
 def parse_config(text: str, name: str = "run") -> RunConfig:
     """Parse and fully validate one configuration document.
 
@@ -216,10 +225,7 @@ def parse_config(text: str, name: str = "run") -> RunConfig:
             raise ConfigError(f"line {line}: unknown key '{key}'")
 
     machine = MachineParameters(**_section(entries, "machine"))
-    try:
-        validate_parameters(machine)
-    except ValueError as exc:
-        raise ConfigError(f"machine: {exc}") from None
+    _checked("machine", validate_parameters, machine)
 
     supply = SupplySpec(**_take(entries, "supply.mode", "supply.frequency"))
     for mode, keys in SUPPLY_MODES.items():
@@ -231,22 +237,18 @@ def parse_config(text: str, name: str = "run") -> RunConfig:
     if "load.torque" in entries and "load.breakpoints" in entries:
         raise ConfigError("'load.torque' and 'load.breakpoints' are mutually exclusive")
     given = _section(entries, "load")
-    try:
-        load = LoadProfile(given.get("breakpoints", ((0.0, given.get("torque", 0.0)),)))
-    except ValueError as exc:
-        raise ConfigError(f"load: {exc}") from None
-
-    values = _section(entries, "integrator")  # read errors name their line, not the section
-    try:
-        integrator = IntegratorConfig(**values)
-    except ValueError as exc:
-        raise ConfigError(f"integrator: {exc}") from None
+    load = _checked("load", LoadProfile, given.get("breakpoints", ((0.0, given.get("torque", 0.0)),)))
+    integrator = _checked("integrator", IntegratorConfig, **_section(entries, "integrator"))
 
     output = OutputOptions(**{"prefix": name, **_section(entries, "output")})
     # A value read from a line has no '#', no line break and no whitespace at either end.
     if "#" in output.prefix or output.prefix.strip() != output.prefix or len(output.prefix.splitlines()) != 1:
         raise ConfigError(f"output.prefix: the default, the file name {name!r}, cannot be written as a value "
                           "(a '#', a line break or whitespace at either end); set output.prefix")
+    if {"\0", os.sep, os.altsep} & set(output.prefix):
+        raise ConfigError(f"output.prefix: {output.prefix!r} is a file name stem; it cannot hold a separator or NUL")
+    if "\0" in output.directory:
+        raise ConfigError(f"output.directory: {output.directory!r} cannot hold a NUL byte")
     config = RunConfig(
         machine=machine,
         supply=supply,
@@ -256,10 +258,7 @@ def parse_config(text: str, name: str = "run") -> RunConfig:
         **_section(entries, ""),
         output=output,
     )
-    try:  # the source and the scenario check the supply's values, as they do a sweep row's
-        build_scenario(config)
-    except ValueError as exc:
-        raise ConfigError(f"supply: {exc}") from None
+    _checked("supply", build_scenario, config)  # the source and scenario check the supply, as a sweep row's
     return config
 
 

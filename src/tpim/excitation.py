@@ -5,10 +5,10 @@ tables, no interpolation), so integrator stages can sample mid-step points
 analytically. The voltage sampler is written once, as a statement template
 that tpim.dynamics compiles, inline at every sample point of a step loop or
 at one point as compile_sources; the values the template reads are passed
-as arguments. Loads are right-continuous piecewise-constant profiles, which
-no template reads: tpim.dynamics integrates each of their segments at its
-constant torque, and derives the recorded load channel from the record
-times.
+as arguments, of the harmonics of nonzero amplitude alone. Loads are
+right-continuous piecewise-constant profiles, which no template reads:
+tpim.dynamics integrates each of their segments at its constant torque, and
+derives the recorded load channel from the record times.
 """
 
 from __future__ import annotations
@@ -130,25 +130,24 @@ def sample_arguments(shape: tuple[int, int]) -> list[str]:
 
 
 def sample_binding(supply: VoltageSource) -> tuple[tuple[int, int], tuple]:
-    """The shape of supply and the values of sample_arguments(shape)."""
+    """The shape and sample_arguments(shape) values of supply's harmonics of nonzero amplitude."""
     w0 = _TWO_PI * supply.frequency
-    values = tuple(v for h in supply.alpha + supply.beta for v in (w0 * h.order, h.amplitude, h.phase))
-    return (len(supply.alpha), len(supply.beta)), values
+    alpha, beta = ([h for h in phase if h.amplitude] for phase in (supply.alpha, supply.beta))
+    values = tuple(v for h in alpha + beta for v in (w0 * h.order, h.amplitude, h.phase))
+    return (len(alpha), len(beta)), values
 
 
 def render_sample(shape: tuple[int, int], time: str, names: str) -> str:
     """Statements that assign the names (v_s_a v_s_b) their values at time.
 
-    time names one float, so that each harmonic multiplies it whole. One
-    harmonic per phase renders v = amp * cos(...); other shapes sum from 0.0
-    (0.0 + -0.0 is 0.0, for a zero amplitude) one statement per term, left to
-    right, so no harmonic count nests an expression.
+    time names one float, so that each harmonic multiplies it whole. Each
+    phase renders v = <first term>, then v = v + <term> per further term, so
+    no harmonic count nests an expression, or v = 0.0 with no term. That is
+    the bits of a sum from 0.0 (0.0 + t is t for t nonzero) unless each term
+    underflows to -0.0 (amplitudes below about 1e-300): the phase records -0.0.
     """
     lines = []
     for v, p, count in zip(names.split(), "ab", shape, strict=True):
-        terms = [_TERM.format(p=p, i=i, time=time) for i in range(count)]
-        if shape == (1, 1):
-            lines.append(f"{v} = {terms[0]}")
-        else:
-            lines += [f"{v} = 0.0", *(f"{v} = {v} + {term}" for term in terms)]
+        first, *rest = [_TERM.format(p=p, i=i, time=time) for i in range(count)] or ["0.0"]
+        lines += [f"{v} = {first}", *(f"{v} = {v} + {term}" for term in rest)]
     return "\n".join(lines) + "\n"

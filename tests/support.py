@@ -91,10 +91,10 @@ STATE_CHANNELS = ("psi_sa", "psi_sb", "psi_ra", "psi_rb", "omega_mech")
 _TWO_PI = 2.0 * math.pi
 
 
-# Supplies of each shape a generated step loop renders apart, one harmonic
-# per phase or several, and zero amplitudes, whose cos terms can be -0.0;
-# and a load that steps at t = 2e-3 and, inside the second step of a
-# dt = 2e-3 run, at 3.3e-3.
+# Supplies of one harmonic per phase or several, and one with zero
+# amplitudes, whose cos terms can be -0.0, so that the sampler's binding
+# must leave them out; and a load that steps at t = 2e-3 and, inside the
+# second step of a dt = 2e-3 run, at 3.3e-3.
 _Q = 0.5 * math.pi
 SOURCE_SHAPES = {
     "quadrature": (quadrature_supply(V_RMS, F_SUPPLY), LoadProfile.constant(T_LOAD)),

@@ -145,6 +145,27 @@ def _argv(command, path, out):
                                   "sweep": ["--output-dir", str(out), "--axis", "load.torque", "--values", "0.5"]}[command]]
 
 
+@pytest.mark.parametrize("key, value", [("output.prefix", "sub/x"), ("output.prefix", "x\0y"),
+                                        ("output.directory", "out\0")], ids=["separator", "nul", "nul_directory"])
+@pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+def test_output_name_that_names_no_file_exits_1_before_the_run(tmp_path, capsys, monkeypatch, command, key, value):
+    # The prefix is a file name stem: a separator would also break the plot
+    # script's PNG paths, even where the subdirectory exists.
+    def no_run(*args):
+        raise AssertionError("integrate ran with an output name that names no file")
+
+    monkeypatch.setattr(tpim.cli, "integrate", no_run)
+    (tmp_path / "out" / "sub").mkdir(parents=True)
+    settings = {"output.directory": tmp_path / "out", key: value}
+    path = _short_config(tmp_path, extra="".join(f"{k} = {v}\n" for k, v in settings.items()))
+    sweep = ["--axis", "load.torque", "--values", "0.5"] if command == "sweep" else []
+    assert main([command, str(path), *sweep]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {key}: ") and err.count("\n") == 1
+    assert repr(value) in err
+    assert [item.name for item in (tmp_path / "out").iterdir()] == ["sub"]
+
+
 @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
 def test_config_that_is_not_utf8_exits_1(tmp_path, capsys, command):
     text = _short_config(tmp_path).read_bytes() + b"# \xff\n"
@@ -439,7 +460,8 @@ def test_run_starts_no_process(tmp_path, monkeypatch, table1):
     assert (out / "short_trace.csv").read_bytes() == reference_trace_csv(trace)
 
 
-def test_failing_trace_write_exits_1(tmp_path, capsys, monkeypatch):
+def _fill_the_disk(monkeypatch):
+    """Make every file the writers open fail with ENOSPC after its header."""
     class FullDisk(io.BufferedWriter):
         def write(self, data):
             if self.tell() > 0:  # the disk fills after the header
@@ -449,6 +471,10 @@ def test_failing_trace_write_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
         tpim.output, "open", lambda path, mode: FullDisk(io.FileIO(path, "w")), raising=False
     )
+
+
+def test_failing_trace_write_exits_1(tmp_path, capsys, monkeypatch):
+    _fill_the_disk(monkeypatch)
     path = _short_config(tmp_path, duration="0.25")
     out = tmp_path / "out"
     assert main(["run", str(path), "--output-dir", str(out)]) == 1
@@ -457,6 +483,19 @@ def test_failing_trace_write_exits_1(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: [Errno 28] No space left on device\n"
+
+
+def test_partial_trace_that_cannot_be_written_keeps_exit_2(tmp_path, capsys, monkeypatch):
+    # The write's error is reported, but the numerical failure stays the error.
+    _fill_the_disk(monkeypatch)
+    blow = tmp_path / "blow.cfg"
+    blow.write_text(_reference_text().replace("integrator.step_size = 1e-4", "integrator.step_size = 0.02"))
+    assert main(["run", str(blow), "--output-dir", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    written, failed = err.splitlines()
+    assert written == "error: partial trace not written: [Errno 28] No space left on device"
+    assert failed.startswith("numerical failure at t = 0.06 s: ")
 
 
 def test_usable_cpus_count_the_affinity_and_need_fork(monkeypatch):

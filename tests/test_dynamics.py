@@ -27,8 +27,8 @@ from tpim.dynamics import TRACE_CHANNELS, _step_loop, compile_derivative, compil
 from tpim.machine import SPEED_CONVENTIONS
 
 from support import (
-    SOURCE_SHAPES, T_LOAD, W_SYNC, PeriodicOrbit, rated_supply, reference_derivative, sample_load, sample_voltage,
-    scenario, solve_currents, state_at, textbook_torques,
+    SOURCE_SHAPES, T_LOAD, V_PEAK, W_SYNC, PeriodicOrbit, rated_supply, reference_derivative, sample_load,
+    sample_voltage, scenario, solve_currents, state_at, textbook_torques,
 )
 
 SILENT = VoltageSource(alpha=(), beta=(), frequency=50.0)
@@ -283,6 +283,24 @@ def test_any_harmonic_count_integrates(table1, method):
     assert [repr(float(v)) for v in trace.v_sa] == [
         repr(sample_voltage(supply, float(t))[0]) for t in trace.t
     ]
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("loop", ["default", "python"])
+@pytest.mark.parametrize("method", ["rk4", "euler"])
+def test_phase_of_zero_amplitudes_records_positive_zero(table1, monkeypatch, method, loop, beta):
+    # A winding switched off by a zero-amplitude harmonic, as in the paper's
+    # single-phase mode, records +0.0 whatever the other phase's harmonic count.
+    if loop == "python":
+        monkeypatch.setattr(dynamics, "_step_loop", dynamics._python_loop)
+    supply = VoltageSource(
+        alpha=(Harmonic(1, 0.0, 2.0),),
+        beta=(Harmonic(1, V_PEAK, -0.5 * math.pi), Harmonic(3, 9.5, 0.1))[:beta],
+        frequency=50.0,
+    )
+    trace = integrate(table1, scenario(supply=supply, method=method, duration=0.02))
+    assert not trace.v_sa.any() and not np.signbit(trace.v_sa).any()
+    assert trace.v_sb.all()
 
 
 def test_integrate_is_deterministic(table1):

@@ -7,8 +7,9 @@ import pytest
 
 from tpim import Harmonic, LoadProfile, VoltageSource, quadrature_supply
 from tpim.dynamics import compile_sources
+from tpim.excitation import sample_binding
 
-from support import SOURCE_SHAPES, sample_load, sample_voltage
+from support import F_SUPPLY, SOURCE_SHAPES, V_PEAK, sample_load, sample_voltage
 
 
 def test_quadrature_amplitude_is_sqrt2_rms():
@@ -130,16 +131,38 @@ RICH = VoltageSource(
     beta=(Harmonic(1, 90.0, -0.3),),
     frequency=60.0,
 )
+# One harmonic per phase, one of zero amplitude: its cos term is -0.0 at about half of the times.
+SWITCHED_OFF = VoltageSource(
+    alpha=(Harmonic(1, 0.0, 2.0),), beta=(Harmonic(1, V_PEAK, -0.5 * math.pi),), frequency=F_SUPPLY
+)
 
 
 def test_compiled_sources_match_reference_samplers():
     supplies = {shape: supply for shape, (supply, _) in SOURCE_SHAPES.items()}
-    for shape, supply in {**supplies, "rich": RICH, "silent": VoltageSource((), (), 50.0)}.items():
+    for shape, supply in {**supplies, "rich": RICH, "silent": VoltageSource((), (), 50.0),
+                          "switched_off": SWITCHED_OFF}.items():
         sources = compile_sources(supply)
         for t in [*np.linspace(0.0, 0.08, 57), 2e-3, 3.3e-3]:
             t = float(t)
-            # repr tells -0.0 from 0.0: both sum a series from 0.0.
+            # repr tells -0.0 from 0.0, which the reference's sum from 0.0 never gives.
             assert repr(sources(t)) == repr(sample_voltage(supply, t)), (shape, t)
+
+
+def _nonzero(supply):
+    """supply without its harmonics of zero amplitude."""
+    alpha, beta = (tuple(h for h in phase if h.amplitude != 0.0) for phase in (supply.alpha, supply.beta))
+    return VoltageSource(alpha, beta, supply.frequency)
+
+
+def test_binding_holds_the_nonzero_harmonics_alone():
+    # A zero amplitude contributes nothing, so the sampler leaves it out.
+    sparse = VoltageSource(alpha=(Harmonic(1, 0.0), Harmonic(2, 5.0, 0.3), Harmonic(3, 0.0)),
+                           beta=(Harmonic(7, 0.0),), frequency=60.0)
+    for supply in [*(supply for supply, _ in SOURCE_SHAPES.values()), RICH, SWITCHED_OFF, sparse]:
+        assert sample_binding(supply) == sample_binding(_nonzero(supply))
+    assert sample_binding(sparse) == ((1, 0), (2.0 * math.pi * 60.0 * 2, 5.0, 0.3))
+    assert sample_binding(SWITCHED_OFF) == ((0, 1), (2.0 * math.pi * F_SUPPLY, V_PEAK, -0.5 * math.pi))
+    assert sample_binding(SOURCE_SHAPES["zero_amplitude"][0])[0] == (1, 0)
 
 
 def test_compiled_sources_take_any_harmonic_count():

@@ -14,6 +14,7 @@ tools/identity_digests.txt`) in the same commit and names each changed line.
 
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -49,8 +50,13 @@ def is_load_sweep(artifact: str) -> bool:
 
 
 @pytest.fixture(scope="module")
-def produced(tmp_path_factory):
-    return {artifact: digest for digest, artifact in TOOL.digests(tmp_path_factory.mktemp("identity"))}
+def produced_lines(tmp_path_factory):
+    return list(TOOL.digests(tmp_path_factory.mktemp("identity")))
+
+
+@pytest.fixture(scope="module")
+def produced(produced_lines):
+    return {artifact: digest for digest, artifact in produced_lines}
 
 
 def assert_committed(digests: dict, selected) -> None:
@@ -66,6 +72,13 @@ def assert_committed(digests: dict, selected) -> None:
         "that wrote them (libm cos and numpy's reductions can round differently elsewhere); "
         "on that host, a difference is a change of output:\n" + "\n".join(sorted(differences))
     )
+
+
+def test_artifact_names_are_unique(produced_lines):
+    # The checks compare dicts by name: a name given twice would drop a digest unseen.
+    committed = [line.split("  ", 1)[1] for line in (TOOLS / "identity_digests.txt").read_text().splitlines()]
+    for source, names in (("the tool", [artifact for _, artifact in produced_lines]), ("the file", committed)):
+        assert [name for name, count in Counter(names).items() if count > 1] == [], source
 
 
 def test_bundled_outputs_match_committed_digests(produced):

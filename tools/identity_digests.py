@@ -3,15 +3,16 @@
 Identical lines mean identical traces, CSV bytes, summaries and `tpim
 validate` output, and the exit code of each command is part of its artifact
 name. Between them the runs cover every generated step loop, rk4 and euler
-for each kind of supply shape: one harmonic per phase or several, one phase
-only, and zero amplitudes. They also cover each value that the run
-settings give the loop's constants: each speed convention, and free and
+for each kind of supply shape: one harmonic per phase or several, and one
+phase only. The zero-amplitude variants check the sampler's binding, which
+leaves those harmonics out of the loop. They also cover each value that the
+run settings give the loop's constants: each speed convention, and free and
 blocked rotor. Both methods run a constant and a stepped load, with
 breakpoints on the step grid and inside a step, which splits there. The
 `validate` outputs cover every branch of the rendered config: both supply
-modes, a phase with no harmonics, both load forms and every optional key
-set away from its default. Two RK4 runs put a load step on either side of
-the one-ulp gap between a step's end time and the next step's start time.
+modes, a phase with no harmonics, both load forms and every optional key set
+away from its default. Two RK4 runs put a load step on either side of the
+one-ulp gap between a step's end time and the next step's start time.
 
 This module is the one producer of the digests. Its output is committed as
 tools/identity_digests.txt, and tests/test_identity.py runs `digests` and
