@@ -19,7 +19,7 @@ import csv
 import math
 import os
 import sys
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from dataclasses import replace
 from functools import cache, partial
 from pathlib import Path
@@ -162,6 +162,8 @@ def _cmd_run(args) -> int:
             write_trace_csv(exc.partial_trace, partial_path)
             print(f"partial trace written to {partial_path}", file=sys.stderr)
         except OSError as error:
+            with suppress(OSError):  # leave no truncated file to be read as the partial trace
+                partial_path.unlink()
             print(f"error: partial trace not written: {error}", file=sys.stderr)
         raise
 
@@ -186,7 +188,8 @@ def _cmd_validate(args) -> int:
 
 def _parse_sweep(args) -> tuple[RunConfig, tuple[float, ...], tuple[str, ...]]:
     """The base config, axis values and summary fields of a sweep command line."""
-    base = _apply_overrides(load_config(args.config), args)
+    base = load_config(args.config)
+    base = _apply_overrides(base, args)
     try:
         values = tuple(float(v) for v in args.values.split(",") if v.strip())
     except ValueError:

@@ -93,8 +93,9 @@ _TWO_PI = 2.0 * math.pi
 
 # Supplies of one harmonic per phase or several, and one with zero
 # amplitudes, whose cos terms can be -0.0, so that the sampler's binding
-# must leave them out; and a load that steps at t = 2e-3 and, inside the
-# second step of a dt = 2e-3 run, at 3.3e-3.
+# must leave them out; what it keeps is two harmonics on alpha and one on
+# beta. And a load that steps at t = 2e-3 and, inside the second step of a
+# dt = 2e-3 run, at 3.3e-3.
 _Q = 0.5 * math.pi
 SOURCE_SHAPES = {
     "quadrature": (quadrature_supply(V_RMS, F_SUPPLY), LoadProfile.constant(T_LOAD)),
@@ -112,7 +113,9 @@ SOURCE_SHAPES = {
     ),
     "zero_amplitude": (
         VoltageSource(
-            alpha=(Harmonic(1, V_PEAK), Harmonic(3, 0.0, 0.4)), beta=(Harmonic(1, 0.0, 2.0),), frequency=F_SUPPLY
+            alpha=(Harmonic(1, V_PEAK), Harmonic(3, 0.0, 0.4), Harmonic(5, 6.5, -0.2)),
+            beta=(Harmonic(1, 0.0, 2.0), Harmonic(3, 9.5, 0.1)),
+            frequency=F_SUPPLY,
         ),
         LoadProfile.constant(T_LOAD),
     ),

@@ -496,6 +496,8 @@ def test_partial_trace_that_cannot_be_written_keeps_exit_2(tmp_path, capsys, mon
     written, failed = err.splitlines()
     assert written == "error: partial trace not written: [Errno 28] No space left on device"
     assert failed.startswith("numerical failure at t = 0.06 s: ")
+    # The header the full disk let through is removed: no file passes for the partial trace.
+    assert [item.name for item in tmp_path.iterdir()] == ["blow.cfg"]
 
 
 def test_usable_cpus_count_the_affinity_and_need_fork(monkeypatch):

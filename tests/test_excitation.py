@@ -162,7 +162,7 @@ def test_binding_holds_the_nonzero_harmonics_alone():
         assert sample_binding(supply) == sample_binding(_nonzero(supply))
     assert sample_binding(sparse) == ((1, 0), (2.0 * math.pi * 60.0 * 2, 5.0, 0.3))
     assert sample_binding(SWITCHED_OFF) == ((0, 1), (2.0 * math.pi * F_SUPPLY, V_PEAK, -0.5 * math.pi))
-    assert sample_binding(SOURCE_SHAPES["zero_amplitude"][0])[0] == (1, 0)
+    assert sample_binding(SOURCE_SHAPES["zero_amplitude"][0])[0] == (2, 1)
 
 
 def test_compiled_sources_take_any_harmonic_count():

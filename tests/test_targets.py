@@ -49,7 +49,7 @@ HAS_CC = shutil.which("cc") is not None
 SUPPLIES = {
     "quadrature": rated_supply(),  # (1, 1)
     "harmonics": SOURCE_SHAPES["harmonics"][0],  # (3, 3)
-    "zero_amplitude": SOURCE_SHAPES["zero_amplitude"][0],  # (1, 0) once its zero amplitudes are left out
+    "zero_amplitude": SOURCE_SHAPES["zero_amplitude"][0],  # (2, 1) once its zero amplitudes are left out
     "silent_phase": VoltageSource(alpha=(Harmonic(1, V_PEAK),), beta=(), frequency=F_SUPPLY),  # (1, 0)
     "silent": VoltageSource(alpha=(), beta=(), frequency=F_SUPPLY),  # (0, 0): a C loop of no harmonic parameters
 }

@@ -3,11 +3,12 @@
 Identical lines mean identical traces, CSV bytes, summaries and `tpim
 validate` output, and the exit code of each command is part of its artifact
 name. Between them the runs cover every generated step loop, rk4 and euler
-for each kind of supply shape: one harmonic per phase or several, and one
-phase only. The zero-amplitude variants check the sampler's binding, which
-leaves those harmonics out of the loop. They also cover each value that the
-run settings give the loop's constants: each speed convention, and free and
-blocked rotor. Both methods run a constant and a stepped load, with
+for each kind of supply shape: one harmonic per phase or several, as many
+on each phase or not, and one phase only. The zero-amplitude variants check
+the sampler's binding, which leaves those harmonics out of the loop; what
+one of them keeps is two harmonics on alpha and one on beta. They also
+cover each value that the run settings give the loop's constants: each
+speed convention, and free and blocked rotor. Both methods run a constant and a stepped load, with
 breakpoints on the step grid and inside a step, which splits there. The
 `validate` outputs cover every branch of the rendered config: both supply
 modes, a phase with no harmonics, both load forms and every optional key set
@@ -110,6 +111,10 @@ def digests(work: Path):
         ),
         "zero_amplitude_harmonic": config_text(**harmonics(f"1:{PEAK!r}:0.0, 3:0.0:0.0", "1:0.0:0.0")),
         "zero_amplitude_single_harmonic": config_text(**harmonics("1:0.0:0.0", f"1:{PEAK!r}:{-q!r}")),
+        # Zero amplitudes beside a loop of two harmonics on alpha and one on beta.
+        "zero_amplitude_two_and_one": config_text(
+            **harmonics(f"1:{PEAK!r}:0.0, 3:0.0:0.4, 5:6.5:-0.2", f"1:{PEAK!r}:{-q!r}, 3:0.0:0.1")
+        ),
         # The paper's single-phase running mode, on the main winding, from near speed.
         "one_phase_supply": config_text(**harmonics(None, f"1:{PEAK!r}:{-q!r}"), initial_state__omega_mech="150.0"),
         "euler_harmonics": config_text(
