@@ -5,9 +5,10 @@ failure, records that do not fit in memory or a `sweep` worker that died,
 2 numerical failure (non-finite state, timestamp on stderr; `run` also
 writes the trace recorded up to the failure as <prefix>_partial_trace.csv).
 
-`run` works in this process alone. `sweep` runs its rows in forked workers,
-one per CPU the process may use (`taskset` limits them), and writes them in
-value order, so the table's bytes do not depend on the number of workers.
+`run` works in this process alone; its trace CSV is formatted on up to one
+thread per CPU the process may use. `sweep` runs its rows in forked
+workers, one per such CPU (`taskset` limits both), and writes them in value
+order, so the table's bytes do not depend on the number of workers.
 On Python 3.12 and later `fork` warns of numpy's thread; no worker calls
 BLAS.
 """
@@ -36,7 +37,7 @@ from .config import (
 )
 from .dynamics import IntegrationError, integrate
 from .machine import validate_parameters
-from .output import REPORT_SPEED_TOL, write_plot_script, write_summary, write_trace_csv
+from .output import REPORT_SPEED_TOL, usable_cpus, write_plot_script, write_summary, write_trace_csv
 
 __all__ = ["main"]
 
@@ -52,13 +53,6 @@ _DEFAULT_SWEEP_FIELDS = (
     "settle_time",
 )
 _SUMMARY_FIELDS = tuple(SummaryReport.__dataclass_fields__)
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on (`taskset` limits them); 1 without `fork`."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
 
 
 class _CliError(Exception):
@@ -235,7 +229,7 @@ def _cmd_sweep(args) -> int:
     import multiprocessing
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
     row = partial(_sweep_row, base, args.axis, fields=fields, speed_tol=args.speed_tol)
-    workers = min(len(values), usable_cpus())
+    workers = min(len(values), usable_cpus()) if hasattr(os, "fork") else 1
     with open(out_path, "w", newline="") as f, ExitStack() as stack:
         rows = map(row, values)
         if workers > 1:

@@ -4,7 +4,9 @@ The CSV is the single source of truth for downstream tooling: fixed header,
 fixed column order, each value as its repr, the shortest round-trip decimal
 text (values re-read equal the in-memory doubles exactly): the columns of
 the trace's records, whose layout SimulationTrace checks. A C formatter
-writes that text, Ryu's shortest digits in repr's layout. It is compiled by
+writes that text, Ryu's shortest digits in repr's layout, on up to one
+thread per usable CPU; the file gets its blocks in order, so its bytes do
+not depend on the number of threads. The formatter is compiled by
 tpim.dynamics._c_kernel and cached with the step loops; where it cannot be
 built, repr itself writes the values, and the bytes are the same. The plot
 script is an emitted artifact that operates on the CSV; this package never
@@ -13,6 +15,8 @@ imports a plotting library.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import fields
 from functools import cache
 from pathlib import Path
@@ -248,27 +252,92 @@ def _c_format_rows():
     )
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on (`taskset` limits them); 1 where the
+    platform does not say."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _block(trace: SimulationTrace, start: int) -> np.ndarray:
+    """Up to _CSV_BLOCK_ROWS records from start on, as a row-major copy."""
+    return np.ascontiguousarray(trace.records[:, start:start + _CSV_BLOCK_ROWS].T)
+
+
 def _repr_rows(block: np.ndarray) -> bytes:
     """The CSV lines of block, each value as its repr, the CSV's own
     definition: the writer where the C formatter cannot be built."""
     return "".join(",".join(map(repr, row)) + "\n" for row in block.tolist()).encode()
 
 
+def _write_blocks(f, starts: range, format_block, lanes: int) -> None:
+    """Write format_block(lane, start) for each start to f, in order, with
+    block i formatted on lane i % lanes: lane 0 is this thread, each other
+    lane a thread of its own. A lane formats its next block only once f
+    holds its last one, so format_block may reuse one buffer per lane. A
+    lane's error is raised here, once every lane's thread has ended."""
+    free = [threading.Semaphore(1) for _ in range(lanes)]  # the lane's last text is written
+    done = [threading.Semaphore(0) for _ in range(lanes)]  # the lane's next text is ready
+    formatted = [None] * lanes
+    stopped = False
+
+    def run_lane(lane):
+        for start in starts[lane::lanes]:
+            free[lane].acquire()
+            if stopped:
+                return
+            try:
+                formatted[lane] = format_block(lane, start)
+            except BaseException as exc:  # raised again in the writing thread
+                formatted[lane] = exc
+            done[lane].release()
+
+    threads = [threading.Thread(target=run_lane, args=(lane,)) for lane in range(1, lanes)]
+    for thread in threads:
+        thread.start()
+    try:
+        for i, start in enumerate(starts):
+            lane = i % lanes
+            if lane == 0:
+                f.write(format_block(0, start))
+                continue
+            done[lane].acquire()
+            if isinstance(formatted[lane], BaseException):
+                raise formatted[lane]
+            f.write(formatted[lane])
+            free[lane].release()
+    finally:
+        stopped = True
+        for semaphore in free:
+            semaphore.release()
+        for thread in threads:
+            thread.join()
+
+
 def write_trace_csv(trace: SimulationTrace, path) -> None:
     """Write the trace CSV, _CSV_BLOCK_ROWS rows at a time, each value as
-    its repr: by the C formatter, or by repr where that cannot be built,
-    from a row-major copy of the records' columns."""
+    its repr, from a row-major copy of the records' columns. The C
+    formatter formats the blocks on min(usable_cpus(), full blocks) lanes,
+    one text buffer each, or on this thread alone where that is below 2;
+    repr, where the C formatter cannot be built, on this thread. Either
+    way the blocks are written in order, and the bytes are the same."""
     format_rows = _c_format_rows()
-    if format_rows is not None:
-        text = np.empty(_CELL_BYTES * _CSV_BLOCK_ROWS * len(TRACE_CHANNELS), np.uint8)  # for every block
+    if format_rows is None:
+        lanes = 1
+
+        def format_block(lane, start):
+            return _repr_rows(_block(trace, start))
+    else:
+        lanes = max(1, min(usable_cpus(), len(trace) // _CSV_BLOCK_ROWS))
+        texts = [np.empty(_CELL_BYTES * _CSV_BLOCK_ROWS * len(TRACE_CHANNELS), np.uint8) for _ in range(lanes)]
+
+        def format_block(lane, start):
+            block, text = _block(trace, start), texts[lane]
+            return memoryview(text)[:format_rows(block.ctypes.data, *block.shape, text.ctypes.data)]
     with open(path, "wb") as f:
         f.write(CSV_HEADER.encode() + b"\n")
-        for start in range(0, len(trace), _CSV_BLOCK_ROWS):
-            block = np.ascontiguousarray(trace.records[:, start:start + _CSV_BLOCK_ROWS].T)
-            if format_rows is None:
-                f.write(_repr_rows(block))
-            else:
-                f.write(memoryview(text)[:format_rows(block.ctypes.data, *block.shape, text.ctypes.data)])
+        _write_blocks(f, range(0, len(trace), _CSV_BLOCK_ROWS), format_block, lanes)
 
 
 # An unsymmetrical machine carries an inherent double-supply-frequency

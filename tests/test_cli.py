@@ -10,9 +10,9 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import replace
-from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -25,10 +25,10 @@ from hypothesis.extra.numpy import arrays
 import tpim
 import tpim.output
 from tpim import TRACE_CHANNELS, LoadProfile, dynamics, integrate, load_config, validate_parameters
-from tpim.cli import main, usable_cpus
+from tpim.cli import main
 from tpim.config import build_scenario
 from tpim.dynamics import IntegrationError
-from tpim.output import CSV_HEADER, REPORT_SPEED_TOL, write_trace_csv
+from tpim.output import CSV_HEADER, REPORT_SPEED_TOL, usable_cpus, write_trace_csv
 
 from support import reference_trace_csv, shoot, state_at, summary_bounds
 
@@ -328,15 +328,66 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("rows", [1, 1023, 1024, 2047, 2048, 2049, 10001])
-def test_trace_csv_blocks_match_the_reference_writer(tmp_path, rated_trace, rows):
+@pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 2047, 2048, 2049, 10001])
+def test_trace_csv_blocks_match_the_reference_writer(tmp_path, rated_trace, monkeypatch, rows):
     # Both writers format 1,024-row blocks; the row counts straddle their
-    # boundaries, and the bytes are the reference writer's.
+    # boundaries. The C formatter's blocks go to a thread per usable CPU, up
+    # to one per full block (1,024 rows), so 10,001 rows take 3 lanes of 3
+    # CPUs, with a last round of one block. At every lane count the bytes
+    # are the reference writer's, and no thread outlives the write.
     trace = _first_rows(rated_trace, rows)
-    for writer in _each_writer():
-        write_trace_csv(trace, tmp_path / "trace.csv")
-        assert (tmp_path / "trace.csv").read_bytes() == reference_trace_csv(trace), writer
-        assert [path.name for path in tmp_path.iterdir()] == ["trace.csv"]
+    threads = threading.active_count()
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        for writer in _each_writer():
+            write_trace_csv(trace, tmp_path / "trace.csv")
+            assert (tmp_path / "trace.csv").read_bytes() == reference_trace_csv(trace), (cpus, writer)
+            assert [path.name for path in tmp_path.iterdir()] == ["trace.csv"]
+            assert threading.active_count() == threads
+
+
+def test_a_failing_lane_raises_its_error_once_its_thread_has_ended(tmp_path, rated_trace, monkeypatch):
+    format_rows = tpim.output._c_format_rows()
+    if format_rows is None:
+        pytest.skip("no C formatter: no cc on PATH")
+    caller = threading.current_thread()
+    lane_threads = []
+    failure = RuntimeError("the lane's second block fails")
+
+    def format_or_fail(*args):
+        if threading.current_thread() is not caller:
+            lane_threads.append(threading.current_thread())
+            if len(lane_threads) == 2:
+                raise failure
+        return format_rows(*args)
+
+    monkeypatch.setattr(tpim.output, "_c_format_rows", lambda: format_or_fail)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError) as raised:
+        write_trace_csv(rated_trace, tmp_path / "trace.csv")
+    assert raised.value is failure
+    assert len(lane_threads) == 2 and not lane_threads[0].is_alive()
+    assert threading.active_count() == threads
+
+
+def test_trace_csv_keeps_its_bytes_on_more_lanes_than_cores(tmp_path, rated_trace, monkeypatch):
+    # 8 lanes whatever this host has, switching threads every 10 us: a block
+    # written out of order changes the bytes. Each write has a deadline, so
+    # lanes that wait on each other fail the test rather than hang it.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    expected = reference_trace_csv(rated_trace)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(5):
+            writer = threading.Thread(target=write_trace_csv, args=(rated_trace, tmp_path / "trace.csv"), daemon=True)
+            writer.start()
+            writer.join(60)
+            assert not writer.is_alive()
+            assert (tmp_path / "trace.csv").read_bytes() == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_trace_csv_rejects_a_float32_trace_before_writing(tmp_path, rated_trace):
@@ -474,10 +525,15 @@ def _fill_the_disk(monkeypatch):
 
 
 def test_failing_trace_write_exits_1(tmp_path, capsys, monkeypatch):
+    # 2,049 records: two lanes of 2 CPUs. The first block's write fails in
+    # the calling thread, and the second lane's thread ends with the run.
     _fill_the_disk(monkeypatch)
-    path = _short_config(tmp_path, duration="0.25")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    path = _short_config(tmp_path, duration="0.2048")
     out = tmp_path / "out"
+    threads = threading.active_count()
     assert main(["run", str(path), "--output-dir", str(out)]) == 1
+    assert threading.active_count() == threads
     # The failing write leaves its trace file as the OS left it; nothing else.
     assert [item.name for item in out.iterdir()] == ["short_trace.csv"]
     captured = capsys.readouterr()
@@ -500,13 +556,25 @@ def test_partial_trace_that_cannot_be_written_keeps_exit_2(tmp_path, capsys, mon
     assert [item.name for item in tmp_path.iterdir()] == ["blow.cfg"]
 
 
-def test_usable_cpus_count_the_affinity_and_need_fork(monkeypatch):
-    # The size of the sweep pool: `taskset` limits it, and without fork the
-    # rows run in process.
+def test_usable_cpus_count_the_affinity(monkeypatch):
+    # The trace formatter's lanes and the sweep pool's workers: `taskset`
+    # limits them, and a platform that cannot say gets one.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert usable_cpus() == 2
-    monkeypatch.delattr(os, "fork", raising=False)
+    monkeypatch.delattr(os, "sched_getaffinity")
     assert usable_cpus() == 1
+
+
+def test_sweep_without_fork_runs_its_rows_in_process(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep without fork starts no pool")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.delattr(os, "fork", raising=False)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)
+    code, table = _sweep_torques(tmp_path, "0.5,1.0")
+    assert code == 0
+    assert [row[-1] for row in csv.reader(table.decode().splitlines())] == ["status", "ok", "ok"]
 
 
 def test_unknown_config_exits_1(capsys):
@@ -716,22 +784,26 @@ def test_writer_error_drops_the_queued_rows(tmp_path, capsys, monkeypatch):
     assert 2 <= len(list(ran.iterdir())) < 20
 
 
-@cache
-def _modules_after_import() -> frozenset[str]:
-    """The modules a fresh interpreter holds after `import tpim, tpim.cli`."""
+def _modules_after(*argv) -> frozenset[str]:
+    """The modules a fresh interpreter holds after `import tpim, tpim.cli`
+    and, given argv, a `tpim.cli.main(argv)` that returns 0."""
     src = str(Path(tpim.__file__).resolve().parent.parent)
-    code = f"import sys; sys.path.insert(0, {src!r}); import tpim, tpim.cli; print(*sys.modules)"
+    code = (f"import sys; sys.path.insert(0, {src!r}); import tpim, tpim.cli; "
+            f"assert not {list(argv)!r} or tpim.cli.main({list(argv)!r}) == 0; print(*sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return frozenset(proc.stdout.split())
+    return frozenset(proc.stdout.splitlines()[-1].split())
 
 
-def test_importing_the_cli_loads_no_process_pool():
+def test_importing_the_cli_loads_no_process_pool(tmp_path):
     # Only `sweep` imports the pool: at module top it adds import time and
-    # peak memory to every command.
-    loaded = _modules_after_import()
-    assert "tpim.cli" in loaded
-    assert not {"concurrent.futures", "multiprocessing"} & loaded
+    # peak memory to every command. A run formats its trace on threads,
+    # which need neither.
+    path = _short_config(tmp_path, duration="0.25")
+    for argv in ((), ("run", str(path), "--output-dir", str(tmp_path))):
+        loaded = _modules_after(*argv)
+        assert "tpim.cli" in loaded
+        assert not {"concurrent.futures", "multiprocessing"} & loaded, argv
 
 
 def test_run_writes_its_trace_by_the_c_formatter(tmp_path):
