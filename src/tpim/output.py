@@ -4,9 +4,9 @@ The CSV is the single source of truth for downstream tooling: fixed header,
 fixed column order, each value as its repr, the shortest round-trip decimal
 text (values re-read equal the in-memory doubles exactly): the columns of
 the trace's records, whose layout SimulationTrace checks. A C formatter
-writes that text, Ryu's shortest digits in repr's layout, on up to one
-thread per usable CPU; the file gets its blocks in order, so its bytes do
-not depend on the number of threads. The formatter is compiled by
+writes that text, Ryu's shortest digits in repr's layout, on up to two
+threads, one per usable CPU; the file gets its blocks in order, so its
+bytes do not depend on the number of threads. The formatter is compiled by
 tpim.dynamics._c_kernel and cached with the step loops; where it cannot be
 built, repr itself writes the values, and the bytes are the same. The plot
 script is an emitted artifact that operates on the CSV; this package never
@@ -41,6 +41,12 @@ CSV_HEADER = ",".join(TRACE_CHANNELS)
 # Rows formatted per write: the text held at once stays a small fraction of
 # the file.
 _CSV_BLOCK_ROWS = 1024
+# Most lanes a trace write formats on. Each lane holds a 384 KB text buffer
+# and a block copy, and two lanes are what was measured: on a 2-core host
+# rated_run's peak RSS is 35.6 MB at 1 and 2 lanes, 35.7 at 3, 36.1-36.4 at
+# 4 and 37.5 at 9 (lanes forced by a patched affinity). More lanes wait on
+# measurements on a host with more cores.
+_CSV_LANES = 2
 # The longest repr of a double, 24 bytes as in -2.2250738585072014e-308, and
 # its separator.
 _CELL_BYTES = 25
@@ -276,7 +282,8 @@ def _write_blocks(f, starts: range, format_block, lanes: int) -> None:
     block i formatted on lane i % lanes: lane 0 is this thread, each other
     lane a thread of its own. A lane formats its next block only once f
     holds its last one, so format_block may reuse one buffer per lane. A
-    lane's error is raised here, once every lane's thread has ended."""
+    lane's error, or a thread that cannot start, is raised here once every
+    lane's thread that started has ended."""
     free = [threading.Semaphore(1) for _ in range(lanes)]  # the lane's last text is written
     done = [threading.Semaphore(0) for _ in range(lanes)]  # the lane's next text is ready
     formatted = [None] * lanes
@@ -293,10 +300,12 @@ def _write_blocks(f, starts: range, format_block, lanes: int) -> None:
                 formatted[lane] = exc
             done[lane].release()
 
-    threads = [threading.Thread(target=run_lane, args=(lane,)) for lane in range(1, lanes)]
-    for thread in threads:
-        thread.start()
+    threads = []  # the lanes' threads that started
     try:
+        for lane in range(1, lanes):
+            thread = threading.Thread(target=run_lane, args=(lane,))
+            thread.start()
+            threads.append(thread)
         for i, start in enumerate(starts):
             lane = i % lanes
             if lane == 0:
@@ -318,8 +327,9 @@ def _write_blocks(f, starts: range, format_block, lanes: int) -> None:
 def write_trace_csv(trace: SimulationTrace, path) -> None:
     """Write the trace CSV, _CSV_BLOCK_ROWS rows at a time, each value as
     its repr, from a row-major copy of the records' columns. The C
-    formatter formats the blocks on min(usable_cpus(), full blocks) lanes,
-    one text buffer each, or on this thread alone where that is below 2;
+    formatter formats the blocks on min(usable_cpus(), full blocks,
+    _CSV_LANES) lanes, one text buffer each, or on this thread alone where
+    that is below 2;
     repr, where the C formatter cannot be built, on this thread. Either
     way the blocks are written in order, and the bytes are the same."""
     format_rows = _c_format_rows()
@@ -329,7 +339,7 @@ def write_trace_csv(trace: SimulationTrace, path) -> None:
         def format_block(lane, start):
             return _repr_rows(_block(trace, start))
     else:
-        lanes = max(1, min(usable_cpus(), len(trace) // _CSV_BLOCK_ROWS))
+        lanes = max(1, min(usable_cpus(), len(trace) // _CSV_BLOCK_ROWS, _CSV_LANES))
         texts = [np.empty(_CELL_BYTES * _CSV_BLOCK_ROWS * len(TRACE_CHANNELS), np.uint8) for _ in range(lanes)]
 
         def format_block(lane, start):

@@ -332,12 +332,13 @@ def _assert_no_child_left():
 def test_trace_csv_blocks_match_the_reference_writer(tmp_path, rated_trace, monkeypatch, rows):
     # Both writers format 1,024-row blocks; the row counts straddle their
     # boundaries. The C formatter's blocks go to a thread per usable CPU, up
-    # to one per full block (1,024 rows), so 10,001 rows take 3 lanes of 3
-    # CPUs, with a last round of one block. At every lane count the bytes
-    # are the reference writer's, and no thread outlives the write.
+    # to one per full block (1,024 rows) and to _CSV_LANES (2), so 10,001
+    # rows take 2 lanes of 3 or 8 CPUs, with a last round of one block. At
+    # every lane count the bytes are the reference writer's, and no thread
+    # outlives the write.
     trace = _first_rows(rated_trace, rows)
     threads = threading.active_count()
-    for cpus in (1, 2, 3):
+    for cpus in (1, 2, 3, 8):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         for writer in _each_writer():
             write_trace_csv(trace, tmp_path / "trace.csv")
@@ -372,9 +373,13 @@ def test_a_failing_lane_raises_its_error_once_its_thread_has_ended(tmp_path, rat
 
 
 def test_trace_csv_keeps_its_bytes_on_more_lanes_than_cores(tmp_path, rated_trace, monkeypatch):
-    # 8 lanes whatever this host has, switching threads every 10 us: a block
-    # written out of order changes the bytes. Each write has a deadline, so
-    # lanes that wait on each other fail the test rather than hang it.
+    # What the reference-writer test does not: the lanes' interleavings
+    # shuffled by a thread switch every 10 us, so a block written out of
+    # order or a buffer reused before its write changes the bytes; 8 lanes,
+    # past the _CSV_LANES cap, which limits memory, not the schedule; and a
+    # deadline on each write, so lanes that wait on each other fail the
+    # test rather than hang it.
+    monkeypatch.setattr(tpim.output, "_CSV_LANES", 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     expected = reference_trace_csv(rated_trace)
     interval = sys.getswitchinterval()
@@ -388,6 +393,58 @@ def test_trace_csv_keeps_its_bytes_on_more_lanes_than_cores(tmp_path, rated_trac
             assert (tmp_path / "trace.csv").read_bytes() == expected
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_trace_csv_formats_on_at_most_two_lanes(tmp_path, rated_trace, monkeypatch):
+    # Each lane holds its own text buffer: 8 usable CPUs still start one
+    # thread besides the caller, so peak RSS does not grow with the host.
+    if tpim.output._c_format_rows() is None:
+        pytest.skip("no C formatter: no cc on PATH")
+    start = threading.Thread.start
+    started = []
+
+    def count_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", count_start)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    write_trace_csv(rated_trace, tmp_path / "trace.csv")
+    assert len(started) == 1
+
+
+def test_a_lane_that_cannot_start_leaves_no_thread_behind(monkeypatch):
+    # Three lanes, whose second thread cannot start (as when a process runs
+    # out of threads): the error reaches the caller once the lane that did
+    # start has ended, and no block is written. The write runs on a daemon
+    # thread, whose lanes are daemons too, so a lane left waiting fails the
+    # test rather than hang it.
+    start = threading.Thread.start
+    started, raised = [], []
+
+    def start_once(thread):
+        if started:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+        started.append(thread)
+
+    def write():
+        try:
+            tpim.output._write_blocks(f, range(6), lambda lane, start: b"%d\n" % start, 3)
+        except RuntimeError as exc:
+            raised.append(exc)
+
+    monkeypatch.setattr(threading.Thread, "start", start_once)
+    threads = threading.active_count()
+    f = io.BytesIO()
+    writer = threading.Thread(target=write, daemon=True)
+    start(writer)
+    writer.join(60)
+    assert not writer.is_alive()
+    assert [str(exc) for exc in raised] == ["can't start new thread"]
+    assert len(started) == 1 and not started[0].is_alive()
+    assert threading.active_count() == threads
+    assert f.getvalue() == b""
 
 
 def test_trace_csv_rejects_a_float32_trace_before_writing(tmp_path, rated_trace):
