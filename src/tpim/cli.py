@@ -5,8 +5,8 @@ failure, records that do not fit in memory or a `sweep` worker that died,
 2 numerical failure (non-finite state, timestamp on stderr; `run` also
 writes the trace recorded up to the failure as <prefix>_partial_trace.csv).
 
-`run` works in this process alone; its trace CSV is formatted on up to one
-thread per CPU the process may use. `sweep` runs its rows in forked
+`run` works in this process alone; its trace CSV is formatted on up to two
+threads, one per CPU the process may use. `sweep` runs its rows in forked
 workers, one per such CPU (`taskset` limits both), and writes them in value
 order, so the table's bytes do not depend on the number of workers.
 On Python 3.12 and later `fork` warns of numpy's thread; no worker calls

@@ -41,11 +41,11 @@ CSV_HEADER = ",".join(TRACE_CHANNELS)
 # Rows formatted per write: the text held at once stays a small fraction of
 # the file.
 _CSV_BLOCK_ROWS = 1024
-# Most lanes a trace write formats on. Each lane holds a 384 KB text buffer
-# and a block copy, and two lanes are what was measured: on a 2-core host
-# rated_run's peak RSS is 35.6 MB at 1 and 2 lanes, 35.7 at 3, 36.1-36.4 at
-# 4 and 37.5 at 9 (lanes forced by a patched affinity). More lanes wait on
-# measurements on a host with more cores.
+# Most lanes a trace write formats on. Each lane holds a 384 KB text buffer,
+# and two lanes are what was measured: on a 2-core host rated_run's peak RSS
+# is 35.1-35.3 MB at 1 to 3 lanes, 35.5-35.7 at 4 and 36.7-36.8 at 9 (lanes
+# forced by a patched affinity). More lanes wait on measurements of the
+# write time on a host with more cores.
 _CSV_LANES = 2
 # The longest repr of a double, 24 bytes as in -2.2250738585072014e-308, and
 # its separator.
@@ -215,13 +215,13 @@ static char *format_double(double v, char *p)
 }
 
 """
-# rows lines of columns values, from the row-major block values, as CSV at
-# text; the bytes written.
+# rows lines of columns values as CSV at text, value k of row r read at
+# values[k * stride + r]; the bytes written.
 _FORMAT_ROWS = """\
 char *p = text;
-for (int64_t row = 0; row < rows; row++, values += columns) {
+for (int64_t row = 0; row < rows; row++) {
     for (int64_t k = 0; k < columns; k++) {
-        p = format_double(values[k], p);
+        p = format_double(values[k * stride + row], p);
         *p++ = ',';
     }
     p[-1] = '\\n';
@@ -253,7 +253,7 @@ def _ryu_tables() -> str:
 def _c_format_rows():
     """The C trace formatter, or None where it cannot be built."""
     return _c_kernel(
-        "format_rows", ["const double *values", "int64_t rows", "int64_t columns", "char *text"],
+        "format_rows", ["const double *values", "int64_t rows", "int64_t columns", "int64_t stride", "char *text"],
         _FORMAT_ROWS, _ryu_tables() + _RYU,
     )
 
@@ -266,15 +266,11 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _block(trace: SimulationTrace, start: int) -> np.ndarray:
-    """Up to _CSV_BLOCK_ROWS records from start on, as a row-major copy."""
-    return np.ascontiguousarray(trace.records[:, start:start + _CSV_BLOCK_ROWS].T)
-
-
 def _repr_rows(block: np.ndarray) -> bytes:
-    """The CSV lines of block, each value as its repr, the CSV's own
-    definition: the writer where the C formatter cannot be built."""
-    return "".join(",".join(map(repr, row)) + "\n" for row in block.tolist()).encode()
+    """The CSV lines of block, a column per line, each value as its repr,
+    the CSV's own definition: the writer where the C formatter cannot be
+    built."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in block.T.tolist()).encode()
 
 
 def _write_blocks(f, starts: range, format_block, lanes: int) -> None:
@@ -326,25 +322,26 @@ def _write_blocks(f, starts: range, format_block, lanes: int) -> None:
 
 def write_trace_csv(trace: SimulationTrace, path) -> None:
     """Write the trace CSV, _CSV_BLOCK_ROWS rows at a time, each value as
-    its repr, from a row-major copy of the records' columns. The C
+    its repr, read in place from the records' channel rows. The C
     formatter formats the blocks on min(usable_cpus(), full blocks,
     _CSV_LANES) lanes, one text buffer each, or on this thread alone where
-    that is below 2;
-    repr, where the C formatter cannot be built, on this thread. Either
-    way the blocks are written in order, and the bytes are the same."""
+    that is below 2; repr, where the C formatter cannot be built, on this
+    thread. Either way the blocks are written in order, and the bytes are
+    the same."""
     format_rows = _c_format_rows()
     if format_rows is None:
         lanes = 1
 
         def format_block(lane, start):
-            return _repr_rows(_block(trace, start))
+            return _repr_rows(trace.records[:, start:start + _CSV_BLOCK_ROWS])
     else:
         lanes = max(1, min(usable_cpus(), len(trace) // _CSV_BLOCK_ROWS, _CSV_LANES))
         texts = [np.empty(_CELL_BYTES * _CSV_BLOCK_ROWS * len(TRACE_CHANNELS), np.uint8) for _ in range(lanes)]
 
         def format_block(lane, start):
-            block, text = _block(trace, start), texts[lane]
-            return memoryview(text)[:format_rows(block.ctypes.data, *block.shape, text.ctypes.data)]
+            rows, text = min(_CSV_BLOCK_ROWS, len(trace) - start), texts[lane]
+            values = trace.records[:, start:].ctypes.data
+            return memoryview(text)[:format_rows(values, rows, len(TRACE_CHANNELS), len(trace), text.ctypes.data)]
     with open(path, "wb") as f:
         f.write(CSV_HEADER.encode() + b"\n")
         _write_blocks(f, range(0, len(trace), _CSV_BLOCK_ROWS), format_block, lanes)

@@ -511,12 +511,22 @@ def test_c_formatter_spells_each_value_as_repr():
     values = _formatter_values()
     assert len(values) >= 300_000
     text = np.empty(tpim.output._CELL_BYTES * len(values), np.uint8)
-    written = format_rows(values.ctypes.data, len(values), 1, text.ctypes.data)
+    written = format_rows(values.ctypes.data, len(values), 1, 1, text.ctypes.data)
     spelled = bytes(text[:written]).decode().split("\n")
     expected = [*map(repr, values.tolist()), ""]
     if spelled != expected:
         wrong = [(value, got) for value, got, want in zip(values.tolist(), spelled, expected) if got != want]
         pytest.fail(f"{len(spelled) - 1} lines for {len(values)} values; unlike repr: {wrong[:10]}")
+    # The same values as three channel rows of m records, read in place at
+    # stride m: the lines are the repr rows of the transpose.
+    channels = values[:len(values) // 3 * 3].reshape(3, -1)
+    m = channels.shape[1]
+    written = format_rows(channels.ctypes.data, m, 3, m, text.ctypes.data)
+    spelled = bytes(text[:written]).decode().split("\n")
+    expected = [*(",".join(map(repr, row)) for row in channels.T.tolist()), ""]
+    if spelled != expected:
+        wrong = [(got, want) for got, want in zip(spelled, expected) if got != want]
+        pytest.fail(f"{len(spelled) - 1} lines for {m} rows at stride {m}; unlike repr: {wrong[:10]}")
 
 
 def test_late_partial_trace_matches_the_reference_writer(tmp_path, capsys, monkeypatch):

@@ -327,7 +327,7 @@ def test_run_falls_back_to_the_python_loop(tmp_path, monkeypatch, capfd, fresh_l
     assert capfd.readouterr().err == ""
     assert {path.name: path.read_bytes() for path in out.iterdir()} == reference_outputs
     assert dynamics._step_loop("rk4", (1, 1)) is dynamics._python_loop("rk4", (1, 1))
-    assert output._c_format_rows() is None and sum(map(len, repr_blocks)) == 10001
+    assert output._c_format_rows() is None and sum(block.shape[1] for block in repr_blocks) == 10001
     # The state goes non-finite at t = 0.06 s at dt = 0.02, and the run says so.
     blow = tmp_path / "blow.cfg"
     blow.write_text(resources.files("tpim").joinpath("configs", "paper_s3.cfg").read_text()
