@@ -29,7 +29,8 @@ else ~/.cache/tpim), so a warm cache starts no process. The Python loop is
 the reference the tests hold the C loop to, and it runs, silently, where
 the C loop cannot be built: no cc on PATH, a compile or load that fails
 (as under excess precision or fast math), a cache directory that is not
-the user's own, or a supply of more than 64 harmonics.
+the user's own, or a supply of more than 64 harmonics. numpy is imported
+where a run makes or checks its first array, not with this module.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ import sys
 import textwrap
 from dataclasses import astuple, dataclass, field
 from functools import cache, partial
-
-import numpy as np
 
 from .excitation import LoadProfile, VoltageSource, render_sample, sample_arguments, sample_binding
 from .machine import (
@@ -174,6 +173,8 @@ class SimulationTrace:
     supply_frequency: float
 
     def __post_init__(self):
+        import numpy as np
+
         records = np.ascontiguousarray(self.records).view()
         if records.dtype != np.float64 or records.ndim != 2 or len(records) != len(TRACE_CHANNELS):
             raise TypeError(f"trace records must be float64 of shape ({len(TRACE_CHANNELS)}, records), "
@@ -489,6 +490,7 @@ def _c_loop(method: str, shape: tuple[int, int]):
     if function is None:
         return None
     import ctypes
+    import numpy as np
 
     def step_loop(*arguments):
         # The C loop trusts the layout; the bound of each record it checks itself.
@@ -547,7 +549,7 @@ def _derive_trace(scenario: Scenario, records: np.ndarray) -> SimulationTrace:
     # first record at or after its breakpoint to the first at or after the
     # next. A record on a breakpoint was stored by the segment before it.
     starts, torques = zip(*scenario.load.breakpoints)
-    bounds = [*np.searchsorted(records[0], starts).tolist(), records.shape[1]]
+    bounds = [*records[0].searchsorted(starts).tolist(), records.shape[1]]
     for torque, first, end in zip(torques, bounds, bounds[1:]):
         records[-1, first:end] = torque
     cfg = scenario.integrator
@@ -563,6 +565,8 @@ def integrate(p: MachineParameters, scenario: Scenario) -> SimulationTrace:
     fit in memory raise MemoryError, naming their count and bytes, before
     the first step.
     """
+    import numpy as np
+
     cfg = scenario.integrator
     shape, voltages = sample_binding(scenario.supply)
     # One column per record; the loop fills every row but tl's.

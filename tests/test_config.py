@@ -1,11 +1,14 @@
 """Config parsing, validation, rendering and sweep axis application."""
 
 import itertools
+import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import tpim
 from tpim import ConfigError, LoadProfile, load_config
 from tpim.config import (
     build_supply,
@@ -373,3 +376,34 @@ def test_sweepable_axes_are_pinned():
     assert sweepable_axes(parse_config(every_key_config("quadrature", "torque"))) == quadrature
     harmonics = MACHINE_AXES + ("supply.frequency", *tail)
     assert sweepable_axes(parse_config(every_key_config("harmonics", "breakpoints"))) == harmonics
+
+
+def test_the_config_path_loads_no_numpy(tmp_path):
+    # Parsing, validating and building a scenario need no array library:
+    # numpy loads at a run's first array, in integrate.
+    rejected = tmp_path / "rejected.cfg"
+    rejected.write_text(MINIMAL.replace("machine.r_s_alpha = 7.14", "machine.r_s_alpha = -7.14"))
+    src = str(Path(tpim.__file__).resolve().parent.parent)
+    code = f"""
+import sys
+sys.path.insert(0, {src!r})
+import tpim
+from tpim.config import bundled_config_names
+configs = {{name: tpim.load_config(name) for name in bundled_config_names()}}
+for config in configs.values():
+    tpim.validate_parameters(config.machine)
+    tpim.build_scenario(config)
+scenario = tpim.Scenario(tpim.quadrature_supply(230.0, 50.0), tpim.LoadProfile.constant(1.0096),
+                         tpim.IntegratorConfig(step_size=1e-4, duration=0.01))
+try:
+    tpim.load_config({str(rejected)!r})
+except tpim.ConfigError as error:
+    assert "r_s_alpha" in str(error), error
+else:
+    raise AssertionError("a negative resistance loaded")
+assert "numpy" not in sys.modules
+trace = tpim.integrate(configs["paper_s3"].machine, scenario)
+assert "numpy" in sys.modules and isinstance(trace, tpim.SimulationTrace) and len(trace) == 101
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -228,6 +228,20 @@ def test_both_loops_refuse_records_past_their_buffer():
         assert buffer.tobytes() == bytes(buffer.nbytes)
 
 
+@pytest.mark.skipif(not HAS_CC, reason="no cc on PATH")
+def test_c_loop_refuses_a_buffer_of_another_layout():
+    # The C loop writes doubles through the buffer's address, row by row, so
+    # it refuses another dtype, row count or order before the first step.
+    shape, voltages = sample_binding(rated_supply())
+    constants = kernel_constants(TABLE1, "mechanical_state", False)
+    arguments = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, DT, 0, 3, 0, 1, T_LOAD, *voltages)
+    rows = len(dynamics._RECORDED)
+    for wrong in (np.zeros((rows, 4), np.float32), np.zeros((rows - 1, 4)), np.zeros((4, rows)).T):
+        with pytest.raises(IndexError, match="not the loop's layout"):
+            dynamics._c_loop("euler", shape)(*constants, *arguments, wrong)
+        assert not wrong.any()
+
+
 @pytest.fixture
 def fresh_loops():
     """The loops and the trace formatter built anew in the test, and again
