@@ -7,10 +7,11 @@ and energy audits. See the bundled configs for ready-to-run scenarios.
 
 The package exports what the command line and a library run need; the
 rest is imported from tpim.config, tpim.analysis, tpim.machine,
-tpim.excitation and tpim.output. numpy loads at a run's first array, or
-at the first use of a name from tpim.analysis: not on import.
+tpim.excitation and tpim.output. None of them imports numpy at module
+top: it loads at a run's first array, not on import.
 """
 
+from .analysis import SteadyStateNotReachedError, energy_audit, summarize
 from .config import ConfigError, build_scenario, load_config
 from .dynamics import (
     TRACE_CHANNELS,
@@ -47,14 +48,3 @@ __all__ = [
     "summarize",
     "validate_parameters",
 ]
-
-
-def __getattr__(name):
-    if name not in __all__:  # the names of __all__ not bound above: those of tpim.analysis
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import analysis
-    return getattr(analysis, name)
-
-
-def __dir__():
-    return sorted({*globals(), *__all__})

@@ -1,13 +1,11 @@
 """Trace post-processing: steady-state detection, summary statistics and
-the energy audit that checks the model's power balance numerically."""
+the energy audit that checks the model's power balance numerically.
+numpy is imported where a function first needs it, not with this module."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynamics import SimulationTrace
 from .machine import MachineParameters
@@ -102,6 +100,8 @@ def detect_steady_state(trace: SimulationTrace, speed_tol: float = 1e-3) -> floa
         raise SteadyStateNotReachedError(
             f"window {_WINDOW} s is below the record spacing {spacing} s"
         )
+    import numpy as np
+
     hi, lo = _sliding_extrema(trace.omega_mech, length)
     spread = hi - lo
     # |mean| <= max(|lo|, |hi|), so no window before the first one passing
@@ -109,7 +109,7 @@ def detect_steady_state(trace: SimulationTrace, speed_tol: float = 1e-3) -> floa
     # exact test runs on views of 64 windows from each such candidate on.
     bound = np.maximum(np.abs(hi), np.abs(lo))
     candidates = np.flatnonzero(spread < speed_tol * bound * (1.0 + 1e-9))
-    windows = sliding_window_view(trace.omega_mech, length)
+    windows = np.lib.stride_tricks.sliding_window_view(trace.omega_mech, length)
     i = 0
     while i < len(candidates):
         block = slice(candidates[i], candidates[i] + 64)
@@ -126,6 +126,8 @@ def _sliding_extrema(x: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray
     Spans double up to the largest power of two within `length`; two
     overlapping spans then cover each window.
     """
+    import numpy as np
+
     hi = lo = x
     span = 1
     while 2 * span <= length:
@@ -154,6 +156,8 @@ def _periodic_tail(trace: SimulationTrace, start_idx: int) -> slice:
 
 
 def _trapezoid_mean(values: np.ndarray, t: np.ndarray) -> float:
+    import numpy as np
+
     if len(t) < 2:
         return float(values[0])
     return float(np.trapezoid(values, t) / (t[-1] - t[0]))
@@ -171,7 +175,7 @@ def summarize(
     and ValueError for a speed_tol it rejects.
     """
     settle_time = detect_steady_state(trace, speed_tol)
-    start_idx = int(np.searchsorted(trace.t, settle_time))
+    start_idx = int(trace.t.searchsorted(settle_time))
     tail = _periodic_tail(trace, start_idx)
     t = trace.t[tail]
     te = trace.te[tail]
@@ -216,6 +220,8 @@ def energy_audit(
     t = trace.t
     if len(t) < 2:
         return EnergyReport(torque_channel, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+    import numpy as np
 
     p_input = trace.v_sa * trace.i_sa + trace.v_sb * trace.i_sb
     p_cu_s = p.r_s_alpha * trace.i_sa**2 + p.r_s_beta * trace.i_sb**2

@@ -228,6 +228,9 @@ def _cmd_sweep(args) -> int:
     # Imported here: at module top they add import time and memory to every command.
     import multiprocessing
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
+    # Before the fork, so that the workers share it rather than each import it.
+    import numpy  # noqa: F401
     row = partial(_sweep_row, base, args.axis, fields=fields, speed_tol=args.speed_tol)
     workers = min(len(values), usable_cpus()) if hasattr(os, "fork") else 1
     with open(out_path, "w", newline="") as f, ExitStack() as stack:

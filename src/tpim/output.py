@@ -21,8 +21,6 @@ from dataclasses import fields
 from functools import cache
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import SteadyStateNotReachedError, energy_audit, summarize
 from .dynamics import TRACE_CHANNELS, SimulationTrace, _c_kernel
 from .machine import MachineParameters
@@ -335,6 +333,8 @@ def write_trace_csv(trace: SimulationTrace, path) -> None:
         def format_block(lane, start):
             return _repr_rows(trace.records[:, start:start + _CSV_BLOCK_ROWS])
     else:
+        import numpy as np
+
         lanes = max(1, min(usable_cpus(), len(trace) // _CSV_BLOCK_ROWS, _CSV_LANES))
         texts = [np.empty(_CELL_BYTES * _CSV_BLOCK_ROWS * len(TRACE_CHANNELS), np.uint8) for _ in range(lanes)]
 

@@ -873,6 +873,35 @@ def test_importing_the_cli_loads_no_process_pool(tmp_path):
         assert not {"concurrent.futures", "multiprocessing"} & loaded, argv
 
 
+def test_commands_that_integrate_nothing_load_no_numpy(tmp_path):
+    # validate, --help and a rejected config or command line only parse and
+    # check: numpy loads at a run's first array. sweep imports it before it
+    # forks, so that its workers share it rather than each importing it.
+    path = _short_config(tmp_path, duration="0.25")
+    rejected = _short_config(tmp_path, name="rejected", extra="machine.no_such_field = 1.0\n")
+    src = str(Path(tpim.__file__).resolve().parent.parent)
+    code = f"""
+import contextlib, io, sys
+sys.path.insert(0, {src!r})
+from tpim.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    assert main(["validate", "paper_s3"]) == 0
+    assert main(["validate", {str(rejected)!r}]) == 1
+    assert main(["run", "paper_s3", "--no-such-option"]) == 1
+    try:
+        main(["--help"])
+    except SystemExit as exit:
+        assert exit.code == 0
+    assert "numpy" not in sys.modules
+    assert main(["sweep", {str(path)!r}, "--axis", "load.torque", "--values", "1.0,1.1",
+                 "--output-dir", {str(tmp_path)!r}]) == 0
+assert "numpy" in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len((tmp_path / "short_sweep.csv").read_text().splitlines()) == 3
+
+
 def test_run_writes_its_trace_by_the_c_formatter(tmp_path):
     # Where cc is on PATH the C formatter writes the trace; without cc,
     # the fallback writes it by repr.

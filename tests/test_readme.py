@@ -10,8 +10,6 @@ import pkgutil
 import re
 from pathlib import Path
 
-import pytest
-
 import tpim
 from tpim.cli import _build_parser
 
@@ -34,20 +32,6 @@ def test_readme_library_example_runs_and_exports_resolve():
     for module in modules:
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
-
-
-def test_the_names_from_tpim_analysis_load_on_first_use():
-    # tpim looks summarize, energy_audit and SteadyStateNotReachedError up in
-    # tpim.analysis when they are used, so that `import tpim` loads no numpy.
-    analysis = importlib.import_module("tpim.analysis")
-    for name in ("summarize", "energy_audit", "SteadyStateNotReachedError"):
-        assert getattr(tpim, name) is getattr(analysis, name)
-        assert name in dir(tpim)
-    scope = {}
-    exec("from tpim import *", scope)
-    assert all(scope[name] is getattr(tpim, name) for name in tpim.__all__)
-    with pytest.raises(AttributeError, match="'no_such_name'"):
-        tpim.no_such_name
 
 
 def test_perfbench_entry_points_resolve():
