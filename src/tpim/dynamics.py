@@ -16,28 +16,21 @@ templates it inlines per stage, and stores the record whole into the
 trace's channel-major buffer, all its rows but tl's. Both are
 deterministic: identical inputs give bit-identical traces.
 
-All generated code is compiled here. _kernel compiles Python: the step
-loops and the templates' one-point forms, compile_derivative and
-compile_sources. Every name a template reads is an argument of the
-compiled function, but cos and isfinite, which it imports when called.
-_c_kernel compiles C: each step loop is rendered once more, in a C frame
-around the same statements, compiled by cc without fused multiply-add or
-excess precision and loaded with ctypes, and so is tpim.output's trace
-formatter. The C loop gives the Python loop's bits, and integrate runs it.
-Each library is cached in the user's cache directory ($XDG_CACHE_HOME/tpim,
-else ~/.cache/tpim), so a warm cache starts no process. The Python loop is
-the reference the tests hold the C loop to, and it runs, silently, where
-the C loop cannot be built: no cc on PATH, a compile or load that fails
-(as under excess precision or fast math), a cache directory that is not
-the user's own, or a supply of more than 64 harmonics. numpy is imported
-where a run makes or checks its first array, not with this module.
+Generated Python is compiled here, by _kernel: the step loops and the
+templates' one-point forms, compile_derivative and compile_sources. Every
+name a template reads is an argument of the compiled function, but cos and
+isfinite, which it imports when called. Each step loop is rendered once
+more, in a C frame around the same statements, and built by tpim._native.
+The C loop gives the Python loop's bits, and integrate runs it. The Python
+loop is the reference the tests hold the C loop to, and it runs, silently,
+where the C loop cannot be built or the supply has more than 64 harmonics.
+numpy is imported where a run makes or checks its first array, not with
+this module.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
 import sys
 import textwrap
 from dataclasses import astuple, dataclass, field
@@ -63,8 +56,6 @@ __all__ = [
     "SimulationTrace",
     "IntegrationError",
     "integrate",
-    "compile_derivative",
-    "compile_sources",
 ]
 
 INTEGRATION_METHODS = ("rk4", "euler")
@@ -299,102 +290,6 @@ def _kernel(name: str, arguments: list[str], body: str):
     return scope[name]
 
 
-# No fused multiply-add, so that each + and * of the C statements rounds as
-# Python's float operations do. No SLP vectorization, so that the loops stay
-# scalar whatever the frame's layout: with it, gcc 12 packed the Euler step's
-# states in pairs once the store sat behind a test of k on every step, and
-# the Euler loop ran 23% slower.
-_CC_FLAGS = ("-O2", "-ffp-contract=off", "-fno-tree-slp-vectorize", "-fPIC", "-shared")
-# Nor excess precision (x87, FLT_EVAL_METHOD 2), nor fast or finite-only
-# math, which folds isfinite away (gcc sets __GCC_IEC_559 below 2 under any
-# unsafe math option): such a compile fails.
-_FP_GUARD = ("#if FLT_EVAL_METHOD != 0 || defined(__FAST_MATH__) || __FINITE_MATH_ONLY__"
-             " || (defined(__GCC_IEC_559) && __GCC_IEC_559 < 2)\n#error \"tpim needs IEEE doubles\"\n#endif\n")
-_CC_TIMEOUT_S = 60.0
-
-
-def _c_kernel(name: str, parameters: list[str], body: str, definitions: str = ""):
-    """Compile `int name(parameters) { body }` with cc, the one way generated
-    C is compiled, and load it with ctypes; None where there is no cc on PATH,
-    the compile or the load fails, or the cache directory is not the user's
-    own. parameters are C declarations: a pointer is passed as an address,
-    an int64_t or a double as a number. definitions (static tables and
-    helpers) go before the function; float.h, math.h, stdint.h and string.h
-    are included, and _FP_GUARD stops the compile under excess precision or
-    fast or finite-only math.
-
-    The library is cached in $XDG_CACHE_HOME/tpim (~/.cache/tpim where that
-    is unset or not an absolute path), named by the sha256 of the source,
-    the compile command and the compiler's path and mtime, so that a warm
-    cache starts no process."""
-    import ctypes
-    import shutil
-
-    source = (f"#include <float.h>\n#include <math.h>\n#include <stdint.h>\n#include <string.h>\n{_FP_GUARD}\n"
-              f"{definitions}int {name}({', '.join(parameters)})\n{{\n{_indent(body)}}}\n")
-    cc = shutil.which("cc")
-    if cc is None:
-        return None
-    cc = os.path.realpath(cc)
-    command = [cc, *_CC_FLAGS, "-x", "c", "-", "-lm"]
-    root = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(root):  # unset, empty or relative: the default
-        root = os.path.expanduser("~/.cache")
-    if not os.path.isabs(root):  # no home directory
-        return None
-    directory = os.path.join(root, "tpim")
-    try:
-        os.makedirs(directory, mode=0o700, exist_ok=True)
-        owner = os.stat(directory)
-        if owner.st_uid != os.getuid() or owner.st_mode & 0o022:
-            return None
-        key = "\0".join([source, *command, str(os.stat(cc).st_mtime_ns)])
-        library = os.path.join(directory, _sha256(key.encode()) + ".so")
-        if not os.path.exists(library):
-            _build(command, source, library)
-        function = getattr(ctypes.CDLL(library), name)
-    except OSError:
-        return None
-    function.argtypes = [
-        ctypes.c_void_p if "*" in p else ctypes.c_int64 if p.startswith("int64_t") else ctypes.c_double
-        for p in parameters
-    ]
-    function.restype = ctypes.c_int
-    return function
-
-
-def _sha256(data: bytes) -> str:
-    """The hex sha256 of data, by CPython's built-in module where there is
-    one: hashlib's import loads OpenSSL, 3.6 MB more memory for a run."""
-    for module in ("_sha2", "_sha256"):  # Python 3.12 on; 3.10 and 3.11
-        with contextlib.suppress(ImportError):
-            return __import__(module).sha256(data).hexdigest()
-    import hashlib
-
-    return hashlib.sha256(data).hexdigest()
-
-
-def _build(command: list[str], source: str, library: str) -> None:
-    """Compile source by command into library, through a temporary file in
-    its directory: concurrent builders each replace it whole. A failed
-    compile leaves no library."""
-    import subprocess
-    import tempfile
-
-    handle, temporary = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(library))
-    os.close(handle)
-    try:
-        done = subprocess.run([*command, "-o", temporary], input=source, text=True, capture_output=True,
-                              timeout=_CC_TIMEOUT_S)
-        if done.returncode == 0:
-            os.replace(temporary, library)
-    except subprocess.TimeoutExpired:
-        pass
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(temporary)
-
-
 def compile_derivative(p: MachineParameters, speed_convention: str = "mechanical_state",
                        blocked_rotor: bool = False):
     """The state derivative of tpim.machine._RHS as a plain-float function
@@ -486,7 +381,9 @@ def _c_loop(method: str, shape: tuple[int, int]):
         finite=" && ".join(f"isfinite({s})" for s in _STATES),
         out="".join(f"out[{i}] = {v};\n" for i, v in enumerate(["t", *_STATES])),
     )
-    function = _c_kernel("step_loop", parameters, body)
+    from ._native import load
+
+    function = load("step_loop", parameters, body)
     if function is None:
         return None
     import ctypes

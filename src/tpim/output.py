@@ -7,10 +7,10 @@ the trace's records, whose layout SimulationTrace checks. A C formatter
 writes that text, Ryu's shortest digits in repr's layout, on up to two
 threads, one per usable CPU; the file gets its blocks in order, so its
 bytes do not depend on the number of threads. The formatter is compiled by
-tpim.dynamics._c_kernel and cached with the step loops; where it cannot be
-built, repr itself writes the values, and the bytes are the same. The plot
-script is an emitted artifact that operates on the CSV; this package never
-imports a plotting library.
+tpim._native and cached with the step loops; where it cannot be built,
+repr itself writes the values, and the bytes are the same. The plot script
+is an emitted artifact that operates on the CSV; this package never imports
+a plotting library.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import cache
 from pathlib import Path
 
 from .analysis import SteadyStateNotReachedError, energy_audit, summarize
-from .dynamics import TRACE_CHANNELS, SimulationTrace, _c_kernel
+from .dynamics import TRACE_CHANNELS, SimulationTrace
 from .machine import MachineParameters
 
 __all__ = [
@@ -250,7 +250,9 @@ def _ryu_tables() -> str:
 @cache
 def _c_format_rows():
     """The C trace formatter, or None where it cannot be built."""
-    return _c_kernel(
+    from ._native import load
+
+    return load(
         "format_rows", ["const double *values", "int64_t rows", "int64_t columns", "int64_t stride", "char *text"],
         _FORMAT_ROWS, _ryu_tables() + _RYU,
     )

@@ -893,6 +893,7 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     except SystemExit as exit:
         assert exit.code == 0
     assert "numpy" not in sys.modules
+    assert "tpim._native" not in sys.modules
     assert main(["sweep", {str(path)!r}, "--axis", "load.torque", "--values", "1.0,1.1",
                  "--output-dir", {str(tmp_path)!r}]) == 0
 assert "numpy" in sys.modules

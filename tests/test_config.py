@@ -402,6 +402,7 @@ except tpim.ConfigError as error:
 else:
     raise AssertionError("a negative resistance loaded")
 assert "numpy" not in sys.modules
+assert "tpim._native" not in sys.modules
 trace = tpim.integrate(configs["paper_s3"].machine, scenario)
 assert "numpy" in sys.modules and isinstance(trace, tpim.SimulationTrace) and len(trace) == 101
 """

@@ -32,6 +32,7 @@ from tpim import (
     MachineParameters,
     MachineState,
     VoltageSource,
+    _native,
     dynamics,
     integrate,
     output,
@@ -305,13 +306,13 @@ def with_x87_math(tmp_path, monkeypatch):
                            capture_output=True, text=True) if HAS_CC else None
     if not (probe and probe.returncode == 0 and probe.stdout.split()[-1:] == ["2"]):
         pytest.skip("cc -mfpmath=387 does not evaluate doubles in excess precision")
-    monkeypatch.setattr(dynamics, "_CC_FLAGS", (*dynamics._CC_FLAGS, "-mfpmath=387"))
+    monkeypatch.setattr(_native, "_CC_FLAGS", (*_native._CC_FLAGS, "-mfpmath=387"))
 
 
 def with_fast_math(tmp_path, monkeypatch):
     # -ffast-math implies -ffinite-math-only, so a loop built under it folds
     # its isfinite test away and runs on past a failure; the guard refuses it.
-    monkeypatch.setattr(dynamics, "_CC_FLAGS", (*dynamics._CC_FLAGS, "-ffast-math"))
+    monkeypatch.setattr(_native, "_CC_FLAGS", (*_native._CC_FLAGS, "-ffast-math"))
 
 
 def with_hanging_cc(tmp_path, monkeypatch):
@@ -323,7 +324,7 @@ def with_hanging_cc(tmp_path, monkeypatch):
     cc.write_text(f"#!/bin/sh\nexec {sleep} 30\n")
     cc.chmod(0o755)
     monkeypatch.setenv("PATH", str(cc.parent))
-    monkeypatch.setattr(dynamics, "_CC_TIMEOUT_S", 0.3)
+    monkeypatch.setattr(_native, "_CC_TIMEOUT_S", 0.3)
 
 
 @pytest.mark.parametrize("unusable", [without_cc, with_failing_cc, with_group_writable_cache, with_x87_math,
