@@ -4,7 +4,7 @@ The CSV is the single source of truth for downstream tooling: fixed header,
 fixed column order, each value as its repr, the shortest round-trip decimal
 text (values re-read equal the in-memory doubles exactly): the columns of
 the trace's records, whose layout SimulationTrace checks. A C formatter
-writes that text, Ryu's shortest digits in repr's layout, on up to two
+writes that text, Schubfach's shortest digits in repr's layout, on up to two
 threads, one per usable CPU; the file gets its blocks in order, so its
 bytes do not depend on the number of threads. The formatter is compiled by
 tpim._native and cached with the step loops; where it cannot be built,
@@ -49,98 +49,52 @@ _CSV_LANES = 2
 # its separator.
 _CELL_BYTES = 25
 
-# Ryu's shortest digits (Adams, "Ryu: fast float-to-string conversion", PLDI
-# 2018; its d2d, with 128-bit products) and the layout of repr around them.
-# POW5_INV and POW5 are the tables _ryu_tables generates; the bit length of
-# 5**e and the floors of log10(2**e) and log10(5**e) are Ryu's
-# approximations, exact over the exponents of a double.
-_RYU = """\
-static uint64_t mul_shift(uint64_t m, const uint64_t *mul, int32_t j)
+# Schubfach's shortest digits (Giulietti, "The Schubfach way to render
+# doubles", 2020) and the layout of repr around them. G is the table
+# _format_tables generates; k and h take the floors of log10(2**q),
+# log10(3/4 * 2**q) and log2(10**-k) by Schubfach's multiply-and-shift,
+# exact over the exponents of a double. The core departs from the Java
+# reference (JDK 19+ DoubleToDecimal) in three ways. repr's digits need one:
+# the candidate one digit shorter is tried from s >= 10, not 100 (5e-323,
+# not 4.9e-323). Two are deletions, whose paths give the same digits as the
+# general one here: the branch that writes the two smallest subnormals with
+# two digits, and the fast path for integers below 2**53.
+_FORMAT_DOUBLE = """\
+/* g * x / 2**127 rounded to odd, g = g[0] * 2**63 + g[1]. */
+static uint64_t rop(const uint64_t *g, uint64_t x)
 {
-    const unsigned __int128 low = (unsigned __int128)m * mul[0], high = (unsigned __int128)m * mul[1];
-    return (uint64_t)(((low >> 64) + high) >> (j - 64));
-}
-
-static int32_t pow5_bits(int32_t e) { return ((e * 1217359) >> 19) + 1; }
-
-static int32_t pow5_factor(uint64_t v)
-{
-    int32_t count = 0;
-    for (; v % 5 == 0; v /= 5) count++;
-    return count;
+    const unsigned __int128 y = (unsigned __int128)g[0] * x;
+    const uint64_t z = ((uint64_t)y >> 1) + (uint64_t)((unsigned __int128)g[1] * x >> 64);
+    return ((uint64_t)(y >> 64) + (z >> 63)) | (((z & ~(1ull << 63)) + ~(1ull << 63)) >> 63);
 }
 
 /* The shortest m * 10**e10 that reads back as the finite nonzero double of
    bits, rounded to the nearest and to even on a tie. */
 static uint64_t shortest(uint64_t bits, int32_t *e10)
 {
-    const uint64_t fraction = bits & ((1ull << 52) - 1);
-    const int32_t exponent = (int32_t)(bits >> 52 & 0x7ff);
-    const int32_t e2 = (exponent ? exponent : 1) - 1023 - 52 - 2;
-    const uint64_t mv = 4 * (exponent ? fraction | 1ull << 52 : fraction);
-    const int even = (mv & 4) == 0;
-    const uint64_t mm_shift = fraction != 0 || exponent <= 1;
-    uint64_t vr, vp, vm;
-    int vm_zeros = 0, vr_zeros = 0;
-    if (e2 >= 0) {
-        const int32_t q = ((e2 * 78913) >> 18) - (e2 > 3);
-        const int32_t j = -e2 + q + 125 + pow5_bits(q) - 1;
-        *e10 = q;
-        vr = mul_shift(mv, POW5_INV[q], j);
-        vp = mul_shift(mv + 2, POW5_INV[q], j);
-        vm = mul_shift(mv - 1 - mm_shift, POW5_INV[q], j);
-        if (q <= 21) {
-            if (mv % 5 == 0)
-                vr_zeros = pow5_factor(mv) >= q;
-            else if (even)
-                vm_zeros = pow5_factor(mv - 1 - mm_shift) >= q;
-            else
-                vp -= pow5_factor(mv + 2) >= q;
-        }
-    } else {
-        const int32_t q = ((-e2 * 732923) >> 20) - (-e2 > 1);
-        const int32_t i = -e2 - q;
-        const int32_t j = q - pow5_bits(i) + 125;
-        *e10 = q + e2;
-        vr = mul_shift(mv, POW5[i], j);
-        vp = mul_shift(mv + 2, POW5[i], j);
-        vm = mul_shift(mv - 1 - mm_shift, POW5[i], j);
-        if (q <= 1) {
-            vr_zeros = 1;
-            if (even)
-                vm_zeros = mm_shift == 1;
-            else
-                vp--;
-        } else if (q < 63) {
-            vr_zeros = (mv & ((1ull << q) - 1)) == 0;
-        }
-    }
-    int last = 0;
-    if (!vm_zeros && !vr_zeros) {  /* most values: no tie to break, two digits at a time */
-        for (; vp / 100 > vm / 100; *e10 += 2) {
-            last = vr % 100 / 10;
-            vr /= 100, vp /= 100, vm /= 100;
-        }
-        for (; vp / 10 > vm / 10; ++*e10) {
-            last = vr % 10;
-            vr /= 10, vp /= 10, vm /= 10;
-        }
-        return vr + (vr == vm || last >= 5);
-    }
-    for (; vp / 10 > vm / 10; ++*e10) {
-        vm_zeros &= vm % 10 == 0;
-        vr_zeros &= last == 0;
-        last = vr % 10;
-        vr /= 10, vp /= 10, vm /= 10;
-    }
-    for (; vm_zeros && vm % 10 == 0; ++*e10) {
-        vr_zeros &= last == 0;
-        last = vr % 10;
-        vr /= 10, vp /= 10, vm /= 10;
-    }
-    if (vr_zeros && last == 5 && vr % 2 == 0)
-        last = 4;
-    return vr + ((vr == vm && (!even || !vm_zeros)) || last >= 5);
+    const uint64_t f = bits & ((1ull << 52) - 1);
+    const int32_t e = (int32_t)(bits >> 52 & 0x7ff), q = (e ? e : 1) - 1075;
+    const int closer = f == 0 && e > 1;  /* the doubles below lie twice as close */
+    const uint64_t c = e ? f | 1ull << 52 : f, cb = c << 2, cbl = cb - 2 + closer, cbr = cb + 2;
+    const uint64_t out = c & 1;  /* an odd c's interval excludes its bounds */
+    const int32_t k = (int32_t)(((int64_t)q * 661971961083 - (closer ? 274743187321 : 0)) >> 41);
+    const int32_t h = q + (int32_t)((-(int64_t)k * 913124641741) >> 38) + 2;
+    const uint64_t *g = G[k + 324];
+    const uint64_t vb = rop(g, cb << h), vbl = rop(g, cbl << h), vbr = rop(g, cbr << h), s = vb >> 2;
+    const uint64_t u = s / 10 * 10;  /* s and s + 1, or u and u + 10, bracket v */
+    const int u_in = vbl + out <= (u << 2), u10_in = ((u + 10) << 2) + out <= vbr;
+    const int s_in = vbl + out <= (s << 2), s1_in = ((s + 1) << 2) + out <= vbr;
+    const int64_t tie = (int64_t)(vb - (s << 2) - 2);
+    uint64_t m;
+    if (s >= 10 && u_in != u10_in)
+        m = u_in ? u : u + 10;
+    else if (s_in != s1_in)
+        m = s_in ? s : s + 1;
+    else
+        m = tie < 0 || (tie == 0 && s % 2 == 0) ? s : s + 1;
+    for (*e10 = k; m % 10 == 0; ++*e10)
+        m /= 10;
+    return m;
 }
 
 /* The number of decimal digits of m > 0. */
@@ -228,23 +182,29 @@ return p - text;
 """
 
 
-def _ryu_tables() -> str:
-    """The formatter's tables as C, from exact integers: Ryu's POW5_INV[q],
-    2**(125 + bits - 1) // 5**q + 1 where bits is the bit length of 5**q,
-    for q < 342, and POW5[i], 5**i scaled to 125 bits, for i < 326, each low
-    word first; the powers of ten below 10**20 and the two-digit pairs."""
-
-    def table(name: str, values: list[int]) -> str:
-        rows = ",\n".join(f"    {{{value & (1 << 64) - 1:#x}u, {value >> 64:#x}u}}" for value in values)
-        return f"static const uint64_t {name}[{len(values)}][2] = {{\n{rows}\n}};\n"
-
-    powers = [5**q for q in range(342)]
-    inverses = [(1 << power.bit_length() - 1 + 125) // power + 1 for power in powers]
-    scaled = [power * 2**125 >> power.bit_length() for power in powers[:326]]
-    tens = ", ".join(f"{10**k}u" for k in range(20))
+def _format_tables() -> str:
+    """The formatter's tables as C, from exact integers: Schubfach's G[k +
+    324] for -324 <= k <= 292, g = floor(10**-k * 2**-r) + 1 where r =
+    floor(log2(10**-k)) - 125, so that 2**125 <= g < 2**126, stored as
+    g >> 63 and g mod 2**63; the powers of ten below 10**20 and the
+    two-digit pairs."""
+    tens = [1]  # 10**0 to 10**324, each from the last: a power each is slower
+    for _ in range(324):
+        tens.append(10 * tens[-1])
+    rows = []
+    for k in range(-324, 293):
+        power = tens[abs(k)]
+        if k <= 0:  # 10**-k is the integer power: r = its bit length - 126
+            shift = power.bit_length() - 126
+            g = (power >> shift if shift >= 0 else power << -shift) + 1
+        else:  # 10**-k = 1 / power: r = -(power's bit length) - 125
+            g = (1 << power.bit_length() + 125) // power + 1
+        rows.append(f"    {{{g >> 63:#x}u, {g & (1 << 63) - 1:#x}u}}")
+    table = ",\n".join(rows)
+    powers = ", ".join(f"{power}u" for power in tens[:20])
     pairs = "".join(f"{k:02d}" for k in range(100))
-    return (table("POW5_INV", inverses) + table("POW5", scaled)
-            + f"static const uint64_t POW10[20] = {{{tens}}};\nstatic const char DIGIT_PAIRS[] = \"{pairs}\";\n")
+    return (f"static const uint64_t G[617][2] = {{\n{table}\n}};\n"
+            f"static const uint64_t POW10[20] = {{{powers}}};\nstatic const char DIGIT_PAIRS[] = \"{pairs}\";\n")
 
 
 @cache
@@ -254,7 +214,7 @@ def _c_format_rows():
 
     return load(
         "format_rows", ["const double *values", "int64_t rows", "int64_t columns", "int64_t stride", "char *text"],
-        _FORMAT_ROWS, _ryu_tables() + _RYU,
+        _FORMAT_ROWS, _format_tables() + _FORMAT_DOUBLE,
     )
 
 

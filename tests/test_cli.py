@@ -489,11 +489,12 @@ def test_trace_csv_is_repr_of_every_value(tmp_path_factory, rated_trace, table):
 def _formatter_values() -> np.ndarray:
     """Doubles of every exponent and digit count: random bit patterns; and,
     of either sign, each power of ten times 1, 1.5, 5 and 9.999999999999999
-    with both neighbours, the integers below 1e5 and around 2**53, m * 10**e
-    for m < 1000, zero, infinity, the smallest subnormal and nans with a
-    payload."""
+    and each power of two, with both neighbours, the integers below 1e5 and
+    around 2**53, m * 10**e for m < 1000, zero, infinity, the smallest
+    subnormal and nans with a payload."""
     rng = np.random.default_rng(22)
-    steps = np.array([float(f"1e{e}") * m for e in range(-324, 309) for m in (1.0, 1.5, 5.0, 9.999999999999999)])
+    tens = [float(f"1e{e}") * m for e in range(-324, 309) for m in (1.0, 1.5, 5.0, 9.999999999999999)]
+    steps = np.concatenate([tens, np.ldexp(1.0, np.arange(-1074, 1024))])
     nans = np.array([0x7FF0_0000_0000_0001, 0x7FF8_DEAD_BEEF_0001], np.uint64).view(np.float64)
     values = np.concatenate([
         steps, np.nextafter(steps, math.inf), np.nextafter(steps, -math.inf),
