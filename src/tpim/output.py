@@ -4,13 +4,14 @@ The CSV is the single source of truth for downstream tooling: fixed header,
 fixed column order, each value as its repr, the shortest round-trip decimal
 text (values re-read equal the in-memory doubles exactly): the columns of
 the trace's records, whose layout SimulationTrace checks. A C formatter
-writes that text, Schubfach's shortest digits in repr's layout, on up to two
-threads, one per usable CPU; the file gets its blocks in order, so its
-bytes do not depend on the number of threads. The formatter is compiled by
-tpim._native and cached with the step loops; where it cannot be built,
-repr itself writes the values, and the bytes are the same. The plot script
-is an emitted artifact that operates on the CSV; this package never imports
-a plotting library.
+writes that text, Schubfach's shortest digits in repr's layout, in two
+passes over each run of 32 rows (the digit searches down each channel, then
+the rows), on up to two threads, one per usable CPU; the file gets its
+blocks in order, so its bytes do not depend on the number of threads. The
+formatter is compiled by tpim._native and cached with the step loops; where
+it cannot be built, repr itself writes the values, and the bytes are the
+same. The plot script is an emitted artifact that operates on the CSV; this
+package never imports a plotting library.
 """
 
 from __future__ import annotations
@@ -48,18 +49,38 @@ _CSV_LANES = 2
 # The longest repr of a double, 24 bytes as in -2.2250738585072014e-308, and
 # its separator.
 _CELL_BYTES = 25
+# Most bytes a format_rows call writes past the end of its text: its last
+# value's fixed-width stores of 16 digits may end 16 bytes past the value,
+# 15 past the newline after it. A text buffer holds the text and this.
+_TEXT_SLACK = 15
+# Most columns format_rows takes: its scratch holds 32 rows of each on the C
+# stack, 6 KB. It refuses more by returning -1.
+_FORMAT_COLUMNS = 16
 
 # Schubfach's shortest digits (Giulietti, "The Schubfach way to render
-# doubles", 2020) and the layout of repr around them. G is the table
-# _format_tables generates; k and h take the floors of log10(2**q),
-# log10(3/4 * 2**q) and log2(10**-k) by Schubfach's multiply-and-shift,
-# exact over the exponents of a double. The core departs from the Java
-# reference (JDK 19+ DoubleToDecimal) in three ways. repr's digits need one:
-# the candidate one digit shorter is tried from s >= 10, not 100 (5e-323,
-# not 4.9e-323). Two are deletions, whose paths give the same digits as the
-# general one here: the branch that writes the two smallest subnormals with
-# two digits, and the fast path for integers below 2**53.
+# doubles", 2020) and the layout of repr around them, in two passes over each
+# run of up to 32 rows: shortest down each channel's values, then layout
+# along each row. shortest selects by flags and masks, and layout writes the
+# digits as two 8-digit words by fixed-width stores, branching only on the
+# notation and on zero, inf and nan; no digit search waits on the last
+# value's end, so the CPU overlaps them. Both stay out of line: inlined into
+# format_rows' loops, gcc 12 -O2 spilled their registers and a value took
+# 51 ns against 35 (paper_s3's trace, 2 cores). The words are little-endian;
+# elsewhere the compile stops, and repr writes the values.
+#
+# G is the table _format_tables generates; k and h take the floors of
+# log10(2**q), log10(3/4 * 2**q) and log2(10**-k) by Schubfach's
+# multiply-and-shift, exact over the exponents of a double. The core departs
+# from the Java reference (JDK 19+ DoubleToDecimal) in three ways. repr's
+# digits need one: the candidate one digit shorter is tried from s >= 10,
+# not 100 (5e-323, not 4.9e-323). Two are deletions, whose paths give the
+# same digits as the general one here: the branch that writes the two
+# smallest subnormals with two digits, and the fast path for integers below
+# 2**53.
 _FORMAT_DOUBLE = """\
+#if __BYTE_ORDER__ != __ORDER_LITTLE_ENDIAN__
+#error "the trace formatter writes little-endian words"
+#endif
 /* g * x / 2**127 rounded to odd, g = g[0] * 2**63 + g[1]. */
 static uint64_t rop(const uint64_t *g, uint64_t x)
 {
@@ -68,115 +89,114 @@ static uint64_t rop(const uint64_t *g, uint64_t x)
     return ((uint64_t)(y >> 64) + (z >> 63)) | (((z & ~(1ull << 63)) + ~(1ull << 63)) >> 63);
 }
 
-/* The shortest m * 10**e10 that reads back as the finite nonzero double of
-   bits, rounded to the nearest and to even on a tie. */
-static uint64_t shortest(uint64_t bits, int32_t *e10)
+/* The shortest m * 10**k that reads back as the finite nonzero double v of
+   bits, rounded to the nearest and to even on a tie, as m's digits to 17
+   places, m * 10**(17 - digits), and *point, where |v| = 0.ddd * 10**point. */
+__attribute__((noinline)) static uint64_t shortest(uint64_t bits, int32_t *point)
 {
-    const uint64_t f = bits & ((1ull << 52) - 1);
-    const int32_t e = (int32_t)(bits >> 52 & 0x7ff), q = (e ? e : 1) - 1075;
-    const int closer = f == 0 && e > 1;  /* the doubles below lie twice as close */
-    const uint64_t c = e ? f | 1ull << 52 : f, cb = c << 2, cbl = cb - 2 + closer, cbr = cb + 2;
+    const uint64_t f = bits & ((1ull << 52) - 1), e = bits >> 52 & 0x7ff;
+    const uint64_t closer = (f == 0) & (e > 1);  /* the doubles below lie twice as close */
+    const int32_t q = (int32_t)(e + (e == 0)) - 1075;
+    const uint64_t c = f | (uint64_t)(e != 0) << 52, cb = c << 2, cbl = cb - 2 + closer, cbr = cb + 2;
     const uint64_t out = c & 1;  /* an odd c's interval excludes its bounds */
-    const int32_t k = (int32_t)(((int64_t)q * 661971961083 - (closer ? 274743187321 : 0)) >> 41);
+    const int32_t k = (int32_t)(((int64_t)q * 661971961083 - (int64_t)closer * 274743187321) >> 41);
     const int32_t h = q + (int32_t)((-(int64_t)k * 913124641741) >> 38) + 2;
     const uint64_t *g = G[k + 324];
     const uint64_t vb = rop(g, cb << h), vbl = rop(g, cbl << h), vbr = rop(g, cbr << h), s = vb >> 2;
     const uint64_t u = s / 10 * 10;  /* s and s + 1, or u and u + 10, bracket v */
-    const int u_in = vbl + out <= (u << 2), u10_in = ((u + 10) << 2) + out <= vbr;
-    const int s_in = vbl + out <= (s << 2), s1_in = ((s + 1) << 2) + out <= vbr;
-    const int64_t tie = (int64_t)(vb - (s << 2) - 2);
-    uint64_t m;
-    if (s >= 10 && u_in != u10_in)
-        m = u_in ? u : u + 10;
-    else if (s_in != s1_in)
-        m = s_in ? s : s + 1;
-    else
-        m = tie < 0 || (tie == 0 && s % 2 == 0) ? s : s + 1;
-    for (*e10 = k; m % 10 == 0; ++*e10)
-        m /= 10;
-    return m;
+    const uint64_t u_in = vbl + out <= (u << 2), u10_in = ((u + 10) << 2) + out <= vbr;
+    const uint64_t s_in = vbl + out <= (s << 2), s1_in = ((s + 1) << 2) + out <= vbr;
+    /* s + 1 where it alone is in, or both are and it is nearer, or as near and even */
+    const uint64_t up = (s1_in > s_in) | ((s1_in == s_in) & ((vb & 3) + (s & 1) > 2));
+    const uint64_t by_u = -((s >= 10) & (u_in != u10_in));  /* one of u and u + 10 is in */
+    const uint64_t m = ((u + 10 - 10 * u_in) & by_u) | ((s + up) & ~by_u);
+    const int32_t guess = (64 - __builtin_clzll(m | 1)) * 1233 >> 12;  /* 1233 / 4096 < log10(2) */
+    const int32_t digits = guess + (m >= POW10[guess]);
+    *point = k + digits;
+    return m * POW10[17 - digits];
 }
 
-/* The number of decimal digits of m > 0. */
-static int32_t digit_count(uint64_t m)
+/* The 8 decimal digits of x < 10**8 as the bytes of a word, by
+   multiply-and-shift in lanes: 2 of 4 digits, 4 of 2 and 8 of 1. */
+static uint64_t eight_digits(uint64_t x)
 {
-    const int32_t guess = (64 - __builtin_clzll(m)) * 1233 >> 12;  /* 1233 / 4096 < log10(2) */
-    return guess + (m >= POW10[guess]);
+    const uint64_t y = x / 10000 | x % 10000 << 32, y100 = (y * 10486 >> 20) & 0x7f0000007f;
+    const uint64_t z = y100 | (y - 100 * y100) << 16, z10 = (z * 103 >> 10) & 0xf000f000f000f;
+    return (z10 | (z - 10 * z10) << 8) + 0x3030303030303030;
 }
 
-/* The decimal digits of m, ending at end. */
-static void write_digits(uint64_t m, char *end)
+/* repr(v) at p, v the double of bits, from shortest's m17 and point; the
+   end of the text. Fixed notation where 1e-4 <= |v| < 1e16, with .0 on an
+   integer, else d.ddde-XX; nan whatever its sign. The fixed-width stores
+   may write up to 16 bytes past the end. */
+__attribute__((noinline)) static char *layout(uint64_t bits, uint64_t m17, int32_t point, char *p)
 {
-    for (; m >= 100; m /= 100)
-        memcpy(end -= 2, DIGIT_PAIRS + 2 * (m % 100), 2);
-    if (m >= 10)
-        memcpy(end - 2, DIGIT_PAIRS + 2 * m, 2);
-    else
-        end[-1] = '0' + m;
-}
-
-/* repr(v) at p; the end of the text. Fixed notation where 1e-4 <= |v| <
-   1e16, with .0 on an integer, else d.ddde-XX; nan whatever its sign. A
-   text of t bytes may write up to max(t, 5) bytes at p. */
-static char *format_double(double v, char *p)
-{
-    uint64_t bits;
-    memcpy(&bits, &v, sizeof bits);
-    if (isnan(v))
-        return memcpy(p, "nan", 3), p + 3;
-    if (bits >> 63)
-        *p++ = '-';
-    if (isinf(v))
-        return memcpy(p, "inf", 3), p + 3;
-    if (v == 0.0)
-        return memcpy(p, "0.0", 3), p + 3;
-    int32_t e10;
-    const uint64_t m = shortest(bits, &e10);
-    const int32_t n = digit_count(m), point = n + e10;  /* |v| = 0.digits * 10**point */
+    *p = '-';
+    if ((bits << 1) - 1 >= (0x7ffull << 53) - 1) {  /* zero, inf or nan */
+        if (bits << 1 > 0x7ffull << 53)
+            return memcpy(p, "nan", 3), p + 3;
+        p += bits >> 63;
+        return memcpy(p, bits << 1 ? "inf" : "0.0", 3), p + 3;
+    }
+    p += bits >> 63;
+    /* the first digit d, then 16 in the bytes of x */
+    const uint64_t d = m17 / 10000000000000000, rest = m17 - d * 10000000000000000;
+    const uint64_t hi = eight_digits(rest / 100000000), lo = eight_digits(rest % 100000000);
+    const unsigned __int128 x = (unsigned __int128)lo << 64 | hi;
+    /* the significant digits: 17 less the '0' bytes that end lo, then hi */
+    const uint64_t zl = lo ^ 0x3030303030303030, zh = hi ^ 0x3030303030303030;
+    const int32_t n_lo = 17 - (__builtin_clzll(zl | 1) >> 3), n_hi = 9 - (__builtin_clzll(zh | 1) >> 3) - (zh == 0);
+    const int32_t n = zl ? n_lo : n_hi;
+    /* |point - 1|: the exponent, or in fixed notation the digits before the
+       dot less one (whole) or the zeros after 0. plus one */
+    const int32_t a = point > 0 ? point - 1 : 1 - point, whole = point > 0;
     if (point <= -4 || point > 16) {
-        write_digits(m, p + n + 1);
-        p[0] = p[1];
+        const uint64_t ex = ('0' + a / 100) | ('0' + a / 10 % 10) << 8 | ('0' + a % 10) << 16;
+        const uint64_t tail = 'e' | (uint64_t)('-' - 2 * whole) << 8 | ex >> 8 * (a < 100) << 16;
+        p[0] = (char)('0' + d);
         p[1] = '.';
+        memcpy(p + 2, &x, 16);
         p += n + (n > 1);
-        int32_t x = point > 0 ? point - 1 : 1 - point;
-        *p++ = 'e';
-        *p++ = point > 0 ? '+' : '-';
-        if (x >= 100) {
-            *p++ = '0' + x / 100;
-            x %= 100;
-        }
-        memcpy(p, DIGIT_PAIRS + 2 * x, 2);
-        return p + 2;
+        memcpy(p, &tail, 8);
+        return p + 4 + (a >= 100);
     }
-    if (point <= 0) {
-        memcpy(p, "0.000", 5);
-        p += 2 - point + n;
-        write_digits(m, p);
-    } else if (point < n) {
-        write_digits(m, p + n + 1);
-        for (int32_t i = 0; i < point; i++)
-            p[i] = p[i + 1];
-        p[point] = '.';
-        p += n + 1;
-    } else {
-        write_digits(m, p + n);
-        p = (char *)memset(p + n, '0', point - n) + point - n;
-        p = (char *)memcpy(p, ".0", 2) + 2;
-    }
-    return p;
+    /* 0.000ddd, or ddd with a dot put in by copying the digits after it again */
+    const int32_t dot = 1 + a * whole, after = n - point > 1 ? n - point : 1;
+    const unsigned __int128 shifted = x >> 8 * a * whole;
+    memcpy(p, "0.000000", 8);
+    p[(a + 1) * !whole] = (char)('0' + d);
+    memcpy(p + (a + 1) * !whole + 1, &x, 16);
+    p[dot] = '.';
+    memcpy(p + a + 2, &shifted, 16);
+    return p + dot + 1 + after;
 }
 
 """
 # rows lines of columns values as CSV at text, value k of row r read at
-# values[k * stride + r]; the bytes written.
+# values[k * stride + r]; the bytes written, or -1 for a columns outside 1
+# to COLUMNS. Each run of up to 32 rows takes two passes: shortest down each
+# channel into scratch, then layout along each row.
 _FORMAT_ROWS = """\
+if (columns < 1 || columns > COLUMNS)
+    return -1;
 char *p = text;
-for (int64_t row = 0; row < rows; row++) {
-    for (int64_t k = 0; k < columns; k++) {
-        p = format_double(values[k * stride + row], p);
-        *p++ = ',';
+for (int64_t start = 0; start < rows; start += 32) {
+    const int64_t run = rows - start < 32 ? rows - start : 32;
+    uint64_t m17[COLUMNS][32], bits;
+    int32_t point[COLUMNS][32];
+    for (int64_t k = 0; k < columns; k++)
+        for (int64_t r = 0; r < run; r++) {
+            memcpy(&bits, values + k * stride + start + r, 8);
+            m17[k][r] = shortest(bits, &point[k][r]);
+        }
+    for (int64_t r = 0; r < run; r++) {
+        for (int64_t k = 0; k < columns; k++) {
+            memcpy(&bits, values + k * stride + start + r, 8);
+            p = layout(bits, m17[k][r], point[k][r], p);
+            *p++ = ',';
+        }
+        p[-1] = '\\n';
     }
-    p[-1] = '\\n';
 }
 return p - text;
 """
@@ -186,8 +206,7 @@ def _format_tables() -> str:
     """The formatter's tables as C, from exact integers: Schubfach's G[k +
     324] for -324 <= k <= 292, g = floor(10**-k * 2**-r) + 1 where r =
     floor(log2(10**-k)) - 125, so that 2**125 <= g < 2**126, stored as
-    g >> 63 and g mod 2**63; the powers of ten below 10**20 and the
-    two-digit pairs."""
+    g >> 63 and g mod 2**63; and the powers of ten below 10**18."""
     tens = [1]  # 10**0 to 10**324, each from the last: a power each is slower
     for _ in range(324):
         tens.append(10 * tens[-1])
@@ -201,10 +220,8 @@ def _format_tables() -> str:
             g = (1 << power.bit_length() + 125) // power + 1
         rows.append(f"    {{{g >> 63:#x}u, {g & (1 << 63) - 1:#x}u}}")
     table = ",\n".join(rows)
-    powers = ", ".join(f"{power}u" for power in tens[:20])
-    pairs = "".join(f"{k:02d}" for k in range(100))
-    return (f"static const uint64_t G[617][2] = {{\n{table}\n}};\n"
-            f"static const uint64_t POW10[20] = {{{powers}}};\nstatic const char DIGIT_PAIRS[] = \"{pairs}\";\n")
+    powers = ", ".join(f"{power}u" for power in tens[:18])
+    return f"static const uint64_t G[617][2] = {{\n{table}\n}};\nstatic const uint64_t POW10[18] = {{{powers}}};\n"
 
 
 @cache
@@ -214,7 +231,7 @@ def _c_format_rows():
 
     return load(
         "format_rows", ["const double *values", "int64_t rows", "int64_t columns", "int64_t stride", "char *text"],
-        _FORMAT_ROWS, _format_tables() + _FORMAT_DOUBLE,
+        _FORMAT_ROWS, f"#define COLUMNS {_FORMAT_COLUMNS}\n" + _format_tables() + _FORMAT_DOUBLE,
     )
 
 
@@ -298,12 +315,16 @@ def write_trace_csv(trace: SimulationTrace, path) -> None:
         import numpy as np
 
         lanes = max(1, min(usable_cpus(), len(trace) // _CSV_BLOCK_ROWS, _CSV_LANES))
-        texts = [np.empty(_CELL_BYTES * _CSV_BLOCK_ROWS * len(TRACE_CHANNELS), np.uint8) for _ in range(lanes)]
+        size = _CELL_BYTES * _CSV_BLOCK_ROWS * len(TRACE_CHANNELS) + _TEXT_SLACK
+        texts = [np.empty(size, np.uint8) for _ in range(lanes)]
 
         def format_block(lane, start):
             rows, text = min(_CSV_BLOCK_ROWS, len(trace) - start), texts[lane]
             values = trace.records[:, start:].ctypes.data
-            return memoryview(text)[:format_rows(values, rows, len(TRACE_CHANNELS), len(trace), text.ctypes.data)]
+            written = format_rows(values, rows, len(TRACE_CHANNELS), len(trace), text.ctypes.data)
+            if written < 0:
+                raise ValueError(f"the C formatter takes 1 to {_FORMAT_COLUMNS} columns, not {len(TRACE_CHANNELS)}")
+            return memoryview(text)[:written]
     with open(path, "wb") as f:
         f.write(CSV_HEADER.encode() + b"\n")
         _write_blocks(f, range(0, len(trace), _CSV_BLOCK_ROWS), format_block, lanes)

@@ -328,14 +328,14 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 2047, 2048, 2049, 10001])
+@pytest.mark.parametrize("rows", [0, 1, 31, 32, 33, 1023, 1024, 1055, 2047, 2048, 2049, 10001])
 def test_trace_csv_blocks_match_the_reference_writer(tmp_path, rated_trace, monkeypatch, rows):
-    # Both writers format 1,024-row blocks; the row counts straddle their
-    # boundaries. The C formatter's blocks go to a thread per usable CPU, up
-    # to one per full block (1,024 rows) and to _CSV_LANES (2), so 10,001
-    # rows take 2 lanes of 3 or 8 CPUs, with a last round of one block. At
-    # every lane count the bytes are the reference writer's, and no thread
-    # outlives the write.
+    # Both writers format 1,024-row blocks, and the C formatter each block in
+    # runs of 32 rows; the row counts straddle both boundaries. The C
+    # formatter's blocks go to a thread per usable CPU, up to one per full
+    # block (1,024 rows) and to _CSV_LANES (2), so 10,001 rows take 2 lanes
+    # of 3 or 8 CPUs, with a last round of one block. At every lane count the
+    # bytes are the reference writer's, and no thread outlives the write.
     trace = _first_rows(rated_trace, rows)
     threads = threading.active_count()
     for cpus in (1, 2, 3, 8):
@@ -502,7 +502,7 @@ def _formatter_values() -> np.ndarray:
         [float(f"{m}e{e}") for m in range(1000) for e in range(-324, 309, 11)],
         [0.0, math.inf, 5e-324, math.nan], nans,
     ])
-    return np.concatenate([rng.integers(0, 2**64, 60_000, dtype=np.uint64).view(np.float64), values, -values])
+    return np.concatenate([rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64), values, -values])
 
 
 def test_c_formatter_spells_each_value_as_repr():
@@ -511,7 +511,7 @@ def test_c_formatter_spells_each_value_as_repr():
         pytest.skip("no C formatter: no cc on PATH")
     values = _formatter_values()
     assert len(values) >= 300_000
-    text = np.empty(tpim.output._CELL_BYTES * len(values), np.uint8)
+    text = np.empty(tpim.output._CELL_BYTES * len(values) + tpim.output._TEXT_SLACK, np.uint8)
     written = format_rows(values.ctypes.data, len(values), 1, 1, text.ctypes.data)
     spelled = bytes(text[:written]).decode().split("\n")
     expected = [*map(repr, values.tolist()), ""]
@@ -519,15 +519,51 @@ def test_c_formatter_spells_each_value_as_repr():
         wrong = [(value, got) for value, got, want in zip(values.tolist(), spelled, expected) if got != want]
         pytest.fail(f"{len(spelled) - 1} lines for {len(values)} values; unlike repr: {wrong[:10]}")
     # The same values as three channel rows of m records, read in place at
-    # stride m: the lines are the repr rows of the transpose.
+    # stride m: the lines are the repr rows of the transpose. Then the first
+    # 33 records of each, a run of 32 rows and one more, at that stride.
     channels = values[:len(values) // 3 * 3].reshape(3, -1)
     m = channels.shape[1]
-    written = format_rows(channels.ctypes.data, m, 3, m, text.ctypes.data)
-    spelled = bytes(text[:written]).decode().split("\n")
-    expected = [*(",".join(map(repr, row)) for row in channels.T.tolist()), ""]
-    if spelled != expected:
-        wrong = [(got, want) for got, want in zip(spelled, expected) if got != want]
-        pytest.fail(f"{len(spelled) - 1} lines for {m} rows at stride {m}; unlike repr: {wrong[:10]}")
+    for rows in (m, 33):
+        written = format_rows(channels.ctypes.data, rows, 3, m, text.ctypes.data)
+        spelled = bytes(text[:written]).decode().split("\n")
+        expected = [*(",".join(map(repr, row)) for row in channels[:, :rows].T.tolist()), ""]
+        if spelled != expected:
+            wrong = [(got, want) for got, want in zip(spelled, expected) if got != want]
+            pytest.fail(f"{len(spelled) - 1} lines for {rows} rows at stride {m}; unlike repr: {wrong[:10]}")
+
+
+def test_c_formatter_writes_within_its_text_and_slack(monkeypatch, rated_trace):
+    # A text buffer holds _CELL_BYTES a value and _TEXT_SLACK: the canary
+    # bytes after it stay as they were, for rows made only of the longest
+    # reprs and for each edge value alone. A columns past the formatter's
+    # scratch is refused before a byte is written, and the writer raises.
+    format_rows = tpim.output._c_format_rows()
+    if format_rows is None:
+        pytest.skip("no C formatter: no cc on PATH")
+    cell, slack, canary = tpim.output._CELL_BYTES, tpim.output._TEXT_SLACK, b"\xa5" * 64
+
+    def format_into_exact_buffer(values, rows, columns, size):
+        buffer = np.frombuffer(bytearray(size) + canary, np.uint8)
+        written = format_rows(values.ctypes.data, rows, columns, rows, buffer.ctypes.data)
+        assert bytes(buffer[size:]) == canary, values.tolist()
+        return bytes(buffer[:written])
+
+    longest = np.resize([-2.2250738585072014e-308, -1.7976931348623157e+308, -1.0000000000000002e-100], (15, 40))
+    text = format_into_exact_buffer(longest, 40, 15, cell * longest.size + slack)
+    assert text == b"".join(",".join(map(repr, row)).encode() + b"\n" for row in longest.T.tolist())
+    assert len(text) == cell * longest.size
+    for value in _SIGNED_EDGES.ravel().tolist() + [0.1, -0.1, 1.5, 0.001, 12.0]:
+        spelled = repr(value).encode() + b"\n"
+        assert format_into_exact_buffer(np.array([value]), 1, 1, len(spelled) + slack) == spelled
+
+    columns = tpim.output._FORMAT_COLUMNS + 1
+    values = np.ones((columns, 2))
+    text = np.frombuffer(bytearray(canary), np.uint8)
+    assert format_rows(values.ctypes.data, 2, columns, 2, text.ctypes.data) == -1
+    assert bytes(text) == canary
+    monkeypatch.setattr(tpim.output, "_c_format_rows", lambda: lambda *args: -1)
+    with pytest.raises(ValueError, match="the C formatter takes 1 to 16 columns, not 15"):
+        write_trace_csv(rated_trace, os.devnull)
 
 
 def test_late_partial_trace_matches_the_reference_writer(tmp_path, capsys, monkeypatch):
